@@ -18,7 +18,9 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=500, help="ensemble / particle count")
     parser.add_argument("--seeds", type=int, default=3, help="number of seeds")
-    parser.add_argument("--threads", type=int, default=4, help="parallel workers")
+    parser.add_argument(
+        "--threads", type=int, default=4, help="worker processes for sweep cells"
+    )
     parser.add_argument("--out", default=None, help="keep artifacts here (default: temp dir)")
     args = parser.parse_args()
 

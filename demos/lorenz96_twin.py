@@ -2,8 +2,7 @@
 
 Infer the initial state of a chaotic cyclic SDE from noisy readings of every
 other dimension at a handful of times. Each particle costs thousands of
-integration steps, so this is where vectorised simulation and worker
-parallelism earn their keep.
+integration steps, so this is where vectorised simulation earns its keep.
 
 The script runs the sampling-mode driver and compares the posterior spread
 on observed vs unobserved dimensions. At the full 40-dimensional, five-
@@ -30,7 +29,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0, help="experiment seed")
     parser.add_argument("--n", type=int, default=200, help="ensemble size")
-    parser.add_argument("--threads", type=int, default=4, help="parallel workers")
     parser.add_argument(
         "--reduced", action="store_true",
         help="8-dim lattice observed at t=1,2 only (fast, information-poor)",
@@ -52,9 +50,7 @@ def main() -> None:
         f"on dimensions {observed_dims[:5]}{'...' if len(observed_dims) > 5 else ''}"
     )
     try:
-        res = run_eki(
-            model, y, EkiConfig(n_particles=args.n), derive(root, ALGO), threads=args.threads
-        )
+        res = run_eki(model, y, EkiConfig(n_particles=args.n), derive(root, ALGO))
     except FloatingPointError as exc:
         print(f"integration failed: {exc}")
         print("small ensembles estimate the update gain noisily in 40 dimensions and")

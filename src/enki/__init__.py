@@ -8,7 +8,6 @@ harness with a CLI.
 from .baselines import (
     AbcMcmcConfig,
     AbcSmcConfig,
-    AbcTarget,
     RunningMoments,
     abc_accept,
     run_abc_mcmc,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbcMcmcConfig",
     "AbcSmcConfig",
-    "AbcTarget",
     "RunningMoments",
     "abc_accept",
     "run_abc_mcmc",

@@ -29,7 +29,6 @@ from .rng import (
 )
 
 __all__ = [
-    "AbcTarget",
     "AbcSmcConfig",
     "AbcMcmcConfig",
     "abc_accept",
@@ -38,26 +37,6 @@ __all__ = [
     "run_abc_smc",
     "run_abc_mcmc",
 ]
-
-
-@dataclass(frozen=True)
-class AbcTarget:
-    """Distance threshold defining one member of the ABC target sequence.
-
-    Only the Euclidean data-space norm is implemented.
-    """
-
-    kappa: float
-    distance: str = "euclidean"
-
-    def __post_init__(self):
-        if self.kappa < 0:
-            raise ValueError("kappa must be nonnegative")
-        if self.distance != "euclidean":
-            raise ValueError("only the euclidean distance is implemented")
-
-    def accept(self, y_obs: np.ndarray, y_sim: np.ndarray) -> bool:
-        return abc_accept(y_obs, y_sim, self.kappa)
 
 
 @dataclass
@@ -210,7 +189,6 @@ def _adapt_kappa(
 
 def run_abc_smc(
     model: SimulatorModel, observed: np.ndarray, config: AbcSmcConfig, seed,
-    threads: int = 1,
 ) -> RunResult:
     """Adaptive ABC-SMC with systematic resampling and RW-MH rejuvenation.
 
@@ -227,7 +205,7 @@ def run_abc_smc(
     rw_scale = config.rw_scale if config.rw_scale is not None else 2.38**2 / model.d_x
 
     params = model.prior_sample(n, substream(root, PRIOR))
-    sims = model.simulate_batch(params, ParticleStreams(root, SIMULATE, 0), threads=threads)
+    sims = model.simulate_batch(params, ParticleStreams(root, SIMULATE, 0))
     sim_count = n
     dist = np.linalg.norm(observed - sims, axis=1)
 
@@ -278,9 +256,8 @@ def run_abc_smc(
         proposal = GaussPair(np.zeros(model.d_x), symmetrize(rw_scale * spread))
         steps = mvn_sample(proposal, m, substream(root, PROPOSAL, iteration))
         candidates = params[alive_idx] + steps
-        cand_sims = model.simulate_batch(
-            candidates, ParticleStreams(root, SIMULATE, iteration), threads=threads
-        )
+        streams = ParticleStreams(root, SIMULATE, iteration)
+        cand_sims = model.simulate_batch(candidates, streams)
         sim_count += m
         cand_dist = np.linalg.norm(observed - cand_sims, axis=1)
         log_ratio = model.prior_logpdf(candidates) - model.prior_logpdf(params[alive_idx])

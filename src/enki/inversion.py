@@ -138,6 +138,30 @@ class RunResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _kalman_move(
+    ensemble: Ensemble,
+    forward: np.ndarray,
+    observed: np.ndarray,
+    cov_xy: np.ndarray,
+    cov_yy: np.ndarray,
+    noise_cov: np.ndarray,
+    rng: np.random.Generator,
+) -> Ensemble:
+    """Perturbed-observation Kalman move shared by both update steps.
+
+    Moves particle i by C^xy (C^yy + G)^-1 (y - f_i - eta_i) with
+    eta_i ~ N(0, G); a zero G draws nothing. A single factorization is
+    shared by all particles.
+    """
+    low, _ = chol_psd(cov_yy + noise_cov)
+    eta = 0.0
+    if noise_cov.any():
+        eta = mvn_sample(GaussPair(np.zeros(observed.size), noise_cov), ensemble.n, rng)
+    innov = observed - forward - eta
+    moves = (cov_xy @ cho_solve((low, True), innov.T)).T
+    return Ensemble(ensemble.params + moves, sims=None, iteration=ensemble.iteration + 1)
+
+
 def eki_step(
     ensemble: Ensemble,
     observed: np.ndarray,
@@ -151,8 +175,7 @@ def eki_step(
     C^xy (C^yy + (1/h - 1) C^{y|x})^-1 (y - y_i - eta_i) with
     eta_i ~ N(0, (1/h - 1) C^{y|x}). The (1/h - 1) factor is floored at 0,
     so h = 1 draws no noise at all and h > 1 (optimisation-mode steps)
-    degenerates to the plain C^yy bracket. A single factorization is shared
-    by all particles.
+    degenerates to the plain C^yy bracket.
     """
     if ensemble.sims is None:
         raise ValueError("ensemble has no simulated data")
@@ -160,16 +183,10 @@ def eki_step(
         raise ValueError("stepsize h must be positive")
     observed = np.atleast_1d(np.asarray(observed, dtype=float))
     coeff = max(1.0 / h - 1.0, 0.0)
-    bracket = moments.cov_yy + coeff * moments.cov_y_given_x
-    low, _ = chol_psd(bracket)
-    if coeff == 0.0:
-        eta = 0.0
-    else:
-        noise = GaussPair(np.zeros(observed.size), symmetrize(coeff * moments.cov_y_given_x))
-        eta = mvn_sample(noise, ensemble.n, rng)
-    innov = observed - ensemble.sims - eta
-    moves = (moments.cov_xy @ cho_solve((low, True), innov.T)).T
-    return Ensemble(ensemble.params + moves, sims=None, iteration=ensemble.iteration + 1)
+    noise_cov = symmetrize(coeff * moments.cov_y_given_x)
+    return _kalman_move(
+        ensemble, ensemble.sims, observed, moments.cov_xy, moments.cov_yy, noise_cov, rng
+    )
 
 
 def gaussian_eki_step(
@@ -197,12 +214,7 @@ def gaussian_eki_step(
     fc = forward - forward.mean(axis=0)
     cov_xh = xc.T @ fc / (n - 1)
     cov_hh = symmetrize(fc.T @ fc / (n - 1))
-    bracket = cov_hh + r / h
-    low, _ = chol_psd(bracket)
-    eta = mvn_sample(GaussPair(np.zeros(observed.size), r / h), n, rng)
-    innov = observed - forward - eta
-    moves = (cov_xh @ cho_solve((low, True), innov.T)).T
-    return Ensemble(ensemble.params + moves, sims=None, iteration=ensemble.iteration + 1)
+    return _kalman_move(ensemble, forward, observed, cov_xh, cov_hh, r / h, rng)
 
 
 def select_next_lambda(
@@ -306,26 +318,17 @@ def stop_discrepancy(
     return value < tau
 
 
-def _simulate_round(
-    model: SimulatorModel, params, root, iteration: int, threads: int
-) -> np.ndarray:
-    streams = ParticleStreams(root, SIMULATE, iteration)
-    return model.simulate_batch(params, streams, threads=threads)
-
-
 def run_eki(
     model: SimulatorModel,
     observed: np.ndarray,
     config: EkiConfig,
     seed,
-    threads: int = 1,
 ) -> RunResult:
     """Run the full inversion loop.
 
     Per iteration: simulate one dataset per particle, compute joint moments,
     check the mode's stopping rule, select the next temperature, perturb and
-    move. Reproducible bit-for-bit from (model, observed, config, seed),
-    including under threaded simulation.
+    move. Reproducible bit-for-bit from (model, observed, config, seed).
     """
     observed = np.atleast_1d(np.asarray(observed, dtype=float))
     if observed.size != model.d_y:
@@ -340,7 +343,8 @@ def run_eki(
     reason = "max_iters"
 
     for iteration in range(1, config.max_iters + 1):
-        sims = _simulate_round(model, ensemble.params, root, iteration, threads)
+        streams = ParticleStreams(root, SIMULATE, iteration)
+        sims = model.simulate_batch(ensemble.params, streams)
         sim_rounds += 1
         ensemble = ensemble.with_sims(sims)
         moments = compute_moments(ensemble)

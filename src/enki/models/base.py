@@ -7,8 +7,6 @@ space; `constrain` maps particles back to the natural space for reporting.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from ..rng import ParticleStreams
@@ -18,13 +16,11 @@ class SimulatorModel:
     """Prior sampler + likelihood simulator pair.
 
     Subclasses set `d_x`, `d_y` and implement `prior_sample`, `simulate`,
-    and `prior_logpdf`. `parallel_safe` declares that `simulate` may be
-    called concurrently from several threads.
+    and `prior_logpdf`.
     """
 
     d_x: int
     d_y: int
-    parallel_safe: bool = True
     name: str = "model"
 
     def prior_sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -39,26 +35,17 @@ class SimulatorModel:
         """Log prior density at each row of `params`, shape (n,)."""
         raise NotImplementedError
 
-    def simulate_batch(
-        self, params: np.ndarray, streams: ParticleStreams, threads: int = 1
-    ) -> np.ndarray:
+    def simulate_batch(self, params: np.ndarray, streams: ParticleStreams) -> np.ndarray:
         """Simulate one dataset per particle, shape (n, d_y).
 
-        The default runs the serial loop, one substream per particle, so
-        the result is identical for any `threads`. Subclasses may override
-        with vectorised code that consumes the same per-particle streams.
+        The default loops over particles, particle i drawing from
+        `streams.particle(i)`. Subclasses may override with vectorised code
+        that consumes the same per-particle streams.
         """
         params = np.atleast_2d(np.asarray(params, dtype=float))
-        n = params.shape[0]
-        rngs = [streams.particle(i) for i in range(n)]
-        out = np.empty((n, self.d_y))
-        if threads > 1 and self.parallel_safe:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for i, row in enumerate(pool.map(self.simulate, params, rngs)):
-                    out[i] = row
-        else:
-            for i in range(n):
-                out[i] = self.simulate(params[i], rngs[i])
+        out = np.empty((params.shape[0], self.d_y))
+        for i, row in enumerate(params):
+            out[i] = self.simulate(row, streams.particle(i))
         return out
 
     def constrain(self, params: np.ndarray) -> np.ndarray:

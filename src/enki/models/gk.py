@@ -57,6 +57,22 @@ def _order_stat_indices(n_raw: int, n_stats: int) -> np.ndarray:
     return ranks - 1
 
 
+def _simulate_rows(
+    params: np.ndarray, c: float, n_raw: int, n_stats: int, rngs: list
+) -> np.ndarray:
+    """Order-statistic summaries of each natural-scale row (A, B, g, k).
+
+    Row i draws its n_raw standard normal deviates from rngs[i]; the result
+    has shape (n, n_stats).
+    """
+    z = np.empty((len(rngs), n_raw))
+    for i, rng in enumerate(rngs):
+        z[i] = rng.standard_normal(n_raw)
+    a, b, g, k = (params[:, j : j + 1] for j in range(4))
+    vals = np.sort(_gk_values(z, GkParams(a, b, g, k, c)), axis=1)
+    return vals[:, _order_stat_indices(n_raw, n_stats)]
+
+
 def gk_simulate_summaries(
     params: GkParams, n_raw: int = 1000, n_stats: int = 100, rng: np.random.Generator = None
 ) -> np.ndarray:
@@ -71,9 +87,8 @@ def gk_simulate_summaries(
         raise ValueError("n_stats must not exceed n_raw")
     if rng is None:
         raise ValueError("an explicit rng is required")
-    z = rng.standard_normal(n_raw)
-    vals = np.sort(_gk_values(z, params))
-    return vals[_order_stat_indices(n_raw, n_stats)]
+    row = np.array([[params.A, params.B, params.g, params.k]], dtype=float)
+    return _simulate_rows(row, params.c, n_raw, n_stats, [rng])[0]
 
 
 class GkModel(SimulatorModel):
@@ -113,21 +128,11 @@ class GkModel(SimulatorModel):
             self._params_from_working(params), self.n_raw, self.n_stats, rng
         )
 
-    def simulate_batch(
-        self, params: np.ndarray, streams: ParticleStreams, threads: int = 1
-    ) -> np.ndarray:
-        # Vectorised variant of the serial loop; consumes the same
-        # per-particle streams in the same order, so outputs are identical.
+    def simulate_batch(self, params: np.ndarray, streams: ParticleStreams) -> np.ndarray:
         params = np.atleast_2d(np.asarray(params, dtype=float))
-        n = params.shape[0]
-        z = np.empty((n, self.n_raw))
-        for i in range(n):
-            z[i] = streams.particle(i).standard_normal(self.n_raw)
+        rngs = [streams.particle(i) for i in range(params.shape[0])]
         natural = inverse_transform(params, self.upper)
-        a, b, g, k = (natural[:, j : j + 1] for j in range(4))
-        skew = 1.0 + self.c * np.tanh(g * z / 2.0)
-        vals = np.sort(a + b * skew * (1.0 + z**2) ** k * z, axis=1)
-        return vals[:, _order_stat_indices(self.n_raw, self.n_stats)]
+        return _simulate_rows(natural, self.c, self.n_raw, self.n_stats, rngs)
 
     def constrain(self, params: np.ndarray) -> np.ndarray:
         return inverse_transform(params, self.upper)

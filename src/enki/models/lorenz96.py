@@ -4,11 +4,12 @@ A cyclic d_x-dimensional SDE with quadratic advection, linear damping, and
 constant forcing, integrated by Euler-Maruyama. The inference target is the
 initial state; data are noisy readings of every other dimension at a handful
 of times. Simulation cost (thousands of small steps per particle) makes this
-the package's parallelism and vectorisation hotspot.
+the package's vectorisation hotspot: one kernel integrates a batch of
+particles in lockstep, and a single path is a batch of one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,6 +85,48 @@ def l96_drift(x: np.ndarray, forcing: float) -> np.ndarray:
     )
 
 
+def _integrate(x: np.ndarray, config: L96Config, rngs: list) -> np.ndarray:
+    """Flattened noisy observations of each path started from a row of x.
+
+    All rows step in lockstep; row i draws its path noise in step-ordered
+    chunks, then its observation noise, from rngs[i]. Raises if any state
+    blows up, naming the time reached.
+    """
+    n = x.shape[0]
+    dims = list(config.observed_dims)
+    obs_steps = config.obs_steps
+    scale = np.sqrt(config.dt) * config.diffusion
+    blocks = np.empty((n, len(obs_steps), len(dims)))
+    next_obs = 0
+    chunk = 1000
+    step = 0
+    # overflow is detected explicitly at observation reads and reported with
+    # the time reached, so the intermediate warnings are silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        while step < config.n_steps and next_obs < len(obs_steps):
+            width = min(chunk, config.n_steps - step)
+            noise = np.empty((n, width, config.d_x))
+            for i in range(n):
+                noise[i] = rngs[i].standard_normal((width, config.d_x))
+            for t in range(width):
+                step += 1
+                x = x + (l96_drift(x, config.forcing) * config.dt + scale * noise[:, t, :])
+                if step == obs_steps[next_obs]:
+                    if not np.all(np.isfinite(x)):
+                        raise FloatingPointError(
+                            f"state became non-finite by t={step * config.dt:g}"
+                        )
+                    blocks[:, next_obs, :] = x[:, dims]
+                    next_obs += 1
+                    if next_obs == len(obs_steps):
+                        break
+    out = np.empty((n, config.d_y))
+    for i in range(n):
+        eps = rngs[i].standard_normal((len(obs_steps), len(dims)))
+        out[i] = (blocks[i] + np.sqrt(config.obs_noise_var) * eps).ravel()
+    return out
+
+
 def l96_simulate(x0: np.ndarray, config: L96Config, rng: np.random.Generator) -> np.ndarray:
     """Integrate one path from x0 and return the flattened noisy observations.
 
@@ -97,28 +140,7 @@ def l96_simulate(x0: np.ndarray, config: L96Config, rng: np.random.Generator) ->
         raise ValueError(f"x0 must have shape ({config.d_x},)")
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
-    dims = list(config.observed_dims)
-    obs_steps = config.obs_steps
-    scale = np.sqrt(config.dt) * config.diffusion
-    noise = rng.standard_normal((config.n_steps, config.d_x))
-    blocks = np.empty((len(obs_steps), len(dims)))
-    next_obs = 0
-    # overflow is detected explicitly at observation reads and reported with
-    # the time reached, so the intermediate warnings are silenced
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, config.n_steps + 1):
-            x = x + (l96_drift(x, config.forcing) * config.dt + scale * noise[step - 1])
-            if step == obs_steps[next_obs]:
-                if not np.all(np.isfinite(x)):
-                    raise FloatingPointError(
-                        f"state became non-finite by t={step * config.dt:g}"
-                    )
-                blocks[next_obs] = x[dims]
-                next_obs += 1
-                if next_obs == len(obs_steps):
-                    break
-    eps = rng.standard_normal(blocks.shape)
-    return (blocks + np.sqrt(config.obs_noise_var) * eps).ravel()
+    return _integrate(x[None], config, [rng])[0]
 
 
 class L96Model(SimulatorModel):
@@ -153,50 +175,10 @@ class L96Model(SimulatorModel):
     def simulate(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return l96_simulate(params, self.config, rng)
 
-    def simulate_batch(
-        self, params: np.ndarray, streams: ParticleStreams, threads: int = 1
-    ) -> np.ndarray:
-        """Vectorised integration of all particles in lockstep.
-
-        Path noise is drawn per particle in step-ordered chunks from the
-        same substreams as the serial loop, so the result is bit-identical
-        to calling `simulate` per particle.
-        """
-        cfg = self.config
-        x = np.array(np.atleast_2d(np.asarray(params, dtype=float)))
-        n = x.shape[0]
-        if x.shape[1] != cfg.d_x:
-            raise ValueError(f"params must have {cfg.d_x} columns")
-        rngs = [streams.particle(i) for i in range(n)]
-        dims = list(cfg.observed_dims)
-        obs_steps = cfg.obs_steps
-        scale = np.sqrt(cfg.dt) * cfg.diffusion
-        blocks = np.empty((n, len(obs_steps), len(dims)))
-        next_obs = 0
-        chunk = 1000
-        step = 0
-        # as in the serial path: explicit finiteness checks at observation
-        # reads replace the per-step overflow warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            while step < cfg.n_steps and next_obs < len(obs_steps):
-                width = min(chunk, cfg.n_steps - step)
-                noise = np.empty((n, width, cfg.d_x))
-                for i in range(n):
-                    noise[i] = rngs[i].standard_normal((width, cfg.d_x))
-                for t in range(width):
-                    step += 1
-                    x = x + (l96_drift(x, cfg.forcing) * cfg.dt + scale * noise[:, t, :])
-                    if step == obs_steps[next_obs]:
-                        if not np.all(np.isfinite(x)):
-                            raise FloatingPointError(
-                                f"state became non-finite by t={step * cfg.dt:g}"
-                            )
-                        blocks[:, next_obs, :] = x[:, dims]
-                        next_obs += 1
-                        if next_obs == len(obs_steps):
-                            break
-        out = np.empty((n, self.d_y))
-        for i in range(n):
-            eps = rngs[i].standard_normal((len(obs_steps), len(dims)))
-            out[i] = (blocks[i] + np.sqrt(cfg.obs_noise_var) * eps).ravel()
-        return out
+    def simulate_batch(self, params: np.ndarray, streams: ParticleStreams) -> np.ndarray:
+        """Vectorised integration of all particles in lockstep."""
+        x = np.atleast_2d(np.asarray(params, dtype=float))
+        if x.shape[1] != self.config.d_x:
+            raise ValueError(f"params must have {self.config.d_x} columns")
+        rngs = [streams.particle(i) for i in range(x.shape[0])]
+        return _integrate(x, self.config, rngs)

@@ -3,8 +3,8 @@
 One root seed governs a run. Every consumer (prior draw, per-particle
 simulation, perturbation round, ...) works on an independent substream
 derived from the root through a structured integer key, so results are
-identical whether particles are simulated serially, in a thread pool, or
-in vectorised batches.
+identical whether particles are simulated one at a time or in vectorised
+batches.
 """
 from __future__ import annotations
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from enki.baselines import (
     AbcMcmcConfig,
     AbcSmcConfig,
-    AbcTarget,
     RunningMoments,
     abc_accept,
     run_abc_mcmc,
@@ -29,14 +28,6 @@ def test_abc_accept_is_strict():
     assert not abc_accept(y, y, 0.0)  # zero distance still needs kappa > 0
     with pytest.raises(ValueError):
         abc_accept(np.zeros(2), np.zeros(3), 1.0)
-
-
-def test_abc_target_validation():
-    assert AbcTarget(1.0).accept(np.zeros(1), np.array([0.5]))
-    with pytest.raises(ValueError):
-        AbcTarget(-1.0)
-    with pytest.raises(ValueError):
-        AbcTarget(1.0, distance="manhattan")
 
 
 def test_systematic_resample_concentrated_weight():

@@ -475,13 +475,5 @@ def test_09_invariant_stress_suite(capsys):
         q = gk_quantile(u, params)
         assert np.all(np.diff(q) > 0)
 
-    # seed determinism under parallel simulation
-    model = random_lingauss(rng, 3, 3)
-    _, _, obs_data = draw_observation(model, 2)
-    cfg = EkiConfig(n_particles=120)
-    serial = run_eki(model, obs_data, cfg, 7, threads=1)
-    threaded = run_eki(model, obs_data, cfg, 7, threads=3)
-    assert np.array_equal(serial.ensemble.params, threaded.ensemble.params)
-
     elapsed = time.perf_counter() - start
-    _verdict(capsys, 9, True, f"six invariant families stressed, {elapsed:.0f}s")
+    _verdict(capsys, 9, True, f"five invariant families stressed, {elapsed:.0f}s")

@@ -291,17 +291,6 @@ def test_run_eki_bitwise_reproducible():
     assert not np.array_equal(a.ensemble.params, c.ensemble.params)
 
 
-def test_run_eki_threaded_matches_serial():
-    rng = np.random.default_rng(8)
-    model = random_lingauss(rng, 3, 3)  # base-class batch: thread pool path
-    _, _, y = draw_observation(model, 2)
-    cfg = EkiConfig(n_particles=150)
-    serial = run_eki(model, y, cfg, 7, threads=1)
-    threaded = run_eki(model, y, cfg, 7, threads=3)
-    assert np.array_equal(serial.ensemble.params, threaded.ensemble.params)
-    assert serial.schedule.lambdas == threaded.schedule.lambdas
-
-
 def test_run_eki_optimisation_contracts_variances():
     model = GkModel()
     _, _, y = draw_observation(model, 0)

@@ -249,6 +249,20 @@ def test_l96_simulate_blowup_names_time():
             l96_simulate(np.array([1e80, 1e80, 0.0, 0.0]), cfg, np.random.default_rng(0))
 
 
+def test_l96_model_batch_blowup_names_time():
+    # one diverging row aborts the whole batch, as in the single-path case
+    model = L96Model(L96Config(d_x=4, obs_times=(1.0,), dt=0.01, diffusion=0.0))
+    params = np.array([
+        [8.0, 8.5, 7.5, 8.0],
+        [1e80, 1e80, 0.0, 0.0],
+        [9.0, 7.0, 8.0, 8.0],
+    ])
+    streams = ParticleStreams(as_seed_sequence(0), 1, 1)
+    with pytest.raises(FloatingPointError, match="t="):
+        with np.errstate(all="ignore"):
+            model.simulate_batch(params, streams)
+
+
 def test_l96_model_batch_matches_serial_loop():
     # same substreams, chunked draws: vectorised path must be bit-identical
     model = L96Model(L96Config(d_x=6, obs_times=(0.5, 1.0), dt=0.01))
