@@ -4,95 +4,30 @@ The package bundles the inversion driver (sampling and optimisation modes
 with adaptive tempering), ABC-SMC and ABC-MCMC baselines, an analytic
 linear-Gaussian oracle, two benchmark simulators, and a batch experiment
 harness with a CLI.
+
+This namespace holds the entry points with their inputs and outputs; the
+building blocks (update steps, moments, kernels, oracles) are imported from
+the modules that define them, e.g. ``enki.inversion.eki_step``.
 """
-from .baselines import (
-    AbcMcmcConfig,
-    AbcSmcConfig,
-    RunningMoments,
-    abc_accept,
-    run_abc_mcmc,
-    run_abc_smc,
-    systematic_resample,
-)
-from .ensembles import Ensemble, GaussPair, MomentSet, compute_moments, ess, mvn_sample
-from .harness import ExperimentConfig, rmse, run_experiment
-from .inversion import (
-    EkiConfig,
-    RunResult,
-    TemperSchedule,
-    eki_step,
-    gaussian_eki_step,
-    run_eki,
-    select_next_lambda,
-    stop_discrepancy,
-    stop_optimisation,
-    stop_sampling,
-)
-from .models import (
-    GkModel,
-    GkParams,
-    L96Config,
-    L96Model,
-    LinearGaussianModel,
-    SimulatorModel,
-    available_models,
-    build_model,
-    gk_quantile,
-    gk_simulate_summaries,
-    inverse_transform,
-    l96_drift,
-    l96_simulate,
-    linear_gaussian_posterior,
-    linear_gaussian_tempered,
-    tempered_recursion_step,
-    transform_to_unconstrained,
-)
+from .baselines import AbcMcmcConfig, AbcSmcConfig, run_abc_mcmc, run_abc_smc
+from .harness import ExperimentConfig, run_experiment
+from .inversion import EkiConfig, RunResult, run_eki
+from .models import SimulatorModel, available_models, build_model
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbcMcmcConfig",
-    "AbcSmcConfig",
-    "RunningMoments",
-    "abc_accept",
-    "run_abc_mcmc",
-    "run_abc_smc",
-    "systematic_resample",
-    "Ensemble",
-    "GaussPair",
-    "MomentSet",
-    "compute_moments",
-    "ess",
-    "mvn_sample",
-    "ExperimentConfig",
-    "rmse",
-    "run_experiment",
+    "run_eki",
     "EkiConfig",
     "RunResult",
-    "TemperSchedule",
-    "eki_step",
-    "gaussian_eki_step",
-    "run_eki",
-    "select_next_lambda",
-    "stop_discrepancy",
-    "stop_optimisation",
-    "stop_sampling",
-    "GkModel",
-    "GkParams",
-    "L96Config",
-    "L96Model",
-    "LinearGaussianModel",
-    "SimulatorModel",
-    "available_models",
+    "run_abc_smc",
+    "AbcSmcConfig",
+    "run_abc_mcmc",
+    "AbcMcmcConfig",
+    "run_experiment",
+    "ExperimentConfig",
     "build_model",
-    "gk_quantile",
-    "gk_simulate_summaries",
-    "inverse_transform",
-    "l96_drift",
-    "l96_simulate",
-    "linear_gaussian_posterior",
-    "linear_gaussian_tempered",
-    "tempered_recursion_step",
-    "transform_to_unconstrained",
+    "available_models",
+    "SimulatorModel",
     "__version__",
 ]

@@ -38,32 +38,35 @@ __all__ = [
     "run_abc_mcmc",
 ]
 
+_RESAMPLE_THRESHOLD = 0.5  # SMC resamples below this fraction of N
+_BISECT_ITERS = 60  # SMC bisection steps per kappa adaptation
+_GAIN_DECAY = 0.6  # MCMC log-kappa gain is t^(-_GAIN_DECAY)
+_ADAPT_START = 10  # MCMC proposes from the identity up to this step
+
 
 @dataclass
 class AbcSmcConfig:
     """SMC sampler settings.
 
     ess_kappa_target is the per-iteration ESS retention fraction for the
-    kappa adaptation; resampling triggers below resample_threshold * N; the
-    run stops once the rejuvenation acceptance rate first falls below
-    stop_acceptance. rw_scale defaults to 2.38^2 / d_x.
+    kappa adaptation; resampling triggers below 0.5 * N; the run stops once
+    the rejuvenation acceptance rate first falls below stop_acceptance.
+    Fixed: 60 bisection steps per kappa adaptation, and a random-walk
+    proposal of 2.38^2 / d_x times the ensemble covariance.
     """
 
     n_particles: int
     ess_kappa_target: float = 0.9
-    resample_threshold: float = 0.5
     stop_acceptance: float = 0.015
-    rw_scale: float = None
     initial_kappa: float = None
     max_iters: int = 1000
-    bisect_iters: int = 60
 
     def __post_init__(self):
         if self.n_particles < 2:
             raise ValueError("n_particles must be at least 2")
-        if not 0 < self.stop_acceptance < self.resample_threshold < self.ess_kappa_target < 1:
+        if not 0 < self.stop_acceptance < _RESAMPLE_THRESHOLD < self.ess_kappa_target < 1:
             raise ValueError(
-                "need 0 < stop_acceptance < resample_threshold < ess_kappa_target < 1"
+                f"need 0 < stop_acceptance < {_RESAMPLE_THRESHOLD} < ess_kappa_target < 1"
             )
         if self.initial_kappa is not None and self.initial_kappa <= 0:
             raise ValueError("initial_kappa must be positive")
@@ -76,28 +79,27 @@ class AbcMcmcConfig:
     """Adaptive random-walk chain settings.
 
     log kappa follows a stochastic-approximation recursion with gain
-    t^(-gain_decay) pushing the acceptance rate toward target_acceptance.
-    The returned ensemble is the post-burn-in chain thinned to n_keep states
-    (burn-in is the first half).
+    t^(-0.6) pushing the acceptance rate toward target_acceptance. The
+    proposal is 2.38^2 / d_x times the identity for the first 10 steps and
+    times the running chain covariance after. The returned ensemble is the
+    post-burn-in chain thinned to n_keep >= 2 states (default min(1000,
+    tail length); burn-in is the first half).
     """
 
     n_steps: int
     target_acceptance: float = 0.10
-    gain_decay: float = 0.6
     initial_kappa: float = None
-    rw_scale: float = None
     n_keep: int = None
-    adapt_start: int = 10
 
     def __post_init__(self):
         if self.n_steps < 10:
             raise ValueError("n_steps must be at least 10")
         if not 0 < self.target_acceptance < 1:
             raise ValueError("target_acceptance must lie in (0, 1)")
-        if self.gain_decay <= 0:
-            raise ValueError("gain_decay must be positive")
         if self.initial_kappa is not None and self.initial_kappa <= 0:
             raise ValueError("initial_kappa must be positive")
+        if self.n_keep is not None and self.n_keep < 2:
+            raise ValueError("n_keep must be at least 2")
 
 
 def abc_accept(y_obs: np.ndarray, y_sim: np.ndarray, kappa: float) -> bool:
@@ -194,7 +196,7 @@ def run_abc_smc(
 
     Per iteration: shrink kappa by bisection so the surviving-particle ESS
     stays near ess_kappa_target times its previous value, resample when the
-    ESS drops below resample_threshold * N, then give every surviving
+    ESS drops below 0.5 * N, then give every surviving
     particle one random-walk move accepted iff the prior ratio passes and a
     fresh simulation lands inside kappa. Stops when the move acceptance
     rate first falls below stop_acceptance. Every simulate call is counted.
@@ -202,7 +204,7 @@ def run_abc_smc(
     observed = np.atleast_1d(np.asarray(observed, dtype=float))
     root = as_seed_sequence(seed)
     n = config.n_particles
-    rw_scale = config.rw_scale if config.rw_scale is not None else 2.38**2 / model.d_x
+    rw_scale = 2.38**2 / model.d_x
 
     params = model.prior_sample(n, substream(root, PRIOR))
     sims = model.simulate_batch(params, ParticleStreams(root, SIMULATE, 0))
@@ -230,14 +232,14 @@ def run_abc_smc(
 
     for iteration in range(1, config.max_iters + 1):
         target = config.ess_kappa_target * ess_cur
-        kappa, alive = _adapt_kappa(dist, alive, kappa, target, config.bisect_iters)
+        kappa, alive = _adapt_kappa(dist, alive, kappa, target, _BISECT_ITERS)
         ess_cur = float(alive.sum())
         kappas.append(kappa)
         ess_trace.append(ess_cur)
         if abs(ess_cur - target) > 0.02 * n:
             infeasible.append(iteration)
 
-        if ess_cur < config.resample_threshold * n:
+        if ess_cur < _RESAMPLE_THRESHOLD * n:
             weights = alive / alive.sum()
             idx = systematic_resample(weights, substream(root, RESAMPLE, iteration))
             params = params[idx]
@@ -301,9 +303,9 @@ def run_abc_mcmc(
     """Adaptive random-walk ABC-MCMC with one fresh simulation per proposal.
 
     Proposal covariance is 2.38^2 / d_x times the running covariance of the
-    chain (identity until adapt_start states are seen); a proposal is
+    chain (identity for the first 10 steps); a proposal is
     accepted iff the prior MH ratio passes and its simulation lands within
-    kappa. After each step log kappa moves by -t^(-gain_decay) *
+    kappa. After each step log kappa moves by -t^(-0.6) *
     (accepted - target_acceptance), so kappa shrinks on acceptance and
     equilibrates where the long-run rate matches the target.
     """
@@ -311,7 +313,7 @@ def run_abc_mcmc(
     root = as_seed_sequence(seed)
     rng = substream(root, CHAIN)
     d_x = model.d_x
-    rw_scale = config.rw_scale if config.rw_scale is not None else 2.38**2 / d_x
+    rw_scale = 2.38**2 / d_x
 
     state = model.prior_sample(1, rng)[0]
     sim = model.simulate(state, rng)
@@ -332,7 +334,7 @@ def run_abc_mcmc(
 
     identity = np.eye(d_x)
     for t in range(1, config.n_steps + 1):
-        if t > config.adapt_start:
+        if t > _ADAPT_START:
             spread = running.cov
             if not spread.any():
                 spread = identity
@@ -356,7 +358,7 @@ def run_abc_mcmc(
             state = candidate
             dist_cur = cand_dist
         accepted[t - 1] = ok
-        gain = t ** (-config.gain_decay)
+        gain = t ** (-_GAIN_DECAY)
         kappa = float(np.exp(np.log(kappa) - gain * (float(ok) - config.target_acceptance)))
         kappa_trace[t] = kappa
         running.update(state)
@@ -365,7 +367,7 @@ def run_abc_mcmc(
     burn = config.n_steps // 2
     tail = chain[burn + 1 :]
     n_keep = config.n_keep if config.n_keep is not None else min(1000, tail.shape[0])
-    n_keep = max(2, min(n_keep, tail.shape[0]))
+    n_keep = min(n_keep, tail.shape[0])
     sel = np.unique(np.round(np.linspace(0, tail.shape[0] - 1, n_keep)).astype(int))
     ensemble = Ensemble(tail[sel], iteration=config.n_steps)
     return RunResult(

@@ -168,7 +168,7 @@ class ExperimentConfig:
             if not isinstance(n, int) or n < 2:
                 raise ConfigError(f"n_particles: every entry must be an int >= 2, got {n!r}")
         for s in self.seeds:
-            if not isinstance(s, int) or s < 0:
+            if isinstance(s, bool) or not isinstance(s, int) or s < 0:
                 raise ConfigError(f"seeds: every entry must be a nonnegative int, got {s!r}")
         for key in self.algo_params:
             if key not in ALGORITHMS:
@@ -191,13 +191,9 @@ def _final_temp(algorithm: str, result: RunResult) -> float:
 def _dispatch(model, observed, algorithm: str, n: int, seed, snapshots: bool,
               params: dict) -> RunResult:
     params = dict(params or {})
-    if algorithm == "eki-sampling":
-        cfg = EkiConfig(n_particles=n, stop_mode="sampling", snapshots=snapshots, **params)
-        return run_eki(model, observed, cfg, seed)
-    if algorithm == "eki-optimisation":
-        cfg = EkiConfig(
-            n_particles=n, stop_mode="optimisation", snapshots=snapshots, **params
-        )
+    if algorithm.startswith("eki-"):
+        cfg = EkiConfig(n_particles=n, stop_mode=algorithm.removeprefix("eki-"),
+                        snapshots=snapshots, **params)
         return run_eki(model, observed, cfg, seed)
     if algorithm == "abc-smc":
         cfg = AbcSmcConfig(n_particles=n, **params)
@@ -374,8 +370,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, out_dir=None) -> 
     Returns (rows, out_path). Cells run in parallel processes when
     threads > 1; results are written in cell order, so output files are
     identical for any thread count. A failed cell contributes an error row
-    and no artifact directory.
+    and no artifact directory. Raises ValueError if threads < 1.
     """
+    if threads < 1:
+        raise ValueError(f"threads: must be at least 1, got {threads}")
     config.validate()
     out_path = resolve_out_dir(config, out_dir)
     out_path.mkdir(parents=True, exist_ok=True)

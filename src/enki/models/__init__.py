@@ -5,32 +5,15 @@ import numpy as np
 
 from ..ensembles import GaussPair
 from .base import SimulatorModel
-from .gk import GkModel, GkParams, gk_quantile, gk_simulate_summaries
-from .lingauss import (
-    LinearGaussianModel,
-    linear_gaussian_posterior,
-    linear_gaussian_tempered,
-    tempered_recursion_step,
-)
-from .lorenz96 import L96Config, L96Model, l96_drift, l96_simulate
-from .transforms import inverse_transform, transform_to_unconstrained
+from .gk import GkModel
+from .lingauss import LinearGaussianModel
+from .lorenz96 import L96Config, L96Model
 
 __all__ = [
     "SimulatorModel",
     "GkModel",
-    "GkParams",
-    "gk_quantile",
-    "gk_simulate_summaries",
-    "L96Config",
     "L96Model",
-    "l96_drift",
-    "l96_simulate",
     "LinearGaussianModel",
-    "linear_gaussian_posterior",
-    "linear_gaussian_tempered",
-    "tempered_recursion_step",
-    "transform_to_unconstrained",
-    "inverse_transform",
     "available_models",
     "build_model",
 ]

@@ -115,6 +115,3 @@ class LinearGaussianModel(SimulatorModel):
 
     def posterior(self, y: np.ndarray) -> GaussPair:
         return linear_gaussian_posterior(self.prior, self.obs_matrix, self.noise_cov, y)
-
-    def tempered_posterior(self, y: np.ndarray, lam: float) -> GaussPair:
-        return linear_gaussian_tempered(self.prior, self.obs_matrix, self.noise_cov, y, lam)

@@ -246,3 +246,5 @@ def test_mcmc_config_validation():
         AbcMcmcConfig(n_steps=100, target_acceptance=1.5)
     with pytest.raises(ValueError):
         AbcMcmcConfig(n_steps=100, initial_kappa=0.0)
+    with pytest.raises(ValueError, match="n_keep"):
+        AbcMcmcConfig(n_steps=100, n_keep=1)

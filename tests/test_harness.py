@@ -91,6 +91,8 @@ def test_config_validates_grid_entries():
         ExperimentConfig.from_mapping(small_mapping(n_particles=[1]))
     with pytest.raises(ConfigError, match="seeds"):
         ExperimentConfig.from_mapping(small_mapping(seeds=[-3]))
+    with pytest.raises(ConfigError, match="seeds"):
+        ExperimentConfig.from_mapping(small_mapping(seeds=[True]))
 
 
 def test_config_checks_model_overrides_early():
@@ -332,6 +334,13 @@ def test_cli_bad_inputs_exit_2(tmp_path, capsys):
     mangled.write_text("model: [unclosed\n")
     assert cli_main(["validate", str(mangled)]) == 2
     assert "error:" in capsys.readouterr().err
+
+    cfg_path = write_config(tmp_path)
+    for threads in ("0", "-5"):
+        assert cli_main(["run", str(cfg_path), "--threads", threads,
+                         "--out", str(tmp_path / "unused")]) == 2
+        assert "threads" in capsys.readouterr().err
+    assert not (tmp_path / "unused").exists()
 
 
 def test_algorithms_tuple_is_the_public_contract():
