@@ -8,6 +8,7 @@ is sim_count (exact likelihood-simulation calls); wall time is secondary.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import time
@@ -36,16 +37,28 @@ __all__ = [
 ]
 
 ALGORITHMS = ("eki-sampling", "eki-optimisation", "abc-smc", "abc-mcmc")
-METRICS_FIELDS = [
+_METRICS_TYPES = {
+    "algorithm": str,
+    "model": str,
+    "N": int,
+    "seed": int,
+    "sim_count": int,
+    "rmse": float,
+    "wall_time_s": float,
+    "termination": str,
+    "final_temp": float,
+}
+METRICS_FIELDS = list(_METRICS_TYPES)
+_SUMMARY_FIELDS = [
     "algorithm",
     "model",
     "N",
-    "seed",
-    "sim_count",
-    "rmse",
-    "wall_time_s",
-    "termination",
-    "final_temp",
+    "runs",
+    "rmse_q25",
+    "rmse_median",
+    "rmse_q75",
+    "sim_count_median",
+    "wall_time_s_median",
 ]
 OUT_ROOT_ENV = "ENKI_OUT_ROOT"
 
@@ -84,7 +97,10 @@ class ExperimentConfig:
     def from_mapping(cls, raw: dict) -> "ExperimentConfig":
         """Build and validate from a parsed config mapping.
 
-        Raises ConfigError naming the field on any schema violation.
+        Accepts the spellings algorithm/algorithms and n_particles/N (the
+        first wins) and out, and wraps a single scalar in a list; validate()
+        then checks every value. Raises ConfigError naming the field on any
+        schema violation.
         """
         if not isinstance(raw, dict):
             raise ConfigError("config: expected a mapping of fields")
@@ -105,48 +121,16 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown field(s): {', '.join(sorted(unknown))}")
 
-        model = raw.get("model")
-        if not isinstance(model, str) or not model:
-            raise ConfigError("model: required, must be a model name string")
-
-        algos = raw.get("algorithm", raw.get("algorithms"))
-        if algos is None:
-            raise ConfigError("algorithm: required field missing")
-        if isinstance(algos, str):
-            algos = [algos]
-        if not isinstance(algos, list) or not algos:
-            raise ConfigError("algorithm: must be a name or nonempty list of names")
-
-        n_particles = raw.get("n_particles", raw.get("N"))
-        if n_particles is None:
-            raise ConfigError("n_particles: required field missing")
-        if isinstance(n_particles, int):
-            n_particles = [n_particles]
-        if not isinstance(n_particles, list) or not n_particles:
-            raise ConfigError("n_particles: must be an int or nonempty list of ints")
-
-        seeds = raw.get("seeds")
-        if seeds is None:
-            raise ConfigError("seeds: required field missing")
-        if isinstance(seeds, int):
-            seeds = [seeds]
-        if not isinstance(seeds, list) or not seeds:
-            raise ConfigError("seeds: must be an int or nonempty list of ints")
-
-        overrides = raw.get("model_overrides") or {}
-        if not isinstance(overrides, dict):
-            raise ConfigError("model_overrides: must be a mapping")
-        algo_params = raw.get("algo_params") or {}
-        if not isinstance(algo_params, dict):
-            raise ConfigError("algo_params: must be a mapping keyed by algorithm")
+        def listed(value):
+            return value if value is None or isinstance(value, list) else [value]
 
         config = cls(
-            model=model,
-            algorithms=[str(a) for a in algos],
-            n_particles=list(n_particles),
-            seeds=list(seeds),
-            model_overrides=dict(overrides),
-            algo_params={str(k): dict(v or {}) for k, v in algo_params.items()},
+            model=raw.get("model"),
+            algorithms=listed(raw.get("algorithm", raw.get("algorithms"))),
+            n_particles=listed(raw.get("n_particles", raw.get("N"))),
+            seeds=listed(raw.get("seeds")),
+            model_overrides=raw.get("model_overrides") or {},
+            algo_params=raw.get("algo_params") or {},
             out_dir=raw.get("out"),
             snapshots=bool(raw.get("snapshots", False)),
             label=str(raw.get("label", "experiment")),
@@ -155,10 +139,22 @@ class ExperimentConfig:
         return config
 
     def validate(self):
+        """Check every field; raises ConfigError naming the first bad one."""
+        if not isinstance(self.model, str) or not self.model:
+            raise ConfigError("model: required, must be a model name string")
         if self.model not in available_models():
             raise ConfigError(
                 f"model: unknown '{self.model}' (available: {', '.join(available_models())})"
             )
+        for name, values in (
+            ("algorithm", self.algorithms),
+            ("n_particles", self.n_particles),
+            ("seeds", self.seeds),
+        ):
+            if values is None:
+                raise ConfigError(f"{name}: required field missing")
+            if not isinstance(values, list) or not values:
+                raise ConfigError(f"{name}: must be a single entry or a nonempty list")
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ConfigError(
@@ -170,9 +166,18 @@ class ExperimentConfig:
         for s in self.seeds:
             if isinstance(s, bool) or not isinstance(s, int) or s < 0:
                 raise ConfigError(f"seeds: every entry must be a nonnegative int, got {s!r}")
-        for key in self.algo_params:
+        if not isinstance(self.algo_params, dict):
+            raise ConfigError("algo_params: must be a mapping keyed by algorithm")
+        for key, params in self.algo_params.items():
             if key not in ALGORITHMS:
                 raise ConfigError(f"algo_params: unknown algorithm key '{key}'")
+            if params is not None and not isinstance(params, dict):
+                raise ConfigError(
+                    f"algo_params: entry '{key}' must be a mapping of settings, "
+                    f"got {params!r}"
+                )
+        if not isinstance(self.model_overrides, dict):
+            raise ConfigError("model_overrides: must be a mapping")
         # fail before any simulation if the overrides are malformed
         try:
             build_model(self.model, self.model_overrides)
@@ -198,53 +203,34 @@ def _dispatch(model, observed, algorithm: str, n: int, seed, snapshots: bool,
     if algorithm == "abc-smc":
         cfg = AbcSmcConfig(n_particles=n, **params)
         return run_abc_smc(model, observed, cfg, seed)
-    if algorithm == "abc-mcmc":
-        n_steps = params.pop("n_steps", 25 * n)
-        n_keep = params.pop("n_keep", n)
-        cfg = AbcMcmcConfig(n_steps=n_steps, n_keep=n_keep, **params)
-        return run_abc_mcmc(model, observed, cfg, seed)
-    raise ValueError(f"unknown algorithm '{algorithm}'")
+    # abc-mcmc: validate() has already rejected any name outside ALGORITHMS
+    n_steps = params.pop("n_steps", 25 * n)
+    n_keep = params.pop("n_keep", n)
+    cfg = AbcMcmcConfig(n_steps=n_steps, n_keep=n_keep, **params)
+    return run_abc_mcmc(model, observed, cfg, seed)
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
-def _execute_cell(task: tuple) -> tuple:
+def _execute_cell(config: ExperimentConfig, cell: tuple) -> tuple:
     """Run one (algorithm, N, seed) cell; never raises, reports errors in-row."""
-    model_name, overrides, algorithm, n, seed, snapshots, params = task
-    base_row = {
-        "algorithm": algorithm,
-        "model": model_name,
-        "N": n,
-        "seed": seed,
-    }
+    algorithm, n, seed = cell
+    key = {"algorithm": algorithm, "model": config.model, "N": n, "seed": seed}
     try:
-        model = build_model(model_name, overrides)
-        cell = as_seed_sequence(seed)
-        data_rng = substream(cell, DATA)
+        model = build_model(config.model, config.model_overrides)
+        cell_seq = as_seed_sequence(seed)
+        data_rng = substream(cell_seq, DATA)
         truth = model.sample_truth(data_rng)
         observed = model.simulate(truth, data_rng)
         start = time.perf_counter()
-        result = _dispatch(model, observed, algorithm, n, derive(cell, ALGO),
-                           snapshots, params)
+        result = _dispatch(model, observed, algorithm, n, derive(cell_seq, ALGO),
+                           config.snapshots, config.algo_params.get(algorithm))
         wall = time.perf_counter() - start
-        row = dict(base_row)
-        row.update(
-            sim_count=result.sim_count,
-            rmse=rmse(model.constrain(result.ensemble.params), model.constrain(truth)),
-            wall_time_s=wall,
-            termination=result.termination_reason,
-            final_temp=_final_temp(algorithm, result),
-        )
+        outcome = {
+            "sim_count": result.sim_count,
+            "rmse": rmse(model.constrain(result.ensemble.params), model.constrain(truth)),
+            "wall_time_s": wall,
+            "termination": result.termination_reason,
+            "final_temp": _final_temp(algorithm, result),
+        }
         diagnostics = {
             k: v for k, v in result.diagnostics.items() if k != "kappa_trace"
         }
@@ -256,31 +242,24 @@ def _execute_cell(task: tuple) -> tuple:
                 if result.snapshots
                 else None
             ),
-            "meta": _jsonable(
-                {
-                    **base_row,
-                    "model_overrides": overrides,
-                    "truth": model.constrain(truth),
-                    "sim_count": row["sim_count"],
-                    "rmse": row["rmse"],
-                    "wall_time_s": row["wall_time_s"],
-                    "termination": row["termination"],
-                    "final_temp": row["final_temp"],
-                    "diagnostics": diagnostics,
-                }
-            ),
+            "meta": {
+                **key,
+                "model_overrides": config.model_overrides,
+                "truth": model.constrain(truth),
+                **outcome,
+                "diagnostics": diagnostics,
+            },
         }
-        return row, artifacts
+        return {**key, **outcome}, artifacts
     except Exception as err:  # per-run failures must not abort the sweep
-        row = dict(base_row)
-        row.update(
-            sim_count=0,
-            rmse=float("nan"),
-            wall_time_s=0.0,
-            termination=f"error: {type(err).__name__}: {err}",
-            final_temp=float("nan"),
-        )
-        return row, None
+        outcome = {
+            "sim_count": 0,
+            "rmse": float("nan"),
+            "wall_time_s": 0.0,
+            "termination": f"error: {type(err).__name__}: {err}",
+            "final_temp": float("nan"),
+        }
+        return {**key, **outcome}, None
 
 
 def _format_value(key: str, value) -> str:
@@ -293,8 +272,7 @@ def _format_value(key: str, value) -> str:
 
 def write_metrics_csv(rows: list, path) -> None:
     """Write metrics rows under the fixed header (column order is part of the contract)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_FIELDS)
         for row in rows:
@@ -303,29 +281,15 @@ def write_metrics_csv(rows: list, path) -> None:
 
 def read_metrics_csv(path) -> list:
     """Parse a metrics CSV back into typed row dicts."""
-    path = Path(path)
-    with path.open(newline="") as fh:
+    with Path(path).open(newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != METRICS_FIELDS:
             raise ValueError(
                 f"unexpected metrics header {reader.fieldnames}; expected {METRICS_FIELDS}"
             )
-        rows = []
-        for raw in reader:
-            rows.append(
-                {
-                    "algorithm": raw["algorithm"],
-                    "model": raw["model"],
-                    "N": int(raw["N"]),
-                    "seed": int(raw["seed"]),
-                    "sim_count": int(raw["sim_count"]),
-                    "rmse": float(raw["rmse"]),
-                    "wall_time_s": float(raw["wall_time_s"]),
-                    "termination": raw["termination"],
-                    "final_temp": float(raw["final_temp"]),
-                }
-            )
-    return rows
+        return [
+            {k: kind(raw[k]) for k, kind in _METRICS_TYPES.items()} for raw in reader
+        ]
 
 
 def _write_ensemble_csv(params: np.ndarray, path: Path) -> None:
@@ -337,16 +301,19 @@ def _write_ensemble_csv(params: np.ndarray, path: Path) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
+def _write_json(value, path: Path) -> None:
+    with path.open("w") as fh:
+        # numpy arrays and scalars are written as the plain values they hold
+        json.dump(value, fh, indent=2, default=lambda v: v.tolist())
+        fh.write("\n")
+
+
 def _write_artifacts(run_dir: Path, artifacts: dict) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
     _write_ensemble_csv(artifacts["ensemble"], run_dir / "ensemble.csv")
-    with (run_dir / "meta.json").open("w") as fh:
-        json.dump(artifacts["meta"], fh, indent=2)
-        fh.write("\n")
+    _write_json(artifacts["meta"], run_dir / "meta.json")
     if artifacts["schedule"] is not None:
-        with (run_dir / "schedule.json").open("w") as fh:
-            json.dump(artifacts["schedule"], fh, indent=2)
-            fh.write("\n")
+        _write_json(artifacts["schedule"], run_dir / "schedule.json")
     if artifacts["snapshots"] is not None:
         snap_dir = run_dir / "snapshots"
         snap_dir.mkdir(exist_ok=True)
@@ -377,33 +344,25 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, out_dir=None) -> 
     config.validate()
     out_path = resolve_out_dir(config, out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    tasks = [
-        (
-            config.model,
-            config.model_overrides,
-            algorithm,
-            n,
-            seed,
-            config.snapshots,
-            config.algo_params.get(algorithm, {}),
-        )
+    cells = [
+        (algorithm, n, seed)
         for algorithm in config.algorithms
         for n in config.n_particles
         for seed in config.seeds
     ]
+    run_cell = functools.partial(_execute_cell, config)
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_execute_cell, tasks))
+            outcomes = list(pool.map(run_cell, cells))
     else:
-        outcomes = [_execute_cell(task) for task in tasks]
+        outcomes = [run_cell(cell) for cell in cells]
 
     rows = []
-    for task, (row, artifacts) in zip(tasks, outcomes):
+    for row, artifacts in outcomes:
         rows.append(row)
         if artifacts is not None:
-            _, _, algorithm, n, seed, _, _ = task
-            run_dir = out_path / "runs" / f"{algorithm}_{config.model}_N{n}_seed{seed}"
-            _write_artifacts(run_dir, artifacts)
+            name = f"{row['algorithm']}_{row['model']}_N{row['N']}_seed{row['seed']}"
+            _write_artifacts(out_path / "runs" / name, artifacts)
     write_metrics_csv(rows, out_path / "metrics.csv")
     return rows, out_path
 
@@ -420,19 +379,18 @@ def summarize_rows(rows: list) -> list:
         errs = np.array([m["rmse"] for m in members], dtype=float)
         sims = np.array([m["sim_count"] for m in members], dtype=float)
         walls = np.array([m["wall_time_s"] for m in members], dtype=float)
-        out.append(
-            {
-                "algorithm": algorithm,
-                "model": model,
-                "N": n,
-                "runs": len(members),
-                "rmse_q25": float(np.percentile(errs, 25)),
-                "rmse_median": float(np.median(errs)),
-                "rmse_q75": float(np.percentile(errs, 75)),
-                "sim_count_median": float(np.median(sims)),
-                "wall_time_s_median": float(np.median(walls)),
-            }
+        values = (
+            algorithm,
+            model,
+            n,
+            len(members),
+            float(np.percentile(errs, 25)),
+            float(np.median(errs)),
+            float(np.percentile(errs, 75)),
+            float(np.median(sims)),
+            float(np.median(walls)),
         )
+        out.append(dict(zip(_SUMMARY_FIELDS, values)))
     return out
 
 
@@ -454,19 +412,8 @@ def format_summary(groups: list) -> str:
 
 
 def write_summary_csv(groups: list, path) -> None:
-    fields = [
-        "algorithm",
-        "model",
-        "N",
-        "runs",
-        "rmse_q25",
-        "rmse_median",
-        "rmse_q75",
-        "sim_count_median",
-        "wall_time_s_median",
-    ]
     with Path(path).open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=_SUMMARY_FIELDS)
         writer.writeheader()
         for g in groups:
             writer.writerow(g)

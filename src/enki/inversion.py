@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 STOP_MODES = ("sampling", "optimisation", "discrepancy")
+_RHO = 0.5  # each tempering step keeps the pseudo-weight ESS at _RHO * N
+_BISECT_TOL = 1e-2  # ... to within _BISECT_TOL * N
+_UPSILON = 1e-2  # optimisation stops below _UPSILON x each initial variance
 
 
 @dataclass
@@ -69,13 +72,15 @@ class TemperSchedule:
         return len(self.steps)
 
     def to_records(self) -> list:
-        """Rows of {iteration, lambda, h, ess} for serialization."""
+        """Rows of {iteration, lambda, h, ess, clamped, flagged} for serialization."""
         return [
             {
                 "iteration": i + 1,
                 "lambda": self.lambdas[i + 1],
                 "h": self.steps[i],
                 "ess": self.ess_values[i],
+                "clamped": self.clamped[i],
+                "flagged": self.flagged[i],
             }
             for i in range(self.n_steps)
         ]
@@ -87,18 +92,16 @@ class EkiConfig:
 
     stop_mode picks the termination rule: "sampling" runs the temperature
     to lambda_max (posterior approximation), "optimisation" runs until every
-    marginal ensemble variance drops below upsilon times its initial value,
+    marginal ensemble variance drops below 1% of its initial value,
     "discrepancy" until the mean simulated data is within tau of the
     observations in the noise_cov metric (noise_cov required then).
+    Fixed: each step targets a pseudo-weight ESS of N/2, within 0.01 N.
     """
 
     n_particles: int
     stop_mode: str = "sampling"
-    rho: float = 0.5
-    upsilon: float = 1e-2
     lambda_max: float = 1.0
     max_iters: int = 100
-    bisect_tol: float = 1e-2
     tau: float = None
     noise_cov: np.ndarray = None
     snapshots: bool = False
@@ -106,16 +109,10 @@ class EkiConfig:
     def __post_init__(self):
         if self.n_particles < 2:
             raise ValueError("n_particles must be at least 2")
-        if not 0 < self.rho < 1:
-            raise ValueError("rho must lie in (0, 1)")
-        if not 0 <= self.upsilon <= 1:
-            raise ValueError("upsilon must lie in [0, 1]")
         if self.lambda_max <= 0:
             raise ValueError("lambda_max must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.bisect_tol <= 0:
-            raise ValueError("bisect_tol must be positive")
         if self.stop_mode not in STOP_MODES:
             raise ValueError(f"stop_mode must be one of {STOP_MODES}")
         if self.stop_mode == "discrepancy":
@@ -223,8 +220,8 @@ def select_next_lambda(
     cov_y_given_x: np.ndarray,
     lambda_prev: float,
     lambda_max: float,
-    rho: float = 0.5,
-    bisect_tol: float = 1e-2,
+    rho: float = _RHO,
+    bisect_tol: float = _BISECT_TOL,
     max_bisect: int = 50,
 ) -> tuple:
     """Next inverse temperature by bisection on the pseudo-weight ESS.
@@ -235,23 +232,19 @@ def select_next_lambda(
     max-subtraction. Returns (lambda_next, normalized weights) where
     lambda_next has ESS within bisect_tol * N of rho * N, or lambda_max when
     even the full step keeps ESS at or above target (clamp, no search).
+    Raises ValueError on any non-finite simulation.
     """
     if lambda_prev >= lambda_max:
         raise ValueError("lambda_prev must be below lambda_max")
     sims = np.atleast_2d(np.asarray(sims, dtype=float))
     observed = np.atleast_1d(np.asarray(observed, dtype=float))
+    if not np.all(np.isfinite(sims)):
+        raise ValueError("sims must be finite")
     n = sims.shape[0]
-    # a particle whose simulation is non-finite gets an infinite distance and
-    # hence zero pseudo-weight; the solve only ever sees finite rows
-    finite_rows = np.all(np.isfinite(sims), axis=1)
-    dist = np.full(n, np.inf)
-    if np.any(finite_rows):
-        resid = (observed - sims[finite_rows]).T
-        solved = solve_psd(cov_y_given_x, resid)
-        dist[finite_rows] = np.einsum("ij,ij->j", resid, solved)
-    dist = np.where(np.isnan(dist), np.inf, dist)
-    if not np.any(np.isfinite(dist)):
-        raise ValueError("all pseudo-distances are non-finite")
+    # C-ordered rows whatever the simulator returned: the einsum's summation
+    # order, hence its last bits, follows the memory layout
+    resid = (observed - np.ascontiguousarray(sims)).T
+    dist = np.einsum("ij,ij->j", resid, solve_psd(cov_y_given_x, resid))
     target = rho * n
     tol = bisect_tol * n
 
@@ -268,8 +261,9 @@ def select_next_lambda(
     if raw_ess(w_hi) >= target:
         return float(lambda_max), w_hi
 
-    # pathological collapse: ESS below target even arbitrarily close to
-    # lambda_prev (possible when many d_i are infinite)
+    # collapse: ESS below target even at 2^-40 of the bracket (possible when
+    # the d_i spread over many orders of magnitude, as on a near-singular
+    # cov_y_given_x)
     lo = lambda_prev
     hi = lambda_max
     eps_lam = lambda_prev + (lambda_max - lambda_prev) * 2.0**-40
@@ -329,10 +323,18 @@ def run_eki(
     Per iteration: simulate one dataset per particle, compute joint moments,
     check the mode's stopping rule, select the next temperature, perturb and
     move. Reproducible bit-for-bit from (model, observed, config, seed).
+    Needs n_particles >= d_x + d_y + 1: a smaller ensemble makes the
+    estimated cov_y_given_x rank-deficient by construction.
     """
     observed = np.atleast_1d(np.asarray(observed, dtype=float))
     if observed.size != model.d_y:
         raise ValueError(f"observed must have length {model.d_y}")
+    n_min = model.d_x + model.d_y + 1
+    if config.n_particles < n_min:
+        raise ValueError(
+            f"n_particles must be at least d_x + d_y + 1 = {n_min} for this model, "
+            f"got {config.n_particles}"
+        )
     root = as_seed_sequence(seed)
     params = model.prior_sample(config.n_particles, substream(root, PRIOR))
     ensemble = Ensemble(params, iteration=0)
@@ -352,7 +354,7 @@ def run_eki(
             initial_moments = moments
 
         if config.stop_mode == "optimisation" and iteration > 1:
-            if stop_optimisation(initial_moments, moments, config.upsilon):
+            if stop_optimisation(initial_moments, moments, _UPSILON):
                 reason = "optimisation"
                 break
         if config.stop_mode == "discrepancy":
@@ -367,13 +369,7 @@ def run_eki(
             # no terminal temperature in these modes: grow the bracket
             lambda_hi = lambda_prev * 10.0 + 1.0
         lam, weights = select_next_lambda(
-            sims,
-            observed,
-            moments.cov_y_given_x,
-            lambda_prev,
-            lambda_hi,
-            rho=config.rho,
-            bisect_tol=config.bisect_tol,
+            sims, observed, moments.cov_y_given_x, lambda_prev, lambda_hi
         )
         try:
             moved = eki_step(
@@ -384,8 +380,8 @@ def run_eki(
             raise np.linalg.LinAlgError(f"iteration {iteration}: {err}") from err
         ess_value = ess(weights)
         clamped = lam == lambda_hi
-        flagged = (not clamped) and abs(ess_value - config.rho * ensemble.n) > (
-            config.bisect_tol * ensemble.n
+        flagged = (not clamped) and abs(ess_value - _RHO * ensemble.n) > (
+            _BISECT_TOL * ensemble.n
         )
         schedule.record(lam, ess_value, clamped, flagged)
         ensemble = moved

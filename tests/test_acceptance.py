@@ -43,6 +43,8 @@ from enki.rng import ALGO, PERTURB, PRIOR, as_seed_sequence, derive, substream
 
 from _helpers import ToyModel, draw_observation, random_lingauss, random_spd
 
+pytestmark = pytest.mark.acceptance
+
 
 def _verdict(capsys, num, ok, detail):
     with capsys.disabled():

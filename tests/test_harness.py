@@ -84,6 +84,9 @@ def test_config_rejects_unknown_names():
         ExperimentConfig.from_mapping(small_mapping(algorithm="gradient-descent"))
     with pytest.raises(ConfigError, match="algo_params"):
         ExperimentConfig.from_mapping(small_mapping(algo_params={"nope": {}}))
+    for entry in (5, [["a", 1]]):
+        with pytest.raises(ConfigError, match="algo_params"):
+            ExperimentConfig.from_mapping(small_mapping(algo_params={"eki-sampling": entry}))
 
 
 def test_config_validates_grid_entries():
