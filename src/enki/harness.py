@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import AbcMcmcConfig, AbcSmcConfig, run_abc_mcmc, run_abc_smc
-from .inversion import EkiConfig, RunResult, run_eki
+from .inversion import EkiConfig, RunResult, eki_min_particles, run_eki
 from .models import available_models, build_model
 from .rng import ALGO, DATA, as_seed_sequence, derive, substream
 
@@ -180,9 +180,15 @@ class ExperimentConfig:
             raise ConfigError("model_overrides: must be a mapping")
         # fail before any simulation if the overrides are malformed
         try:
-            build_model(self.model, self.model_overrides)
+            model = build_model(self.model, self.model_overrides)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"model_overrides: {err}") from err
+        n_min, smallest = eki_min_particles(model), min(self.n_particles)
+        if smallest < n_min and any(algo.startswith("eki-") for algo in self.algorithms):
+            raise ConfigError(
+                f"n_particles: eki-* needs at least d_x + d_y + 1 = {n_min} "
+                f"for this model, got {smallest}"
+            )
 
 
 def _final_temp(algorithm: str, result: RunResult) -> float:

@@ -30,6 +30,7 @@ __all__ = [
     "stop_optimisation",
     "stop_discrepancy",
     "run_eki",
+    "eki_min_particles",
 ]
 
 STOP_MODES = ("sampling", "optimisation", "discrepancy")
@@ -312,6 +313,15 @@ def stop_discrepancy(
     return value < tau
 
 
+def eki_min_particles(model: SimulatorModel) -> int:
+    """Smallest ensemble run_eki accepts for model: d_x + d_y + 1.
+
+    A smaller ensemble makes the estimated cov_y_given_x rank-deficient by
+    construction.
+    """
+    return model.d_x + model.d_y + 1
+
+
 def run_eki(
     model: SimulatorModel,
     observed: np.ndarray,
@@ -323,13 +333,12 @@ def run_eki(
     Per iteration: simulate one dataset per particle, compute joint moments,
     check the mode's stopping rule, select the next temperature, perturb and
     move. Reproducible bit-for-bit from (model, observed, config, seed).
-    Needs n_particles >= d_x + d_y + 1: a smaller ensemble makes the
-    estimated cov_y_given_x rank-deficient by construction.
+    Needs n_particles >= eki_min_particles(model).
     """
     observed = np.atleast_1d(np.asarray(observed, dtype=float))
     if observed.size != model.d_y:
         raise ValueError(f"observed must have length {model.d_y}")
-    n_min = model.d_x + model.d_y + 1
+    n_min = eki_min_particles(model)
     if config.n_particles < n_min:
         raise ValueError(
             f"n_particles must be at least d_x + d_y + 1 = {n_min} for this model, "

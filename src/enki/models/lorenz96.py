@@ -24,8 +24,9 @@ class L96Config:
     """Integration grid and observation design.
 
     observed_dims default to every other dimension starting from the first
-    (0-based even indices = 1-based odd dimensions). diffusion scales the
-    sqrt(dt) path noise and exists mainly as a test hook (0 disables it).
+    (0-based even indices = 1-based odd dimensions) and must not be empty.
+    diffusion (nonnegative) scales the sqrt(dt) path noise and exists mainly
+    as a test hook (0 disables it).
     """
 
     d_x: int = 40
@@ -43,6 +44,8 @@ class L96Config:
             raise ValueError("dt must be positive")
         if self.obs_noise_var < 0:
             raise ValueError("obs_noise_var must be nonnegative")
+        if self.diffusion < 0:
+            raise ValueError("diffusion must be nonnegative")
         times = tuple(float(t) for t in self.obs_times)
         if not times or any(t <= 0 for t in times):
             raise ValueError("obs_times must be positive")
@@ -58,6 +61,8 @@ class L96Config:
         if dims is None:
             dims = tuple(range(0, self.d_x, 2))
         dims = tuple(int(m) for m in dims)
+        if not dims:
+            raise ValueError("observed_dims must name at least one dimension")
         if len(set(dims)) != len(dims) or any(m < 0 or m >= self.d_x for m in dims):
             raise ValueError("observed_dims must be distinct indices in [0, d_x)")
         object.__setattr__(self, "observed_dims", dims)
@@ -75,51 +80,72 @@ class L96Config:
         return self.obs_steps[-1]
 
 
-def l96_drift(x: np.ndarray, forcing: float) -> np.ndarray:
-    """Cyclic drift x[m-1](x[m+1] - x[m-2]) - x[m] + F along the last axis."""
+def l96_drift(x: np.ndarray, forcing: float, out: np.ndarray = None) -> np.ndarray:
+    """Cyclic drift x[m-1](x[m+1] - x[m-2]) - x[m] + F along the last axis.
+
+    Written into out (same shape as x, not overlapping it) when given.
+    """
     x = np.asarray(x, dtype=float)
-    return (
-        np.roll(x, 1, axis=-1) * (np.roll(x, -1, axis=-1) - np.roll(x, 2, axis=-1))
-        - x
-        + forcing
-    )
+    if out is None:
+        out = np.empty_like(x)
+    # m = 2..d-2 from plain slices; m = 0, 1 and d-1 wrap around
+    np.subtract(x[..., 3:], x[..., :-3], out=out[..., 2:-1])
+    np.subtract(x[..., 1:3], x[..., -2:], out=out[..., :2])
+    np.subtract(x[..., 0], x[..., -3], out=out[..., -1])
+    out[..., 1:-1] *= x[..., :-2]
+    out[..., 0] *= x[..., -1]
+    out[..., -1] *= x[..., -2]
+    out -= x
+    out += forcing
+    return out
+
+
+_CHUNK = 64  # Euler steps of path noise drawn per refill of the noise buffer
 
 
 def _integrate(x: np.ndarray, config: L96Config, rngs: list) -> np.ndarray:
     """Flattened noisy observations of each path started from a row of x.
 
-    All rows step in lockstep; row i draws its path noise in step-ordered
-    chunks, then its observation noise, from rngs[i]. Raises if any state
-    blows up, naming the time reached.
+    All rows step in lockstep, in place; row i draws its path noise in
+    step-ordered chunks, then its observation noise, from rngs[i]. Raises
+    ValueError on a non-finite start, and FloatingPointError naming the time
+    reached if any state blows up.
     """
-    n = x.shape[0]
+    if not np.all(np.isfinite(x)):
+        raise ValueError("initial state must be finite")
+    n, d = x.shape
     dims = list(config.observed_dims)
     obs_steps = config.obs_steps
     scale = np.sqrt(config.dt) * config.diffusion
     blocks = np.empty((n, len(obs_steps), len(dims)))
+    # state and drift are (n, d) views of (d, n) buffers, so every slice
+    # l96_drift takes along d is one contiguous block
+    state = np.array(x.T, order="C").T
+    drift = np.empty((d, n)).T
+    noise = np.empty((n, _CHUNK, d))
     next_obs = 0
-    chunk = 1000
-    step = 0
     # overflow is detected explicitly at observation reads and reported with
     # the time reached, so the intermediate warnings are silenced
     with np.errstate(over="ignore", invalid="ignore"):
-        while step < config.n_steps and next_obs < len(obs_steps):
-            width = min(chunk, config.n_steps - step)
-            noise = np.empty((n, width, config.d_x))
+        for start in range(0, config.n_steps, _CHUNK):
+            width = min(_CHUNK, config.n_steps - start)
             for i in range(n):
-                noise[i] = rngs[i].standard_normal((width, config.d_x))
+                rngs[i].standard_normal(out=noise[i, :width])
+            noise[:, :width] *= scale
             for t in range(width):
-                step += 1
-                x = x + (l96_drift(x, config.forcing) * config.dt + scale * noise[:, t, :])
+                step = start + t + 1
+                # x + (drift * dt + scale * noise), one operation at a time
+                l96_drift(state, config.forcing, out=drift)
+                drift *= config.dt
+                drift += noise[:, t]
+                state += drift
                 if step == obs_steps[next_obs]:
-                    if not np.all(np.isfinite(x)):
+                    if not np.all(np.isfinite(state)):
                         raise FloatingPointError(
                             f"state became non-finite by t={step * config.dt:g}"
                         )
-                    blocks[:, next_obs, :] = x[:, dims]
+                    blocks[:, next_obs, :] = state[:, dims]
                     next_obs += 1
-                    if next_obs == len(obs_steps):
-                        break
     out = np.empty((n, config.d_y))
     for i in range(n):
         eps = rngs[i].standard_normal((len(obs_steps), len(dims)))
@@ -138,8 +164,6 @@ def l96_simulate(x0: np.ndarray, config: L96Config, rng: np.random.Generator) ->
     x = np.asarray(x0, dtype=float)
     if x.shape != (config.d_x,):
         raise ValueError(f"x0 must have shape ({config.d_x},)")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x0 must be finite")
     return _integrate(x[None], config, [rng])[0]
 
 

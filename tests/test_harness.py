@@ -103,6 +103,21 @@ def test_config_checks_model_overrides_early():
         ExperimentConfig.from_mapping(
             small_mapping(model="gk", model_overrides={"bogus": 2})
         )
+    for overrides in ({"observed_dims": []}, {"diffusion": -1.0}):
+        with pytest.raises(ConfigError, match="model_overrides"):
+            ExperimentConfig.from_mapping(
+                small_mapping(model="l96", model_overrides=overrides)
+            )
+
+
+def test_config_checks_eki_ensemble_size():
+    # gk has d_x + d_y + 1 = 105; the bound binds only the EKI algorithms
+    with pytest.raises(ConfigError, match="n_particles.*105"):
+        ExperimentConfig.from_mapping(small_mapping(model="gk", n_particles=[105, 100]))
+    ExperimentConfig.from_mapping(small_mapping(model="gk", n_particles=105))
+    ExperimentConfig.from_mapping(
+        small_mapping(model="gk", algorithm="abc-smc", n_particles=100)
+    )
 
 
 # ------------------------------------------------------------------ resolution
@@ -337,6 +352,17 @@ def test_cli_bad_inputs_exit_2(tmp_path, capsys):
     mangled.write_text("model: [unclosed\n")
     assert cli_main(["validate", str(mangled)]) == 2
     assert "error:" in capsys.readouterr().err
+
+    small = write_config(tmp_path, model="gk", n_particles=100)
+    assert cli_main(["validate", str(small)]) == 2
+    assert "n_particles" in capsys.readouterr().err
+    assert cli_main(["run", str(small), "--out", str(tmp_path / "unused")]) == 2
+    assert "n_particles" in capsys.readouterr().err
+
+    for overrides in ({"observed_dims": []}, {"diffusion": -1.0}):
+        l96 = write_config(tmp_path, model="l96", model_overrides=overrides)
+        assert cli_main(["validate", str(l96)]) == 2
+        assert "model_overrides" in capsys.readouterr().err
 
     cfg_path = write_config(tmp_path)
     for threads in ("0", "-5"):

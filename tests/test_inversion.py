@@ -10,6 +10,7 @@ from enki.ensembles import Ensemble, GaussPair, compute_moments, mvn_sample
 from enki.inversion import (
     EkiConfig,
     TemperSchedule,
+    eki_min_particles,
     eki_step,
     gaussian_eki_step,
     run_eki,
@@ -374,6 +375,7 @@ def test_run_eki_needs_full_rank_noise_estimate():
     # C^{y|x} from N particles has rank at most N - 1 - d_x: gk needs 105
     model = GkModel()
     _, _, y = draw_observation(model, 0)
+    assert eki_min_particles(model) == 105
     with pytest.raises(ValueError, match="n_particles.*105"):
         run_eki(model, y, EkiConfig(n_particles=104), 0)
     res = run_eki(model, y, EkiConfig(n_particles=105, max_iters=1), 0)

@@ -213,6 +213,10 @@ def test_l96_config_layout_and_validation():
         L96Config(d_x=3)
     with pytest.raises(ValueError):
         L96Config(observed_dims=(0, 0))
+    with pytest.raises(ValueError, match="observed_dims"):
+        L96Config(observed_dims=())
+    with pytest.raises(ValueError, match="diffusion"):
+        L96Config(diffusion=-1.0)
 
 
 def test_l96_simulate_deterministic_given_stream():
@@ -249,6 +253,23 @@ def test_l96_simulate_blowup_names_time():
             l96_simulate(np.array([1e80, 1e80, 0.0, 0.0]), cfg, np.random.default_rng(0))
 
 
+def test_l96_non_finite_start_fails_before_any_step(monkeypatch):
+    # the single and batch paths share one kernel, so one check and one error
+    import enki.models.lorenz96 as l96
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("integrated a non-finite start")
+
+    monkeypatch.setattr(l96, "l96_drift", no_step)
+    cfg = L96Config(d_x=4, obs_times=(1.0,), dt=0.01)
+    start = np.array([8.0, np.nan, 8.0, 8.0])
+    with pytest.raises(ValueError, match="initial state must be finite"):
+        l96_simulate(start, cfg, np.random.default_rng(0))
+    params = np.array([[8.0, 8.5, 7.5, 8.0], start])
+    with pytest.raises(ValueError, match="initial state must be finite"):
+        L96Model(cfg).simulate_batch(params, ParticleStreams(as_seed_sequence(0), 1, 1))
+
+
 def test_l96_model_batch_blowup_names_time():
     # one diverging row aborts the whole batch, as in the single-path case
     model = L96Model(L96Config(d_x=4, obs_times=(1.0,), dt=0.01, diffusion=0.0))
@@ -274,6 +295,70 @@ def test_l96_model_batch_matches_serial_loop():
         [model.simulate(params[i], streams.particle(i)) for i in range(5)]
     )
     assert np.array_equal(batch, serial)
+
+
+def _reference_l96(params, config, rngs):
+    """One particle at a time: per-step path noise, then observation noise."""
+    dims = list(config.observed_dims)
+    scale = np.sqrt(config.dt) * config.diffusion
+    out = []
+    for x, rng in zip(params, rngs):
+        blocks = []
+        for step in range(1, config.n_steps + 1):
+            x = x + (l96_drift(x, config.forcing) * config.dt
+                     + scale * rng.standard_normal(config.d_x))
+            if step in config.obs_steps:
+                blocks.append(x[dims])
+        eps = rng.standard_normal((len(config.obs_steps), len(dims)))
+        out.append((np.array(blocks) + np.sqrt(config.obs_noise_var) * eps).ravel())
+    return np.array(out)
+
+
+@pytest.mark.parametrize("diffusion", [0.0, 1.0])
+@pytest.mark.parametrize("d_x", [4, 5, 40])
+def test_l96_batch_matches_reference_euler_loop(d_x, diffusion):
+    # the kernel draws path noise in chunks of steps: the observation steps
+    # sit just before, on and after multiples of 64 and of 1000, and the
+    # last one (1090) is a multiple of neither
+    steps = (63, 64, 65, 999, 1000, 1001, 1090)
+    cfg = L96Config(d_x=d_x, dt=0.001, obs_times=tuple(s * 0.001 for s in steps),
+                    diffusion=diffusion)
+    assert cfg.obs_steps == steps
+    model = L96Model(cfg)
+    root = as_seed_sequence(d_x)
+    params = model.prior_sample(3, substream(root, 0))
+    streams = ParticleStreams(root, 1, 2)
+    batch = model.simulate_batch(params, streams)
+    reference = _reference_l96(params, cfg, [streams.particle(i) for i in range(3)])
+    assert np.array_equal(batch, reference)
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 4)])
+def test_l96_drift_out_is_bit_identical(shape):
+    x = np.random.default_rng(1).normal(size=shape)
+    buf = np.empty(shape)
+    assert l96_drift(x, 8.0, out=buf) is buf
+    assert np.array_equal(buf, l96_drift(x, 8.0))
+
+
+def test_l96_batch_calls_drift_once_per_step(monkeypatch):
+    # perfbench/tracing.py counts l96_drift calls through the module attribute
+    # and divides the kernel time by that count to report models.l96.step_us,
+    # so the kernel must make exactly one such call per Euler step
+    import enki.models.lorenz96 as l96
+
+    calls = []
+    original = l96.l96_drift
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(l96, "l96_drift", counting)
+    cfg = L96Config(d_x=6, dt=0.01, obs_times=(0.5, 1.3))
+    params = L96Model(cfg).prior_sample(4, np.random.default_rng(0))
+    L96Model(cfg).simulate_batch(params, ParticleStreams(as_seed_sequence(0), 1, 1))
+    assert len(calls) == cfg.n_steps == 130
 
 
 def test_l96_model_prior_moments():
