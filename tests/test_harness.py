@@ -108,6 +108,18 @@ def test_config_checks_model_overrides_early():
             ExperimentConfig.from_mapping(
                 small_mapping(model="l96", model_overrides=overrides)
             )
+    for overrides in (
+        {"n_stats": 0},
+        {"n_raw": 0, "n_stats": 0},
+        {"n_stats": True},
+        {"upper": -1.0},
+        {"upper": 0.0},
+        {"c": 2.0},
+    ):
+        with pytest.raises(ConfigError, match="model_overrides"):
+            ExperimentConfig.from_mapping(
+                small_mapping(model="gk", model_overrides=overrides)
+            )
 
 
 def test_config_checks_eki_ensemble_size():
@@ -363,6 +375,10 @@ def test_cli_bad_inputs_exit_2(tmp_path, capsys):
         l96 = write_config(tmp_path, model="l96", model_overrides=overrides)
         assert cli_main(["validate", str(l96)]) == 2
         assert "model_overrides" in capsys.readouterr().err
+
+    gk = write_config(tmp_path, model="gk", model_overrides={"n_stats": 0})
+    assert cli_main(["validate", str(gk)]) == 2
+    assert "model_overrides" in capsys.readouterr().err
 
     cfg_path = write_config(tmp_path)
     for threads in ("0", "-5"):

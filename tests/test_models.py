@@ -6,7 +6,14 @@ from hypothesis import strategies as st
 
 from enki.ensembles import GaussPair
 from enki.models import available_models, build_model
-from enki.models.gk import GkModel, GkParams, _order_stat_indices, gk_quantile, gk_simulate_summaries
+from enki.models.gk import (
+    GkModel,
+    GkParams,
+    _gk_values,
+    _order_stat_indices,
+    gk_quantile,
+    gk_simulate_summaries,
+)
 from enki.models.lingauss import (
     LinearGaussianModel,
     linear_gaussian_posterior,
@@ -88,9 +95,11 @@ def test_gk_quantile_degenerate_scale():
 
 def test_gk_quantile_rejects_closed_interval():
     params = GkParams(3.0, 1.0, 2.0, 0.5)
-    for bad in (0.0, 1.0, -0.1, 1.1):
+    for bad in (0.0, 1.0, -0.1, 1.1, float("nan")):
         with pytest.raises(ValueError):
             gk_quantile(bad, params)
+    with pytest.raises(ValueError):
+        gk_quantile(np.array([0.5, float("nan")]), params)
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,6 +131,51 @@ def test_gk_summaries_sorted_and_deterministic():
     assert a.shape == (100,)
     assert np.array_equal(a, b)
     assert np.all(np.diff(a) >= 0)
+
+
+def _sort_the_values(natural, c, n_raw, n_stats, rngs):
+    # reference kernel: evaluate Q at every draw, sort the values, keep the ranks
+    z = np.stack([rng.standard_normal(n_raw) for rng in rngs])
+    a, b, g, k = (natural[:, j : j + 1] for j in range(4))
+    vals = np.sort(_gk_values(z, GkParams(a, b, g, k, c)), axis=1)
+    return vals[:, _order_stat_indices(n_raw, n_stats)]
+
+
+# working-space coordinates, including the probit tails where the natural
+# value saturates at exactly 0 or 10
+_THETA = st.one_of(
+    st.floats(-9.0, 9.0), st.sampled_from([-40.0, -9.0, -6.0, 0.0, 6.0, 9.0, 40.0])
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(st.lists(_THETA, min_size=4, max_size=4), min_size=1, max_size=4),
+    st.sampled_from([0.0, 0.4, 0.8]),
+    st.sampled_from([(1000, 100), (150, 100), (7, 7), (1, 1)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_gk_kernel_matches_sort_the_values_reference(theta, c, sizes, seed):
+    n_raw, n_stats = sizes
+    theta = np.array(theta)
+    model = GkModel(n_raw=n_raw, n_stats=n_stats, c=c)
+    natural = model.constrain(theta)
+    root = as_seed_sequence(seed)
+    streams = ParticleStreams(root, 3)
+    expected = _sort_the_values(
+        natural, c, n_raw, n_stats, [streams.particle(i) for i in range(len(theta))]
+    )
+    batch = model.simulate_batch(theta, streams)
+    assert np.array_equal(batch, expected)
+    assert np.all(np.diff(batch, axis=1) >= 0)
+
+    single = gk_simulate_summaries(
+        GkParams(*natural[0], c), n_raw, n_stats, rng=np.random.default_rng(seed)
+    )
+    reference = _sort_the_values(
+        natural[:1], c, n_raw, n_stats, [np.random.default_rng(seed)]
+    )[0]
+    assert np.array_equal(single, reference)
 
 
 def test_gk_summary_median_tracks_location():
@@ -167,6 +221,50 @@ def test_gk_model_prior_and_truth():
 def test_gk_model_validation():
     with pytest.raises(ValueError):
         GkModel(n_raw=10, n_stats=20)
+    bad_inputs = [
+        ({"c": 2.0}, "c"),
+        ({"c": -0.1}, "c"),
+        ({"c": float("nan")}, "c"),
+        ({"n_stats": 0}, "n_stats"),
+        ({"n_raw": 0, "n_stats": 0}, "n_stats"),
+        ({"n_stats": True}, "n_stats"),
+        ({"n_raw": 1000.0}, "n_raw"),
+        ({"upper": -1.0}, "upper"),
+        ({"upper": 0.0}, "upper"),
+        ({"upper": float("inf")}, "upper"),
+        ({"upper": float("nan")}, "upper"),
+    ]
+    for kwargs, field in bad_inputs:
+        with pytest.raises(ValueError, match=f"^{field} "):
+            GkModel(**kwargs)
+    # the edges of the accepted ranges still build
+    GkModel(n_raw=1, n_stats=1, c=0.0)
+    GkModel(n_raw=np.int64(7), n_stats=np.int64(7), c=0.8, upper=1e-3)
+
+
+def test_gk_simulate_summaries_rejects_non_monotone_params():
+    rng = np.random.default_rng(0)
+    nan, inf = float("nan"), float("inf")
+    bad_params = [
+        (GkParams(3.0, -1.0, 2.0, 0.5), "B"),
+        (GkParams(3.0, 1.0, 2.0, -0.5), "k"),
+        (GkParams(3.0, 1.0, 2.0, nan), "k"),
+        (GkParams(nan, 1.0, 2.0, 0.5), "A"),
+        (GkParams(3.0, inf, 2.0, 0.5), "B"),
+        (GkParams(3.0, 1.0, -inf, 0.5), "g"),
+        (GkParams(3.0, 1.0, 2.0, 0.5, c=2.0), "c"),
+        (GkParams(3.0, 1.0, 2.0, 0.5, c=-0.1), "c"),
+    ]
+    for params, field in bad_params:
+        with pytest.raises(ValueError, match=f"^{field} "):
+            gk_simulate_summaries(params, rng=rng)
+    for n_raw, n_stats, field in ((0, 0, "n_stats"), (10, 0, "n_stats"), (10, 11, "n_stats"),
+                                  (10, True, "n_stats"), (10.0, 5, "n_raw")):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            gk_simulate_summaries(GkParams(3.0, 1.0, 2.0, 0.5), n_raw, n_stats, rng)
+    # the saturated edges of the prior box are accepted: B = k = 0, c = 0
+    flat = gk_simulate_summaries(GkParams(4.0, 0.0, -1.0, 0.0, c=0.0), rng=rng)
+    assert np.all(flat == 4.0)
 
 
 # ---------------------------------------------------------------------- Lorenz 96
