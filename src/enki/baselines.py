@@ -31,7 +31,6 @@ from .rng import (
 __all__ = [
     "AbcSmcConfig",
     "AbcMcmcConfig",
-    "abc_accept",
     "systematic_resample",
     "RunningMoments",
     "run_abc_smc",
@@ -100,15 +99,6 @@ class AbcMcmcConfig:
             raise ValueError("initial_kappa must be positive")
         if self.n_keep is not None and self.n_keep < 2:
             raise ValueError("n_keep must be at least 2")
-
-
-def abc_accept(y_obs: np.ndarray, y_sim: np.ndarray, kappa: float) -> bool:
-    """True iff the Euclidean distance is strictly below kappa."""
-    y_obs = np.atleast_1d(np.asarray(y_obs, dtype=float))
-    y_sim = np.atleast_1d(np.asarray(y_sim, dtype=float))
-    if y_obs.shape != y_sim.shape:
-        raise ValueError("y_obs and y_sim must have equal shapes")
-    return bool(np.linalg.norm(y_obs - y_sim) < kappa)
 
 
 def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:

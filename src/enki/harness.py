@@ -132,8 +132,8 @@ class ExperimentConfig:
             model_overrides=raw.get("model_overrides") or {},
             algo_params=raw.get("algo_params") or {},
             out_dir=raw.get("out"),
-            snapshots=bool(raw.get("snapshots", False)),
-            label=str(raw.get("label", "experiment")),
+            snapshots=raw.get("snapshots", False),
+            label=raw.get("label", "experiment"),
         )
         config.validate()
         return config
@@ -178,6 +178,10 @@ class ExperimentConfig:
                 )
         if not isinstance(self.model_overrides, dict):
             raise ConfigError("model_overrides: must be a mapping")
+        if not isinstance(self.snapshots, bool):
+            raise ConfigError(f"snapshots: must be true or false, got {self.snapshots!r}")
+        if not isinstance(self.label, str) or not self.label:
+            raise ConfigError(f"label: must be a nonempty string, got {self.label!r}")
         # fail before any simulation if the overrides are malformed
         try:
             model = build_model(self.model, self.model_overrides)
@@ -189,6 +193,12 @@ class ExperimentConfig:
                 f"n_particles: eki-* needs at least d_x + d_y + 1 = {n_min} "
                 f"for this model, got {smallest}"
             )
+        for algo in self.algorithms:
+            for n in self.n_particles:
+                try:
+                    _algo_config(algo, n, self.algo_params.get(algo), self.snapshots)
+                except (TypeError, ValueError) as err:
+                    raise ConfigError(f"algo_params: {algo} at N={n}: {err}") from err
 
 
 def _final_temp(algorithm: str, result: RunResult) -> float:
@@ -199,20 +209,27 @@ def _final_temp(algorithm: str, result: RunResult) -> float:
     return float(result.diagnostics["final_kappa"])
 
 
-def _dispatch(model, observed, algorithm: str, n: int, seed, snapshots: bool,
-              params: dict) -> RunResult:
+def _algo_config(algorithm: str, n: int, params: dict, snapshots: bool):
+    """The algorithm's config for one cell; raises TypeError or ValueError."""
     params = dict(params or {})
     if algorithm.startswith("eki-"):
-        cfg = EkiConfig(n_particles=n, stop_mode=algorithm.removeprefix("eki-"),
-                        snapshots=snapshots, **params)
-        return run_eki(model, observed, cfg, seed)
+        return EkiConfig(n_particles=n, stop_mode=algorithm.removeprefix("eki-"),
+                         snapshots=snapshots, **params)
     if algorithm == "abc-smc":
-        cfg = AbcSmcConfig(n_particles=n, **params)
-        return run_abc_smc(model, observed, cfg, seed)
+        return AbcSmcConfig(n_particles=n, **params)
     # abc-mcmc: validate() has already rejected any name outside ALGORITHMS
     n_steps = params.pop("n_steps", 25 * n)
     n_keep = params.pop("n_keep", n)
-    cfg = AbcMcmcConfig(n_steps=n_steps, n_keep=n_keep, **params)
+    return AbcMcmcConfig(n_steps=n_steps, n_keep=n_keep, **params)
+
+
+def _dispatch(model, observed, algorithm: str, n: int, seed, snapshots: bool,
+              params: dict) -> RunResult:
+    cfg = _algo_config(algorithm, n, params, snapshots)
+    if algorithm.startswith("eki-"):
+        return run_eki(model, observed, cfg, seed)
+    if algorithm == "abc-smc":
+        return run_abc_smc(model, observed, cfg, seed)
     return run_abc_mcmc(model, observed, cfg, seed)
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "eki_step",
     "gaussian_eki_step",
     "select_next_lambda",
-    "stop_sampling",
     "stop_optimisation",
     "stop_discrepancy",
     "run_eki",
@@ -92,16 +91,16 @@ class EkiConfig:
     """Driver settings.
 
     stop_mode picks the termination rule: "sampling" runs the temperature
-    to lambda_max (posterior approximation), "optimisation" runs until every
+    to 1 (posterior approximation), "optimisation" runs until every
     marginal ensemble variance drops below 1% of its initial value,
     "discrepancy" until the mean simulated data is within tau of the
     observations in the noise_cov metric (noise_cov required then).
-    Fixed: each step targets a pseudo-weight ESS of N/2, within 0.01 N.
+    Fixed: sampling stops at inverse temperature 1.0, and each step targets
+    a pseudo-weight ESS of N/2, within 0.01 N.
     """
 
     n_particles: int
     stop_mode: str = "sampling"
-    lambda_max: float = 1.0
     max_iters: int = 100
     tau: float = None
     noise_cov: np.ndarray = None
@@ -110,8 +109,6 @@ class EkiConfig:
     def __post_init__(self):
         if self.n_particles < 2:
             raise ValueError("n_particles must be at least 2")
-        if self.lambda_max <= 0:
-            raise ValueError("lambda_max must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.stop_mode not in STOP_MODES:
@@ -255,11 +252,8 @@ def select_next_lambda(
         w = np.exp(logw)
         return w / w.sum()
 
-    def raw_ess(w: np.ndarray) -> float:
-        return float(1.0 / np.dot(w, w))
-
     w_hi = weights_at(lambda_max)
-    if raw_ess(w_hi) >= target:
+    if ess(w_hi) >= target:
         return float(lambda_max), w_hi
 
     # collapse: ESS below target even at 2^-40 of the bracket (possible when
@@ -269,14 +263,14 @@ def select_next_lambda(
     hi = lambda_max
     eps_lam = lambda_prev + (lambda_max - lambda_prev) * 2.0**-40
     w_eps = weights_at(eps_lam)
-    if raw_ess(w_eps) < target - tol:
+    if ess(w_eps) < target - tol:
         return float(eps_lam), w_eps
 
-    best_lam, best_w, best_gap = eps_lam, w_eps, abs(raw_ess(w_eps) - target)
+    best_lam, best_w, best_gap = eps_lam, w_eps, abs(ess(w_eps) - target)
     for _ in range(max_bisect):
         mid = 0.5 * (lo + hi)
         w = weights_at(mid)
-        gap = raw_ess(w) - target
+        gap = ess(w) - target
         if abs(gap) < best_gap:
             best_lam, best_w, best_gap = mid, w, abs(gap)
         if abs(gap) <= tol:
@@ -286,11 +280,6 @@ def select_next_lambda(
         else:
             hi = mid
     return float(best_lam), best_w
-
-
-def stop_sampling(schedule: TemperSchedule, lambda_max: float = 1.0) -> bool:
-    """True once the schedule has reached the terminal temperature."""
-    return schedule.final_lambda >= lambda_max
 
 
 def stop_optimisation(
@@ -373,7 +362,7 @@ def run_eki(
 
         lambda_prev = schedule.final_lambda
         if config.stop_mode == "sampling":
-            lambda_hi = config.lambda_max
+            lambda_hi = 1.0
         else:
             # no terminal temperature in these modes: grow the bracket
             lambda_hi = lambda_prev * 10.0 + 1.0
@@ -396,7 +385,7 @@ def run_eki(
         ensemble = moved
         if config.snapshots:
             snapshots.append(ensemble)
-        if config.stop_mode == "sampling" and stop_sampling(schedule, config.lambda_max):
+        if config.stop_mode == "sampling" and schedule.final_lambda >= 1.0:
             reason = "sampling"
             break
 

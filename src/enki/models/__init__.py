@@ -44,12 +44,7 @@ def _build_l96(overrides: dict) -> L96Model:
         "prior_var",
     }
     _check_overrides("l96", overrides, allowed)
-    overrides = dict(overrides)
     prior_var = overrides.pop("prior_var", 5.0)
-    if "obs_times" in overrides:
-        overrides["obs_times"] = tuple(overrides["obs_times"])
-    if overrides.get("observed_dims") is not None:
-        overrides["observed_dims"] = tuple(overrides["observed_dims"])
     return L96Model(L96Config(**overrides), prior_var=prior_var)
 
 

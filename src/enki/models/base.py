@@ -21,7 +21,6 @@ class SimulatorModel:
 
     d_x: int
     d_y: int
-    name: str = "model"
 
     def prior_sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw `count` prior particles, shape (count, d_x)."""

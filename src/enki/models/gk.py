@@ -147,7 +147,6 @@ class GkModel(SimulatorModel):
     positive. The probit map keeps every B and k in [0, upper].
     """
 
-    name = "gk"
     d_x = 4
 
     def __init__(self, n_raw: int = 1000, n_stats: int = 100, c: float = 0.8,
@@ -180,6 +179,8 @@ class GkModel(SimulatorModel):
 
     def simulate_batch(self, params: np.ndarray, streams: ParticleStreams) -> np.ndarray:
         params = np.atleast_2d(np.asarray(params, dtype=float))
+        if params.shape[1] != self.d_x:
+            raise ValueError(f"params must have {self.d_x} columns")
         rngs = [streams.particle(i) for i in range(params.shape[0])]
         natural = inverse_transform(params, self.upper)
         return _simulate_rows(natural, self.c, self.n_raw, self.n_stats, rngs)

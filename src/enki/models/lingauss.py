@@ -78,8 +78,6 @@ class LinearGaussianModel(SimulatorModel):
     simulator.
     """
 
-    name = "lingauss"
-
     def __init__(self, prior: GaussPair, obs_matrix: np.ndarray, noise_cov: np.ndarray):
         self.prior = prior
         self.obs_matrix = np.atleast_2d(np.asarray(obs_matrix, dtype=float))

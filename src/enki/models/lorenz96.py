@@ -174,8 +174,6 @@ class L96Model(SimulatorModel):
     parameter space is unconstrained so `constrain` is the identity.
     """
 
-    name = "l96"
-
     def __init__(self, config: L96Config = None, prior_var: float = 5.0):
         self.config = config if config is not None else L96Config()
         if prior_var <= 0:

@@ -19,7 +19,6 @@ class ToyModel(SimulatorModel):
 
     d_x = 1
     d_y = 1
-    name = "toy"
 
     def __init__(self, noise_sd: float = 1.0):
         self.noise_sd = float(noise_sd)

@@ -8,7 +8,6 @@ from enki.baselines import (
     AbcMcmcConfig,
     AbcSmcConfig,
     RunningMoments,
-    abc_accept,
     run_abc_mcmc,
     run_abc_smc,
     systematic_resample,
@@ -19,16 +18,6 @@ from _helpers import CountingToyModel, ToyModel, draw_observation
 
 
 # ------------------------------------------------------------------ primitives
-
-def test_abc_accept_is_strict():
-    y = np.array([0.0, 0.0])
-    sim = np.array([3.0, 4.0])  # distance exactly 5
-    assert not abc_accept(y, sim, 5.0)
-    assert abc_accept(y, sim, 5.0 + 1e-9)
-    assert not abc_accept(y, y, 0.0)  # zero distance still needs kappa > 0
-    with pytest.raises(ValueError):
-        abc_accept(np.zeros(2), np.zeros(3), 1.0)
-
 
 def test_systematic_resample_concentrated_weight():
     w = np.array([0.0, 0.0, 1.0, 0.0])

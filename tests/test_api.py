@@ -1,8 +1,14 @@
-"""The public surface: what `import enki` exports, and that every export exists."""
+"""The public surface: what `import enki` exports, that every export exists,
+and that the README quickstarts still run against it."""
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import enki
+from enki.cli import main as cli_main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 ENTRY_POINTS = [
     "AbcMcmcConfig",
@@ -31,3 +37,18 @@ def test_public_surface_is_the_entry_points_and_every_export_resolves():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name}"
+
+
+def _readme_block(language: str) -> str:
+    blocks = re.findall(rf"```{language}\n(.*?)```", README.read_text(), re.DOTALL)
+    assert len(blocks) == 1, f"README should hold one {language} block"
+    return blocks[0]
+
+
+def test_readme_quickstarts_run(tmp_path):
+    namespace = {}
+    exec(_readme_block("python"), namespace)
+    assert namespace["res"].termination_reason == "optimisation"
+    config = tmp_path / "experiment.yaml"
+    config.write_text(_readme_block("yaml"))
+    assert cli_main(["validate", str(config)]) == 0

@@ -87,6 +87,16 @@ def test_config_rejects_unknown_names():
     for entry in (5, [["a", 1]]):
         with pytest.raises(ConfigError, match="algo_params"):
             ExperimentConfig.from_mapping(small_mapping(algo_params={"eki-sampling": entry}))
+    # settings every cell's config would reject fail validation, not the run
+    for algo, entry in (
+        ("eki-sampling", {"rho": 0.4}),
+        ("eki-sampling", {"max_iters": 0}),
+        ("abc-smc", {"ess_kappa_target": 2.0}),
+    ):
+        with pytest.raises(ConfigError, match="algo_params"):
+            ExperimentConfig.from_mapping(
+                small_mapping(algorithm=algo, algo_params={algo: entry})
+            )
 
 
 def test_config_validates_grid_entries():
@@ -96,6 +106,10 @@ def test_config_validates_grid_entries():
         ExperimentConfig.from_mapping(small_mapping(seeds=[-3]))
     with pytest.raises(ConfigError, match="seeds"):
         ExperimentConfig.from_mapping(small_mapping(seeds=[True]))
+    with pytest.raises(ConfigError, match="snapshots"):
+        ExperimentConfig.from_mapping(small_mapping(snapshots="false"))
+    with pytest.raises(ConfigError, match="label"):
+        ExperimentConfig.from_mapping(small_mapping(label=None))
 
 
 def test_config_checks_model_overrides_early():
@@ -228,13 +242,14 @@ def test_sweep_deterministic_across_workers(sweep, tmp_path):
                 assert a[key] == b[key]
 
 
-def test_error_rows_do_not_abort_sweep(tmp_path):
+def test_error_rows_do_not_abort_sweep(tmp_path, monkeypatch):
+    def fail(*_args):
+        raise ValueError("simulated run-time failure")
+
+    # a failure no config check can foresee
+    monkeypatch.setattr("enki.harness.run_abc_mcmc", fail)
     cfg = ExperimentConfig.from_mapping(
-        small_mapping(
-            algorithm=["abc-mcmc", "eki-sampling"],
-            seeds=0,
-            algo_params={"abc-mcmc": {"n_steps": 5}},  # rejected by the config
-        )
+        small_mapping(algorithm=["abc-mcmc", "eki-sampling"], seeds=0)
     )
     rows, out_path = run_experiment(cfg, out_dir=tmp_path)
     by_algo = {r["algorithm"]: r for r in rows}
@@ -379,6 +394,10 @@ def test_cli_bad_inputs_exit_2(tmp_path, capsys):
     gk = write_config(tmp_path, model="gk", model_overrides={"n_stats": 0})
     assert cli_main(["validate", str(gk)]) == 2
     assert "model_overrides" in capsys.readouterr().err
+
+    rho = write_config(tmp_path, algo_params={"eki-sampling": {"rho": 0.4}})
+    assert cli_main(["validate", str(rho)]) == 2
+    assert "algo_params" in capsys.readouterr().err
 
     cfg_path = write_config(tmp_path)
     for threads in ("0", "-5"):

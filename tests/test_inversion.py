@@ -17,7 +17,6 @@ from enki.inversion import (
     select_next_lambda,
     stop_discrepancy,
     stop_optimisation,
-    stop_sampling,
 )
 from enki.linalg import chol_psd, symmetrize
 from enki.models.gk import GkModel
@@ -229,13 +228,6 @@ def test_select_lambda_rejects_non_finite_sims():
 
 # ------------------------------------------------------------------ stop rules
 
-def test_stop_sampling_boundary():
-    sched = TemperSchedule()
-    assert not stop_sampling(sched, 1.0)
-    sched.record(1.0, 10.0, True, False)
-    assert stop_sampling(sched, 1.0)
-
-
 def test_stop_optimisation_is_strict():
     base = _make_simulated(0, n=100)
     mom = compute_moments(base)
@@ -346,8 +338,9 @@ def test_run_eki_max_iters_reason():
     rng = np.random.default_rng(12)
     model = random_lingauss(rng, 2, 2)
     _, _, y = draw_observation(model, 8)
-    # terminal temperature far out of reach: the iteration cap must bite
-    cfg = EkiConfig(n_particles=50, max_iters=1, lambda_max=1e12)
+    # optimisation mode checks its stop rule only from iteration 2 on, so a
+    # one-iteration cap must bite
+    cfg = EkiConfig(n_particles=50, stop_mode="optimisation", max_iters=1)
     res = run_eki(model, y, cfg, 8)
     assert res.termination_reason == "max_iters"
     assert res.schedule.n_steps == 1

@@ -240,6 +240,11 @@ def test_gk_model_validation():
     # the edges of the accepted ranges still build
     GkModel(n_raw=1, n_stats=1, c=0.0)
     GkModel(n_raw=np.int64(7), n_stats=np.int64(7), c=0.8, upper=1e-3)
+    # a batch must carry exactly the four parameter columns
+    streams = ParticleStreams(as_seed_sequence(0), 1, 0)
+    for cols in (3, 5):
+        with pytest.raises(ValueError, match="4 columns"):
+            GkModel().simulate_batch(np.zeros((2, cols)), streams)
 
 
 def test_gk_simulate_summaries_rejects_non_monotone_params():
