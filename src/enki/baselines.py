@@ -15,7 +15,7 @@ import numpy as np
 from .ensembles import Ensemble, GaussPair, mvn_sample
 from .inversion import RunResult
 from .linalg import chol_psd, symmetrize
-from .models.base import SimulatorModel
+from .models.base import SimulatorModel, _require_int
 from .rng import (
     ACCEPT,
     CHAIN,
@@ -37,8 +37,12 @@ __all__ = [
     "run_abc_mcmc",
 ]
 
+_ESS_KAPPA_TARGET = 0.9  # SMC keeps this fraction of the ESS per kappa step
 _RESAMPLE_THRESHOLD = 0.5  # SMC resamples below this fraction of N
+_STOP_ACCEPTANCE = 0.015  # SMC stops once its move acceptance falls below this
+_SMC_MAX_ITERS = 1000  # SMC iteration cap
 _BISECT_ITERS = 60  # SMC bisection steps per kappa adaptation
+_TARGET_ACCEPTANCE = 0.10  # MCMC steers kappa toward this acceptance rate
 _GAIN_DECAY = 0.6  # MCMC log-kappa gain is t^(-_GAIN_DECAY)
 _ADAPT_START = 10  # MCMC proposes from the identity up to this step
 
@@ -47,58 +51,40 @@ _ADAPT_START = 10  # MCMC proposes from the identity up to this step
 class AbcSmcConfig:
     """SMC sampler settings.
 
-    ess_kappa_target is the per-iteration ESS retention fraction for the
-    kappa adaptation; resampling triggers below 0.5 * N; the run stops once
-    the rejuvenation acceptance rate first falls below stop_acceptance.
-    Fixed: 60 bisection steps per kappa adaptation, and a random-walk
-    proposal of 2.38^2 / d_x times the ensemble covariance.
+    Fixed: the initial kappa is the largest prior-predictive distance; each
+    kappa adaptation keeps 0.9 of the ESS, by 60 bisection steps;
+    resampling triggers below 0.5 * N; the random-walk proposal is
+    2.38^2 / d_x times the ensemble covariance; the run stops once the
+    rejuvenation acceptance rate first falls below 1.5%, or after 1000
+    iterations.
     """
 
     n_particles: int
-    ess_kappa_target: float = 0.9
-    stop_acceptance: float = 0.015
-    initial_kappa: float = None
-    max_iters: int = 1000
 
     def __post_init__(self):
-        if self.n_particles < 2:
-            raise ValueError("n_particles must be at least 2")
-        if not 0 < self.stop_acceptance < _RESAMPLE_THRESHOLD < self.ess_kappa_target < 1:
-            raise ValueError(
-                f"need 0 < stop_acceptance < {_RESAMPLE_THRESHOLD} < ess_kappa_target < 1"
-            )
-        if self.initial_kappa is not None and self.initial_kappa <= 0:
-            raise ValueError("initial_kappa must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        _require_int("n_particles", self.n_particles, 2)
 
 
 @dataclass
 class AbcMcmcConfig:
     """Adaptive random-walk chain settings.
 
-    log kappa follows a stochastic-approximation recursion with gain
-    t^(-0.6) pushing the acceptance rate toward target_acceptance. The
-    proposal is 2.38^2 / d_x times the identity for the first 10 steps and
-    times the running chain covariance after. The returned ensemble is the
+    kappa starts at the initial state's distance from the data, and log
+    kappa follows a stochastic-approximation recursion with gain t^(-0.6)
+    pushing the acceptance rate toward a fixed 10%. The proposal is
+    2.38^2 / d_x times the identity for the first 10 steps and times the
+    running chain covariance after. The returned ensemble is the
     post-burn-in chain thinned to n_keep >= 2 states (default min(1000,
     tail length); burn-in is the first half).
     """
 
     n_steps: int
-    target_acceptance: float = 0.10
-    initial_kappa: float = None
     n_keep: int = None
 
     def __post_init__(self):
-        if self.n_steps < 10:
-            raise ValueError("n_steps must be at least 10")
-        if not 0 < self.target_acceptance < 1:
-            raise ValueError("target_acceptance must lie in (0, 1)")
-        if self.initial_kappa is not None and self.initial_kappa <= 0:
-            raise ValueError("initial_kappa must be positive")
-        if self.n_keep is not None and self.n_keep < 2:
-            raise ValueError("n_keep must be at least 2")
+        _require_int("n_steps", self.n_steps, 10)
+        if self.n_keep is not None:
+            _require_int("n_keep", self.n_keep, 2)
 
 
 def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -185,11 +171,11 @@ def run_abc_smc(
     """Adaptive ABC-SMC with systematic resampling and RW-MH rejuvenation.
 
     Per iteration: shrink kappa by bisection so the surviving-particle ESS
-    stays near ess_kappa_target times its previous value, resample when the
+    stays near 0.9 times its previous value, resample when the
     ESS drops below 0.5 * N, then give every surviving
     particle one random-walk move accepted iff the prior ratio passes and a
     fresh simulation lands inside kappa. Stops when the move acceptance
-    rate first falls below stop_acceptance. Every simulate call is counted.
+    rate first falls below 1.5%. Every simulate call is counted.
     """
     observed = np.atleast_1d(np.asarray(observed, dtype=float))
     root = as_seed_sequence(seed)
@@ -201,12 +187,9 @@ def run_abc_smc(
     sim_count = n
     dist = np.linalg.norm(observed - sims, axis=1)
 
-    if config.initial_kappa is not None:
-        kappa = float(config.initial_kappa)
-    else:
-        kappa = float(dist.max())
-        if kappa <= 0:
-            kappa = 1.0
+    kappa = float(dist.max())
+    if kappa <= 0:
+        kappa = 1.0
     alive = dist < kappa
     if not alive.any():
         kappa = np.nextafter(float(dist.max()), np.inf)
@@ -220,8 +203,8 @@ def run_abc_smc(
     resampled = []
     reason = "max_iters"
 
-    for iteration in range(1, config.max_iters + 1):
-        target = config.ess_kappa_target * ess_cur
+    for iteration in range(1, _SMC_MAX_ITERS + 1):
+        target = _ESS_KAPPA_TARGET * ess_cur
         kappa, alive = _adapt_kappa(dist, alive, kappa, target, _BISECT_ITERS)
         ess_cur = float(alive.sum())
         kappas.append(kappa)
@@ -261,7 +244,7 @@ def run_abc_smc(
         dist[moved] = cand_dist[accept]
         rate = float(accept.mean())
         acceptance.append(rate)
-        if rate < config.stop_acceptance:
+        if rate < _STOP_ACCEPTANCE:
             reason = "acceptance"
             break
 
@@ -296,7 +279,7 @@ def run_abc_mcmc(
     chain (identity for the first 10 steps); a proposal is
     accepted iff the prior MH ratio passes and its simulation lands within
     kappa. After each step log kappa moves by -t^(-0.6) *
-    (accepted - target_acceptance), so kappa shrinks on acceptance and
+    (accepted - 0.10), so kappa shrinks on acceptance and
     equilibrates where the long-run rate matches the target.
     """
     observed = np.atleast_1d(np.asarray(observed, dtype=float))
@@ -309,10 +292,7 @@ def run_abc_mcmc(
     sim = model.simulate(state, rng)
     sim_count = 1
     dist_cur = float(np.linalg.norm(observed - sim))
-    if config.initial_kappa is not None:
-        kappa = float(config.initial_kappa)
-    else:
-        kappa = dist_cur if dist_cur > 0 else 1.0
+    kappa = dist_cur if dist_cur > 0 else 1.0
 
     running = RunningMoments(d_x)
     running.update(state)
@@ -349,7 +329,7 @@ def run_abc_mcmc(
             dist_cur = cand_dist
         accepted[t - 1] = ok
         gain = t ** (-_GAIN_DECAY)
-        kappa = float(np.exp(np.log(kappa) - gain * (float(ok) - config.target_acceptance)))
+        kappa = float(np.exp(np.log(kappa) - gain * (float(ok) - _TARGET_ACCEPTANCE)))
         kappa_trace[t] = kappa
         running.update(state)
         chain[t] = state

@@ -97,10 +97,9 @@ class ExperimentConfig:
     def from_mapping(cls, raw: dict) -> "ExperimentConfig":
         """Build and validate from a parsed config mapping.
 
-        Accepts the spellings algorithm/algorithms and n_particles/N (the
-        first wins) and out, and wraps a single scalar in a list; validate()
-        then checks every value. Raises ConfigError naming the field on any
-        schema violation.
+        Accepts the spellings algorithm/algorithms (the first wins) and out,
+        and wraps a single scalar in a list; validate() then checks every
+        value. Raises ConfigError naming the field on any schema violation.
         """
         if not isinstance(raw, dict):
             raise ConfigError("config: expected a mapping of fields")
@@ -110,7 +109,6 @@ class ExperimentConfig:
             "algorithm",
             "algorithms",
             "n_particles",
-            "N",
             "seeds",
             "algo_params",
             "out",
@@ -127,7 +125,7 @@ class ExperimentConfig:
         config = cls(
             model=raw.get("model"),
             algorithms=listed(raw.get("algorithm", raw.get("algorithms"))),
-            n_particles=listed(raw.get("n_particles", raw.get("N"))),
+            n_particles=listed(raw.get("n_particles")),
             seeds=listed(raw.get("seeds")),
             model_overrides=raw.get("model_overrides") or {},
             algo_params=raw.get("algo_params") or {},

@@ -16,7 +16,7 @@ from scipy.linalg import cho_solve
 
 from .ensembles import Ensemble, GaussPair, MomentSet, compute_moments, ess, mvn_sample
 from .linalg import chol_psd, solve_psd, symmetrize
-from .models.base import SimulatorModel
+from .models.base import SimulatorModel, _require_int
 from .rng import PERTURB, PRIOR, SIMULATE, ParticleStreams, as_seed_sequence, substream
 
 __all__ = [
@@ -27,12 +27,11 @@ __all__ = [
     "gaussian_eki_step",
     "select_next_lambda",
     "stop_optimisation",
-    "stop_discrepancy",
     "run_eki",
     "eki_min_particles",
 ]
 
-STOP_MODES = ("sampling", "optimisation", "discrepancy")
+STOP_MODES = ("sampling", "optimisation")
 _RHO = 0.5  # each tempering step keeps the pseudo-weight ESS at _RHO * N
 _BISECT_TOL = 1e-2  # ... to within _BISECT_TOL * N
 _UPSILON = 1e-2  # optimisation stops below _UPSILON x each initial variance
@@ -92,9 +91,7 @@ class EkiConfig:
 
     stop_mode picks the termination rule: "sampling" runs the temperature
     to 1 (posterior approximation), "optimisation" runs until every
-    marginal ensemble variance drops below 1% of its initial value,
-    "discrepancy" until the mean simulated data is within tau of the
-    observations in the noise_cov metric (noise_cov required then).
+    marginal ensemble variance drops below 1% of its initial value.
     Fixed: sampling stops at inverse temperature 1.0, and each step targets
     a pseudo-weight ESS of N/2, within 0.01 N.
     """
@@ -102,23 +99,13 @@ class EkiConfig:
     n_particles: int
     stop_mode: str = "sampling"
     max_iters: int = 100
-    tau: float = None
-    noise_cov: np.ndarray = None
     snapshots: bool = False
 
     def __post_init__(self):
-        if self.n_particles < 2:
-            raise ValueError("n_particles must be at least 2")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        _require_int("n_particles", self.n_particles, 2)
+        _require_int("max_iters", self.max_iters, 1)
         if self.stop_mode not in STOP_MODES:
             raise ValueError(f"stop_mode must be one of {STOP_MODES}")
-        if self.stop_mode == "discrepancy":
-            if self.tau is None or self.tau <= 0:
-                raise ValueError("discrepancy mode needs tau > 0")
-            if self.noise_cov is None:
-                raise ValueError("discrepancy mode needs an explicit noise_cov")
-            self.noise_cov = np.atleast_2d(np.asarray(self.noise_cov, dtype=float))
 
 
 @dataclass
@@ -291,17 +278,6 @@ def stop_optimisation(
     return bool(np.all(cur_var < upsilon * init_var))
 
 
-def stop_discrepancy(
-    mean_sims: np.ndarray, observed: np.ndarray, noise_cov: np.ndarray, tau: float
-) -> bool:
-    """True iff (y - mean)^T R^-1 (y - mean) < tau."""
-    resid = np.atleast_1d(np.asarray(observed, dtype=float)) - np.asarray(
-        mean_sims, dtype=float
-    )
-    value = float(resid @ solve_psd(noise_cov, resid))
-    return value < tau
-
-
 def eki_min_particles(model: SimulatorModel) -> int:
     """Smallest ensemble run_eki accepts for model: d_x + d_y + 1.
 
@@ -355,16 +331,12 @@ def run_eki(
             if stop_optimisation(initial_moments, moments, _UPSILON):
                 reason = "optimisation"
                 break
-        if config.stop_mode == "discrepancy":
-            if stop_discrepancy(moments.mean_y, observed, config.noise_cov, config.tau):
-                reason = "discrepancy"
-                break
 
         lambda_prev = schedule.final_lambda
         if config.stop_mode == "sampling":
             lambda_hi = 1.0
         else:
-            # no terminal temperature in these modes: grow the bracket
+            # no terminal temperature in optimisation mode: grow the bracket
             lambda_hi = lambda_prev * 10.0 + 1.0
         lam, weights = select_next_lambda(
             sims, observed, moments.cov_y_given_x, lambda_prev, lambda_hi

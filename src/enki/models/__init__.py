@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ensembles import GaussPair
-from .base import SimulatorModel
+from .base import SimulatorModel, _require_int
 from .gk import GkModel
 from .lingauss import LinearGaussianModel
 from .lorenz96 import L96Config, L96Model
@@ -51,7 +51,8 @@ def _build_l96(overrides: dict) -> L96Model:
 def _build_lingauss(overrides: dict) -> LinearGaussianModel:
     allowed = {"d_x", "prior_mean", "prior_cov", "obs_matrix", "noise_cov"}
     _check_overrides("lingauss", overrides, allowed)
-    d_x = int(overrides.get("d_x", 3))
+    d_x = overrides.get("d_x", 3)
+    _require_int("d_x", d_x, 1)
     mean = np.asarray(overrides.get("prior_mean", np.zeros(d_x)), dtype=float)
     cov = np.asarray(overrides.get("prior_cov", np.eye(d_x)), dtype=float)
     prior = GaussPair(mean, cov)

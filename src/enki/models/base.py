@@ -7,9 +7,23 @@ space; `constrain` maps particles back to the natural space for reporting.
 """
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from ..rng import ParticleStreams
+
+
+def _require_int(name: str, value, minimum: int) -> None:
+    """Raise unless value is an integer of at least minimum.
+
+    Python and numpy integers pass; bools and floats, even integral ones,
+    raise TypeError. A value below minimum raises ValueError.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
 class SimulatorModel:

@@ -9,12 +9,13 @@ particles in lockstep, and a single path is a batch of one.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..rng import ParticleStreams
-from .base import SimulatorModel
+from .base import SimulatorModel, _require_int
 
 __all__ = ["L96Config", "l96_drift", "l96_simulate", "L96Model"]
 
@@ -26,7 +27,8 @@ class L96Config:
     observed_dims default to every other dimension starting from the first
     (0-based even indices = 1-based odd dimensions) and must not be empty.
     diffusion (nonnegative) scales the sqrt(dt) path noise and exists mainly
-    as a test hook (0 disables it).
+    as a test hook (0 disables it). forcing, obs_noise_var and diffusion
+    must be finite.
     """
 
     d_x: int = 40
@@ -38,14 +40,15 @@ class L96Config:
     diffusion: float = 1.0
 
     def __post_init__(self):
-        if self.d_x < 4:
-            raise ValueError("d_x must be at least 4")
+        _require_int("d_x", self.d_x, 4)
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.obs_noise_var < 0:
-            raise ValueError("obs_noise_var must be nonnegative")
-        if self.diffusion < 0:
-            raise ValueError("diffusion must be nonnegative")
+        if not math.isfinite(self.forcing):
+            raise ValueError(f"forcing must be finite, got {self.forcing}")
+        for name in ("obs_noise_var", "diffusion"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         times = tuple(float(t) for t in self.obs_times)
         if not times or any(t <= 0 for t in times):
             raise ValueError("obs_times must be positive")
@@ -176,8 +179,8 @@ class L96Model(SimulatorModel):
 
     def __init__(self, config: L96Config = None, prior_var: float = 5.0):
         self.config = config if config is not None else L96Config()
-        if prior_var <= 0:
-            raise ValueError("prior_var must be positive")
+        if not (math.isfinite(prior_var) and prior_var > 0):
+            raise ValueError(f"prior_var must be finite and positive, got {prior_var}")
         self.prior_var = float(prior_var)
         self.d_x = self.config.d_x
         self.d_y = self.config.d_y

@@ -134,7 +134,7 @@ def test_smc_posterior_concentrates(smc_run):
 def test_smc_bitwise_reproducible():
     model = ToyModel()
     _, _, y = draw_observation(model, 4)
-    cfg = AbcSmcConfig(n_particles=100, max_iters=30)
+    cfg = AbcSmcConfig(n_particles=100)
     a = run_abc_smc(model, y, cfg, 21)
     b = run_abc_smc(model, y, cfg, 21)
     assert np.array_equal(a.ensemble.params, b.ensemble.params)
@@ -142,22 +142,15 @@ def test_smc_bitwise_reproducible():
     assert a.sim_count == b.sim_count
 
 
-def test_smc_initial_kappa_override():
-    model = ToyModel()
-    _, _, y = draw_observation(model, 5)
-    res = run_abc_smc(
-        model, y, AbcSmcConfig(n_particles=100, initial_kappa=50.0, max_iters=5), 0
-    )
-    assert res.diagnostics["kappas"][0] == 50.0
-
-
 def test_smc_config_invariant_chain():
-    with pytest.raises(ValueError):
-        AbcSmcConfig(n_particles=100, ess_kappa_target=0.4)  # below resample level
-    with pytest.raises(ValueError):
-        AbcSmcConfig(n_particles=100, stop_acceptance=0.6)
+    # the tuning constants are fixed: passing one is an unknown field
+    for name in ("ess_kappa_target", "stop_acceptance", "initial_kappa", "max_iters"):
+        with pytest.raises(TypeError, match=name):
+            AbcSmcConfig(n_particles=100, **{name: 0.5})
     with pytest.raises(ValueError):
         AbcSmcConfig(n_particles=1)
+    with pytest.raises(TypeError, match="n_particles"):
+        AbcSmcConfig(n_particles=100.0)
 
 
 # -------------------------------------------------------------------- ABC-MCMC
@@ -231,9 +224,12 @@ def test_mcmc_acceptance_shrinks_kappa():
 def test_mcmc_config_validation():
     with pytest.raises(ValueError):
         AbcMcmcConfig(n_steps=5)
-    with pytest.raises(ValueError):
-        AbcMcmcConfig(n_steps=100, target_acceptance=1.5)
-    with pytest.raises(ValueError):
-        AbcMcmcConfig(n_steps=100, initial_kappa=0.0)
+    for name in ("target_acceptance", "initial_kappa"):
+        with pytest.raises(TypeError, match=name):
+            AbcMcmcConfig(n_steps=100, **{name: 0.5})
     with pytest.raises(ValueError, match="n_keep"):
         AbcMcmcConfig(n_steps=100, n_keep=1)
+    with pytest.raises(TypeError, match="n_steps"):
+        AbcMcmcConfig(n_steps=400.0)
+    with pytest.raises(TypeError, match="n_keep"):
+        AbcMcmcConfig(n_steps=100, n_keep=True)

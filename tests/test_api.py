@@ -1,5 +1,6 @@
 """The public surface: what `import enki` exports, that every export exists,
 and that the README quickstarts still run against it."""
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -37,6 +38,20 @@ def test_public_surface_is_the_entry_points_and_every_export_resolves():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name}"
+
+
+def test_algorithm_configs_hold_only_caller_set_fields():
+    # each field is set by the harness, the CLI, the benchmark or a README
+    # quickstart; every other tuning value is a module constant
+    fields = {
+        config.__name__: [f.name for f in dataclasses.fields(config)]
+        for config in (enki.EkiConfig, enki.AbcSmcConfig, enki.AbcMcmcConfig)
+    }
+    assert fields == {
+        "EkiConfig": ["n_particles", "stop_mode", "max_iters", "snapshots"],
+        "AbcSmcConfig": ["n_particles"],
+        "AbcMcmcConfig": ["n_steps", "n_keep"],
+    }
 
 
 def _readme_block(language: str) -> str:

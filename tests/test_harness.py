@@ -55,18 +55,16 @@ def test_rmse_shape_mismatch():
 # ---------------------------------------------------------------------- config
 
 def test_config_scalar_coercions():
-    mapping = small_mapping(seeds=4)
-    del mapping["n_particles"]
-    mapping["N"] = 64  # accepted alias when n_particles is absent
-    cfg = ExperimentConfig.from_mapping(mapping)
+    cfg = ExperimentConfig.from_mapping(small_mapping(n_particles=64, seeds=4))
     assert cfg.algorithms == ["eki-sampling"]
     assert cfg.n_particles == [64]
     assert cfg.seeds == [4]
 
 
 def test_config_unknown_field_named():
-    with pytest.raises(ConfigError, match="particles_n"):
-        ExperimentConfig.from_mapping(small_mapping(particles_n=10))
+    for name in ("particles_n", "N"):
+        with pytest.raises(ConfigError, match=rf"unknown field\(s\): {name}$"):
+            ExperimentConfig.from_mapping(small_mapping(**{name: 10}))
 
 
 def test_config_missing_required_fields():
@@ -91,7 +89,12 @@ def test_config_rejects_unknown_names():
     for algo, entry in (
         ("eki-sampling", {"rho": 0.4}),
         ("eki-sampling", {"max_iters": 0}),
+        ("eki-sampling", {"max_iters": 2.5}),
+        ("eki-sampling", {"tau": 1.0}),
         ("abc-smc", {"ess_kappa_target": 2.0}),
+        ("abc-mcmc", {"n_steps": 400.0}),
+        ("abc-mcmc", {"n_keep": True}),
+        ("abc-mcmc", {"initial_kappa": float("nan")}),
     ):
         with pytest.raises(ConfigError, match="algo_params"):
             ExperimentConfig.from_mapping(
@@ -117,10 +120,23 @@ def test_config_checks_model_overrides_early():
         ExperimentConfig.from_mapping(
             small_mapping(model="gk", model_overrides={"bogus": 2})
         )
-    for overrides in ({"observed_dims": []}, {"diffusion": -1.0}):
+    for overrides in (
+        {"observed_dims": []},
+        {"diffusion": -1.0},
+        {"diffusion": float("nan")},
+        {"obs_noise_var": float("nan")},
+        {"forcing": float("nan")},
+        {"forcing": float("inf")},
+        {"prior_var": float("nan")},
+    ):
         with pytest.raises(ConfigError, match="model_overrides"):
             ExperimentConfig.from_mapping(
                 small_mapping(model="l96", model_overrides=overrides)
+            )
+    for overrides in ({"d_x": 0}, {"d_x": 2.7}, {"d_x": True}):
+        with pytest.raises(ConfigError, match="model_overrides.*d_x"):
+            ExperimentConfig.from_mapping(
+                small_mapping(model="lingauss", model_overrides=overrides)
             )
     for overrides in (
         {"n_stats": 0},
@@ -397,6 +413,15 @@ def test_cli_bad_inputs_exit_2(tmp_path, capsys):
 
     rho = write_config(tmp_path, algo_params={"eki-sampling": {"rho": 0.4}})
     assert cli_main(["validate", str(rho)]) == 2
+    assert "algo_params" in capsys.readouterr().err
+
+    floats = write_config(
+        tmp_path, algorithm=["eki-sampling", "abc-mcmc"],
+        algo_params={"eki-sampling": {"max_iters": 2.5}, "abc-mcmc": {"n_steps": 400.0}},
+    )
+    assert cli_main(["validate", str(floats)]) == 2
+    assert "algo_params" in capsys.readouterr().err
+    assert cli_main(["run", str(floats), "--out", str(tmp_path / "unused")]) == 2
     assert "algo_params" in capsys.readouterr().err
 
     cfg_path = write_config(tmp_path)

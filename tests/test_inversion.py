@@ -15,7 +15,6 @@ from enki.inversion import (
     gaussian_eki_step,
     run_eki,
     select_next_lambda,
-    stop_discrepancy,
     stop_optimisation,
 )
 from enki.linalg import chol_psd, symmetrize
@@ -237,14 +236,6 @@ def test_stop_optimisation_is_strict():
     assert not stop_optimisation(mom, compute_moments(shrunk), upsilon=1e-5)
 
 
-def test_stop_discrepancy_is_strict():
-    y = np.array([1.0, 0.0])
-    r = np.eye(2)
-    assert stop_discrepancy(np.array([1.0, 0.0]), y, r, tau=1e-12)
-    assert not stop_discrepancy(np.array([0.0, 0.0]), y, r, tau=1.0)  # == tau
-    assert stop_discrepancy(np.array([0.0, 0.0]), y, r, tau=1.0 + 1e-9)
-
-
 # --------------------------------------------------------------------- run_eki
 
 def test_run_eki_sampling_reaches_terminal_temperature():
@@ -301,39 +292,6 @@ def test_run_eki_optimisation_contracts_variances():
     assert res.schedule.final_lambda > 0.0
 
 
-def test_run_eki_discrepancy_stops_without_moving():
-    # tau so generous the prior predictive already satisfies it: the run
-    # must stop at the first check with exactly one simulation round
-    rng = np.random.default_rng(10)
-    model = random_lingauss(rng, 2, 2)
-    _, _, y = draw_observation(model, 4)
-    cfg = EkiConfig(
-        n_particles=100, stop_mode="discrepancy", tau=1e12, noise_cov=model.noise_cov
-    )
-    res = run_eki(model, y, cfg, 4)
-    assert res.termination_reason == "discrepancy"
-    assert res.sim_count == 100
-    assert res.schedule.n_steps == 0
-
-
-def test_run_eki_discrepancy_converges():
-    rng = np.random.default_rng(11)
-    model = random_lingauss(rng, 2, 2)
-    _, _, y = draw_observation(model, 6)
-    cfg = EkiConfig(
-        n_particles=400, stop_mode="discrepancy", tau=0.5, noise_cov=model.noise_cov
-    )
-    res = run_eki(model, y, cfg, 6)
-    assert res.termination_reason == "discrepancy"
-    assert res.schedule.n_steps >= 1  # had to move before passing the gate
-    # the stop was checked once per simulation round, after each move
-    assert res.sim_count == 400 * (res.schedule.n_steps + 1)
-    assert stop_discrepancy(
-        res.ensemble.params.mean(axis=0) @ model.obs_matrix.T, y, model.noise_cov,
-        cfg.tau + 3.0,  # mean simulated data carries fresh noise; loose recheck
-    )
-
-
 def test_run_eki_max_iters_reason():
     rng = np.random.default_rng(12)
     model = random_lingauss(rng, 2, 2)
@@ -380,7 +338,12 @@ def test_eki_config_validation():
         EkiConfig(n_particles=1)
     with pytest.raises(ValueError):
         EkiConfig(n_particles=10, stop_mode="nope")
-    with pytest.raises(ValueError):
-        EkiConfig(n_particles=10, stop_mode="discrepancy")  # tau missing
-    with pytest.raises(ValueError):
-        EkiConfig(n_particles=10, stop_mode="discrepancy", tau=1.0)  # R missing
+    with pytest.raises(ValueError, match="stop_mode"):
+        EkiConfig(n_particles=10, stop_mode="discrepancy")
+    for bad in ({"tau": 1.0}, {"noise_cov": np.eye(2)}):
+        with pytest.raises(TypeError):
+            EkiConfig(n_particles=10, **bad)
+    for name, value in (("n_particles", 10.0), ("n_particles", True), ("max_iters", 2.5)):
+        with pytest.raises(TypeError, match=name):
+            EkiConfig(**{"n_particles": 10, name: value})
+    EkiConfig(n_particles=np.int64(10), max_iters=np.int32(3))

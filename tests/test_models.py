@@ -314,12 +314,22 @@ def test_l96_config_layout_and_validation():
         L96Config(obs_times=(2.0, 1.0))
     with pytest.raises(ValueError):
         L96Config(d_x=3)
+    with pytest.raises(TypeError, match="d_x"):
+        L96Config(d_x=6.0, observed_dims=(0, 2))
     with pytest.raises(ValueError):
         L96Config(observed_dims=(0, 0))
     with pytest.raises(ValueError, match="observed_dims"):
         L96Config(observed_dims=())
     with pytest.raises(ValueError, match="diffusion"):
         L96Config(diffusion=-1.0)
+    nan, inf = float("nan"), float("inf")
+    for name, value in (("forcing", nan), ("forcing", inf), ("obs_noise_var", nan),
+                        ("obs_noise_var", inf), ("diffusion", nan)):
+        with pytest.raises(ValueError, match=name):
+            L96Config(**{name: value})
+    for prior_var in (nan, inf, 0.0):
+        with pytest.raises(ValueError, match="prior_var"):
+            L96Model(L96Config(d_x=4, obs_times=(0.01,), dt=0.01), prior_var=prior_var)
 
 
 def test_l96_simulate_deterministic_given_stream():
