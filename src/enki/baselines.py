@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import Ensemble, GaussPair, mvn_sample
-from .inversion import RunResult
+from .inversion import RunResult, _check_observed
 from .linalg import chol_psd, symmetrize
 from .models.base import SimulatorModel, _require_int
 from .rng import (
@@ -165,6 +165,12 @@ def _adapt_kappa(
     return float(kappa), new_alive
 
 
+def _require_finite(sims: np.ndarray, where: str) -> None:
+    # the reject policy of run_eki: a non-finite simulation ends the run
+    if not np.all(np.isfinite(sims)):
+        raise ValueError(f"{where}: simulation is not finite")
+
+
 def run_abc_smc(
     model: SimulatorModel, observed: np.ndarray, config: AbcSmcConfig, seed,
 ) -> RunResult:
@@ -177,13 +183,14 @@ def run_abc_smc(
     fresh simulation lands inside kappa. Stops when the move acceptance
     rate first falls below 1.5%. Every simulate call is counted.
     """
-    observed = np.atleast_1d(np.asarray(observed, dtype=float))
+    observed = _check_observed(model, observed)
     root = as_seed_sequence(seed)
     n = config.n_particles
     rw_scale = 2.38**2 / model.d_x
 
     params = model.prior_sample(n, substream(root, PRIOR))
-    sims = model.simulate_batch(params, ParticleStreams(root, SIMULATE, 0))
+    sims = model.simulate_batch(params, ParticleStreams(root, SIMULATE, 0).generators(n))
+    _require_finite(sims, "SMC iteration 0")
     sim_count = n
     dist = np.linalg.norm(observed - sims, axis=1)
 
@@ -232,7 +239,8 @@ def run_abc_smc(
         steps = mvn_sample(proposal, m, substream(root, PROPOSAL, iteration))
         candidates = params[alive_idx] + steps
         streams = ParticleStreams(root, SIMULATE, iteration)
-        cand_sims = model.simulate_batch(candidates, streams)
+        cand_sims = model.simulate_batch(candidates, streams.generators(m))
+        _require_finite(cand_sims, f"SMC iteration {iteration}")
         sim_count += m
         cand_dist = np.linalg.norm(observed - cand_sims, axis=1)
         log_ratio = model.prior_logpdf(candidates) - model.prior_logpdf(params[alive_idx])
@@ -282,7 +290,7 @@ def run_abc_mcmc(
     (accepted - 0.10), so kappa shrinks on acceptance and
     equilibrates where the long-run rate matches the target.
     """
-    observed = np.atleast_1d(np.asarray(observed, dtype=float))
+    observed = _check_observed(model, observed)
     root = as_seed_sequence(seed)
     rng = substream(root, CHAIN)
     d_x = model.d_x
@@ -290,6 +298,7 @@ def run_abc_mcmc(
 
     state = model.prior_sample(1, rng)[0]
     sim = model.simulate(state, rng)
+    _require_finite(sim, "MCMC step 0")
     sim_count = 1
     dist_cur = float(np.linalg.norm(observed - sim))
     kappa = dist_cur if dist_cur > 0 else 1.0
@@ -318,6 +327,7 @@ def run_abc_mcmc(
         else:
             candidate = state.copy()
         cand_sim = model.simulate(candidate, rng)
+        _require_finite(cand_sim, f"MCMC step {t}")
         sim_count += 1
         cand_dist = float(np.linalg.norm(observed - cand_sim))
         log_ratio = float(

@@ -191,7 +191,8 @@ class ExperimentConfig:
                 f"n_particles: eki-* needs at least d_x + d_y + 1 = {n_min} "
                 f"for this model, got {smallest}"
             )
-        for algo in self.algorithms:
+        # settings for an algorithm outside the sweep are checked too, not ignored
+        for algo in dict.fromkeys([*self.algorithms, *self.algo_params]):
             for n in self.n_particles:
                 try:
                     _algo_config(algo, n, self.algo_params.get(algo), self.snapshots)

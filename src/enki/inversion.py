@@ -287,6 +287,16 @@ def eki_min_particles(model: SimulatorModel) -> int:
     return model.d_x + model.d_y + 1
 
 
+def _check_observed(model: SimulatorModel, observed) -> np.ndarray:
+    """observed as a float vector; ValueError unless finite and of length d_y."""
+    observed = np.atleast_1d(np.asarray(observed, dtype=float))
+    if observed.shape != (model.d_y,):
+        raise ValueError(f"observed must have length {model.d_y}, got {observed.shape}")
+    if not np.all(np.isfinite(observed)):
+        raise ValueError("observed must be finite")
+    return observed
+
+
 def run_eki(
     model: SimulatorModel,
     observed: np.ndarray,
@@ -300,9 +310,7 @@ def run_eki(
     move. Reproducible bit-for-bit from (model, observed, config, seed).
     Needs n_particles >= eki_min_particles(model).
     """
-    observed = np.atleast_1d(np.asarray(observed, dtype=float))
-    if observed.size != model.d_y:
-        raise ValueError(f"observed must have length {model.d_y}")
+    observed = _check_observed(model, observed)
     n_min = eki_min_particles(model)
     if config.n_particles < n_min:
         raise ValueError(
@@ -319,8 +327,9 @@ def run_eki(
     reason = "max_iters"
 
     for iteration in range(1, config.max_iters + 1):
+        # the generators are dropped with the call, not held through the move
         streams = ParticleStreams(root, SIMULATE, iteration)
-        sims = model.simulate_batch(ensemble.params, streams)
+        sims = model.simulate_batch(ensemble.params, streams.generators(ensemble.n))
         sim_rounds += 1
         ensemble = ensemble.with_sims(sims)
         moments = compute_moments(ensemble)

@@ -2,16 +2,15 @@
 
 A model is a prior sampler plus a likelihood simulator. Algorithms never
 evaluate a likelihood density; they only draw from the prior and push
-parameters through `simulate`. Models work in an unconstrained parameter
-space; `constrain` maps particles back to the natural space for reporting.
+parameters through `simulate_batch`, one generator per particle. Models work
+in an unconstrained parameter space; `constrain` maps particles back to the
+natural space for reporting.
 """
 from __future__ import annotations
 
 from numbers import Integral
 
 import numpy as np
-
-from ..rng import ParticleStreams
 
 
 def _require_int(name: str, value, minimum: int) -> None:
@@ -29,8 +28,8 @@ def _require_int(name: str, value, minimum: int) -> None:
 class SimulatorModel:
     """Prior sampler + likelihood simulator pair.
 
-    Subclasses set `d_x`, `d_y` and implement `prior_sample`, `simulate`,
-    and `prior_logpdf`.
+    Subclasses set `d_x`, `d_y` and implement `prior_sample`,
+    `simulate_batch` and `prior_logpdf`. `simulate` is a batch of one.
     """
 
     d_x: int
@@ -40,26 +39,24 @@ class SimulatorModel:
         """Draw `count` prior particles, shape (count, d_x)."""
         raise NotImplementedError
 
-    def simulate(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Simulate one dataset for one particle, shape (d_y,)."""
+    def simulate_batch(self, params: np.ndarray, rngs: list) -> np.ndarray:
+        """Simulate one dataset per row of `params`, shape (n, d_y).
+
+        Row i draws only from rngs[i], so a batch equals the serial loop of
+        `simulate` over the same generators.
+        """
         raise NotImplementedError
 
     def prior_logpdf(self, params: np.ndarray) -> np.ndarray:
         """Log prior density at each row of `params`, shape (n,)."""
         raise NotImplementedError
 
-    def simulate_batch(self, params: np.ndarray, streams: ParticleStreams) -> np.ndarray:
-        """Simulate one dataset per particle, shape (n, d_y).
-
-        The default loops over particles, particle i drawing from
-        `streams.particle(i)`. Subclasses may override with vectorised code
-        that consumes the same per-particle streams.
-        """
-        params = np.atleast_2d(np.asarray(params, dtype=float))
-        out = np.empty((params.shape[0], self.d_y))
-        for i, row in enumerate(params):
-            out[i] = self.simulate(row, streams.particle(i))
-        return out
+    def simulate(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One dataset, shape (d_y,), for one particle of shape (d_x,): a batch of one."""
+        params = np.asarray(params, dtype=float)
+        if params.shape != (self.d_x,):
+            raise ValueError(f"params must have shape ({self.d_x},), got {params.shape}")
+        return self.simulate_batch(params[None], [rng])[0]
 
     def constrain(self, params: np.ndarray) -> np.ndarray:
         """Map working-space particles to the natural parameter space."""

@@ -12,8 +12,8 @@ the normal deviate z (Rayner & MacGillivray 2002), so the j-th order
 statistic of the draws Q(z_i) is Q at the j-th order statistic of the z_i.
 The kernel therefore sorts the deviates and evaluates Q only at the kept
 ranks: 100 evaluations per dataset instead of 1000, with the same values,
-since each kept value is Q of the same deviate either way. Parameters
-outside that range are rejected rather than simulated.
+since each kept value is Q of the same deviate either way. The probit map
+keeps B and k in [0, upper], and a c outside [0, 0.8] is rejected.
 """
 from __future__ import annotations
 
@@ -24,11 +24,10 @@ from numbers import Integral
 import numpy as np
 from scipy.special import ndtri
 
-from ..rng import ParticleStreams
 from .base import SimulatorModel
 from .transforms import inverse_transform, transform_to_unconstrained
 
-__all__ = ["GkParams", "gk_quantile", "gk_simulate_summaries", "GkModel"]
+__all__ = ["GkParams", "gk_quantile", "GkModel"]
 
 
 @dataclass(frozen=True)
@@ -67,74 +66,6 @@ def _order_stat_indices(n_raw: int, n_stats: int) -> np.ndarray:
     return ranks - 1
 
 
-def _check_sizes(n_raw, n_stats) -> None:
-    for name, value in (("n_raw", n_raw), ("n_stats", n_stats)):
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if n_stats < 1:
-        raise ValueError(f"n_stats must be at least 1, got {n_stats}")
-    if n_stats > n_raw:
-        raise ValueError(f"n_stats must not exceed n_raw, got {n_stats} > {n_raw}")
-
-
-def _check_c(c) -> None:
-    if not 0.0 <= c <= 0.8:
-        raise ValueError(f"c must lie in [0, 0.8] for a monotone quantile, got {c}")
-
-
-def _check_params(params: GkParams) -> None:
-    # O(1) scalar checks: this runs on every serial (ABC-MCMC) simulation
-    _check_c(params.c)
-    for name, value in (("A", params.A), ("B", params.B), ("g", params.g), ("k", params.k)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    for name, value in (("B", params.B), ("k", params.k)):
-        if value < 0.0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
-
-
-def _simulate_rows(
-    params: np.ndarray, c: float, n_raw: int, n_stats: int, rngs: list
-) -> np.ndarray:
-    """Order-statistic summaries of each natural-scale row (A, B, g, k).
-
-    Row i draws its n_raw standard normal deviates from rngs[i]; the result
-    has shape (n, n_stats). The deviates are sorted and Q is evaluated at the
-    kept ranks only, which equals sorting all n_raw values of a non-decreasing
-    Q. Rounding could only break that between deviates a few ulps apart; the
-    tests compare the two orders bit for bit.
-    """
-    z = np.empty((len(rngs), n_raw))
-    for i, rng in enumerate(rngs):
-        rng.standard_normal(out=z[i])
-    z.sort(axis=1)
-    a, b, g, k = (params[:, j : j + 1] for j in range(4))
-    return _gk_values(z[:, _order_stat_indices(n_raw, n_stats)], GkParams(a, b, g, k, c))
-
-
-def gk_simulate_summaries(
-    params: GkParams, n_raw: int = 1000, n_stats: int = 100, rng: np.random.Generator = None
-) -> np.ndarray:
-    """One dataset: n_raw i.i.d. g-and-k draws reduced to n_stats order statistics.
-
-    Draws standard normal deviates directly (equivalent to uniforms pushed
-    through the normal quantile, and safe at the open-interval endpoints),
-    sorts them, and evaluates the quantile only at every (n_raw/n_stats)-th
-    deviate. Q is non-decreasing in z for the accepted parameters, so these
-    are exactly the order statistics of the n_raw draws. Output is
-    non-decreasing.
-
-    Raises ValueError for c outside [0, 0.8], negative B or k, non-finite A,
-    B, g or k, or sizes other than integers with 1 <= n_stats <= n_raw.
-    """
-    _check_sizes(n_raw, n_stats)
-    _check_params(params)
-    if rng is None:
-        raise ValueError("an explicit rng is required")
-    row = np.array([[params.A, params.B, params.g, params.k]], dtype=float)
-    return _simulate_rows(row, params.c, n_raw, n_stats, [rng])[0]
-
-
 class GkModel(SimulatorModel):
     """g-and-k inference problem on the unconstrained parameter scale.
 
@@ -151,12 +82,19 @@ class GkModel(SimulatorModel):
 
     def __init__(self, n_raw: int = 1000, n_stats: int = 100, c: float = 0.8,
                  upper: float = 10.0):
-        _check_sizes(n_raw, n_stats)
+        for name, value in (("n_raw", n_raw), ("n_stats", n_stats)):
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if n_stats < 1:
+            raise ValueError(f"n_stats must be at least 1, got {n_stats}")
+        if n_stats > n_raw:
+            raise ValueError(f"n_stats must not exceed n_raw, got {n_stats} > {n_raw}")
         self.n_raw = int(n_raw)
         self.n_stats = int(n_stats)
         self.d_y = self.n_stats
         self.c = float(c)
-        _check_c(self.c)
+        if not 0.0 <= self.c <= 0.8:
+            raise ValueError(f"c must lie in [0, 0.8] for a monotone quantile, got {c}")
         self.upper = float(upper)
         if not (math.isfinite(self.upper) and self.upper > 0.0):
             raise ValueError(f"upper must be finite and positive, got {upper}")
@@ -168,22 +106,29 @@ class GkModel(SimulatorModel):
         params = np.atleast_2d(np.asarray(params, dtype=float))
         return -0.5 * np.sum(params**2, axis=1) - 0.5 * self.d_x * np.log(2 * np.pi)
 
-    def _params_from_working(self, theta: np.ndarray) -> GkParams:
-        a, b, g, k = inverse_transform(theta, self.upper)
-        return GkParams(a, b, g, k, self.c)
+    def simulate_batch(self, params: np.ndarray, rngs: list) -> np.ndarray:
+        """Order-statistic summaries of each working-space row, shape (n, n_stats).
 
-    def simulate(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return gk_simulate_summaries(
-            self._params_from_working(params), self.n_raw, self.n_stats, rng
-        )
-
-    def simulate_batch(self, params: np.ndarray, streams: ParticleStreams) -> np.ndarray:
+        Row i draws its n_raw standard normal deviates from rngs[i]. The
+        deviates are sorted and Q is evaluated at the kept ranks only, which
+        equals sorting all n_raw values of a non-decreasing Q. Rounding could
+        only break that between deviates a few ulps apart; the tests compare
+        the two orders bit for bit. Raises ValueError unless params has four
+        columns and no NaN.
+        """
         params = np.atleast_2d(np.asarray(params, dtype=float))
         if params.shape[1] != self.d_x:
             raise ValueError(f"params must have {self.d_x} columns")
-        rngs = [streams.particle(i) for i in range(params.shape[0])]
         natural = inverse_transform(params, self.upper)
-        return _simulate_rows(natural, self.c, self.n_raw, self.n_stats, rngs)
+        if not np.all(np.isfinite(natural)):
+            raise ValueError("params must be finite")
+        z = np.empty((params.shape[0], self.n_raw))
+        for i, row in enumerate(z):
+            rngs[i].standard_normal(out=row)
+        z.sort(axis=1)
+        a, b, g, k = (natural[:, j : j + 1] for j in range(4))
+        kept = z[:, _order_stat_indices(self.n_raw, self.n_stats)]
+        return _gk_values(kept, GkParams(a, b, g, k, self.c))
 
     def constrain(self, params: np.ndarray) -> np.ndarray:
         return inverse_transform(params, self.upper)

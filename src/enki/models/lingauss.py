@@ -73,9 +73,8 @@ def tempered_recursion_step(
 class LinearGaussianModel(SimulatorModel):
     """Simulator wrapper around the analytic model, for end-to-end runs.
 
-    Keeps the base-class serial simulate_batch: the model is cheap and the
-    loop guarantees per-particle stream layout identical to every other
-    simulator.
+    simulate_batch works row by row: row i is H x_i plus one
+    standard_normal(d_y) draw from rngs[i] through the noise factor.
     """
 
     def __init__(self, prior: GaussPair, obs_matrix: np.ndarray, noise_cov: np.ndarray):
@@ -105,11 +104,14 @@ class LinearGaussianModel(SimulatorModel):
         logdet = np.sum(np.log(np.diag(self._prior_chol)))
         return -0.5 * np.sum(white**2, axis=0) - logdet - 0.5 * self.d_x * np.log(2 * np.pi)
 
-    def simulate(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        mean = self.obs_matrix @ np.asarray(params, dtype=float)
-        if self._noise_chol is None:
-            return mean
-        return mean + self._noise_chol @ rng.standard_normal(self.d_y)
+    def simulate_batch(self, params: np.ndarray, rngs: list) -> np.ndarray:
+        params = np.atleast_2d(np.asarray(params, dtype=float))
+        out = np.empty((params.shape[0], self.d_y))
+        for i, row in enumerate(params):
+            out[i] = self.obs_matrix @ row
+            if self._noise_chol is not None:
+                out[i] += self._noise_chol @ rngs[i].standard_normal(self.d_y)
+        return out
 
     def posterior(self, y: np.ndarray) -> GaussPair:
         return linear_gaussian_posterior(self.prior, self.obs_matrix, self.noise_cov, y)

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..rng import ParticleStreams
 from .base import SimulatorModel, _require_int
 
-__all__ = ["L96Config", "l96_drift", "l96_simulate", "L96Model"]
+__all__ = ["L96Config", "l96_drift", "L96Model"]
 
 
 @dataclass(frozen=True)
@@ -106,70 +105,6 @@ def l96_drift(x: np.ndarray, forcing: float, out: np.ndarray = None) -> np.ndarr
 _CHUNK = 64  # Euler steps of path noise drawn per refill of the noise buffer
 
 
-def _integrate(x: np.ndarray, config: L96Config, rngs: list) -> np.ndarray:
-    """Flattened noisy observations of each path started from a row of x.
-
-    All rows step in lockstep, in place; row i draws its path noise in
-    step-ordered chunks, then its observation noise, from rngs[i]. Raises
-    ValueError on a non-finite start, and FloatingPointError naming the time
-    reached if any state blows up.
-    """
-    if not np.all(np.isfinite(x)):
-        raise ValueError("initial state must be finite")
-    n, d = x.shape
-    dims = list(config.observed_dims)
-    obs_steps = config.obs_steps
-    scale = np.sqrt(config.dt) * config.diffusion
-    blocks = np.empty((n, len(obs_steps), len(dims)))
-    # state and drift are (n, d) views of (d, n) buffers, so every slice
-    # l96_drift takes along d is one contiguous block
-    state = np.array(x.T, order="C").T
-    drift = np.empty((d, n)).T
-    noise = np.empty((n, _CHUNK, d))
-    next_obs = 0
-    # overflow is detected explicitly at observation reads and reported with
-    # the time reached, so the intermediate warnings are silenced
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, config.n_steps, _CHUNK):
-            width = min(_CHUNK, config.n_steps - start)
-            for i in range(n):
-                rngs[i].standard_normal(out=noise[i, :width])
-            noise[:, :width] *= scale
-            for t in range(width):
-                step = start + t + 1
-                # x + (drift * dt + scale * noise), one operation at a time
-                l96_drift(state, config.forcing, out=drift)
-                drift *= config.dt
-                drift += noise[:, t]
-                state += drift
-                if step == obs_steps[next_obs]:
-                    if not np.all(np.isfinite(state)):
-                        raise FloatingPointError(
-                            f"state became non-finite by t={step * config.dt:g}"
-                        )
-                    blocks[:, next_obs, :] = state[:, dims]
-                    next_obs += 1
-    out = np.empty((n, config.d_y))
-    for i in range(n):
-        eps = rngs[i].standard_normal((len(obs_steps), len(dims)))
-        out[i] = (blocks[i] + np.sqrt(config.obs_noise_var) * eps).ravel()
-    return out
-
-
-def l96_simulate(x0: np.ndarray, config: L96Config, rng: np.random.Generator) -> np.ndarray:
-    """Integrate one path from x0 and return the flattened noisy observations.
-
-    Euler-Maruyama with stepsize dt; at each observation time the observed
-    dimensions are read and perturbed with independent N(0, obs_noise_var)
-    noise; blocks are concatenated time-major. Raises if the state blows up,
-    naming the time reached.
-    """
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (config.d_x,):
-        raise ValueError(f"x0 must have shape ({config.d_x},)")
-    return _integrate(x[None], config, [rng])[0]
-
-
 class L96Model(SimulatorModel):
     """Initial-state inference for the stochastic Lorenz 96 system.
 
@@ -197,13 +132,58 @@ class L96Model(SimulatorModel):
             2 * np.pi * self.prior_var
         )
 
-    def simulate(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return l96_simulate(params, self.config, rng)
+    def simulate_batch(self, params: np.ndarray, rngs: list) -> np.ndarray:
+        """Flattened noisy observations of the path started from each row.
 
-    def simulate_batch(self, params: np.ndarray, streams: ParticleStreams) -> np.ndarray:
-        """Vectorised integration of all particles in lockstep."""
+        Euler-Maruyama with stepsize dt; at each observation time the observed
+        dimensions are read and perturbed with independent N(0, obs_noise_var)
+        noise; blocks are concatenated time-major. All rows step in lockstep,
+        in place; row i draws its path noise in step-ordered chunks, then its
+        observation noise, from rngs[i]. Raises ValueError on a non-finite
+        start, and FloatingPointError naming the time reached if any state
+        blows up.
+        """
         x = np.atleast_2d(np.asarray(params, dtype=float))
-        if x.shape[1] != self.config.d_x:
-            raise ValueError(f"params must have {self.config.d_x} columns")
-        rngs = [streams.particle(i) for i in range(x.shape[0])]
-        return _integrate(x, self.config, rngs)
+        config = self.config
+        if x.shape[1] != config.d_x:
+            raise ValueError(f"params must have {config.d_x} columns")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("initial state must be finite")
+        n, d = x.shape
+        dims = list(config.observed_dims)
+        obs_steps = config.obs_steps
+        scale = np.sqrt(config.dt) * config.diffusion
+        blocks = np.empty((n, len(obs_steps), len(dims)))
+        # state and drift are (n, d) views of (d, n) buffers, so every slice
+        # l96_drift takes along d is one contiguous block
+        state = np.array(x.T, order="C").T
+        drift = np.empty((d, n)).T
+        noise = np.empty((n, _CHUNK, d))
+        next_obs = 0
+        # overflow is detected explicitly at observation reads and reported with
+        # the time reached, so the intermediate warnings are silenced
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, config.n_steps, _CHUNK):
+                width = min(_CHUNK, config.n_steps - start)
+                for i in range(n):
+                    rngs[i].standard_normal(out=noise[i, :width])
+                noise[:, :width] *= scale
+                for t in range(width):
+                    step = start + t + 1
+                    # x + (drift * dt + scale * noise), one operation at a time
+                    l96_drift(state, config.forcing, out=drift)
+                    drift *= config.dt
+                    drift += noise[:, t]
+                    state += drift
+                    if step == obs_steps[next_obs]:
+                        if not np.all(np.isfinite(state)):
+                            raise FloatingPointError(
+                                f"state became non-finite by t={step * config.dt:g}"
+                            )
+                        blocks[:, next_obs, :] = state[:, dims]
+                        next_obs += 1
+        out = np.empty((n, config.d_y))
+        for i in range(n):
+            eps = rngs[i].standard_normal((len(obs_steps), len(dims)))
+            out[i] = (blocks[i] + np.sqrt(config.obs_noise_var) * eps).ravel()
+        return out

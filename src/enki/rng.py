@@ -52,10 +52,11 @@ def substream(root: np.random.SeedSequence, *key: int) -> np.random.Generator:
 class ParticleStreams:
     """Per-particle substreams for one simulation round.
 
-    Lazy view: `particle(i)` creates the i-th stream on demand, so vectorised
-    simulators can draw per particle in any chunking while matching the
-    serial loop draw-for-draw. `shared()` is a single round-level stream for
-    simulators whose batched draws need no per-particle separation.
+    `particle(i)` creates the i-th stream, and `generators(n)` the first n,
+    which is what a model's `simulate_batch` consumes: row i draws only from
+    generator i, so a batch matches the serial loop draw for draw in any
+    chunking. `shared()` is a single round-level stream for simulators whose
+    batched draws need no per-particle separation.
     """
 
     def __init__(self, root: np.random.SeedSequence, *prefix: int):
@@ -64,6 +65,10 @@ class ParticleStreams:
 
     def particle(self, i: int) -> np.random.Generator:
         return substream(self._root, *self._prefix, i)
+
+    def generators(self, n: int) -> list:
+        """The streams of particles 0..n-1, in order."""
+        return [self.particle(i) for i in range(n)]
 
     def shared(self) -> np.random.Generator:
         return substream(self._root, *self._prefix)

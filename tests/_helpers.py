@@ -30,24 +30,26 @@ class ToyModel(SimulatorModel):
         params = np.atleast_2d(params)
         return -0.5 * np.sum(params**2, axis=1) - 0.5 * np.log(2 * np.pi)
 
-    def simulate(self, params, rng):
-        theta = inverse_transform(np.asarray(params))[0]
-        return np.array([theta + self.noise_sd * rng.standard_normal()])
+    def simulate_batch(self, params, rngs):
+        theta = inverse_transform(np.atleast_2d(params))[:, 0]
+        noise = [rngs[i].standard_normal() for i in range(len(theta))]
+        return (theta + self.noise_sd * np.array(noise))[:, None]
 
     def constrain(self, params):
         return inverse_transform(params)
 
 
 class CountingToyModel(ToyModel):
-    """ToyModel that counts every simulate call, for budget accounting tests."""
+    """ToyModel that counts every simulated dataset, for budget accounting tests."""
 
     def __init__(self, noise_sd: float = 1.0):
         super().__init__(noise_sd)
         self.calls = 0
 
-    def simulate(self, params, rng):
-        self.calls += 1
-        return super().simulate(params, rng)
+    def simulate_batch(self, params, rngs):
+        sims = super().simulate_batch(params, rngs)
+        self.calls += len(sims)
+        return sims
 
 
 def random_spd(rng: np.random.Generator, d: int, floor: float = 0.5) -> np.ndarray:

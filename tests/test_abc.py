@@ -12,6 +12,8 @@ from enki.baselines import (
     run_abc_smc,
     systematic_resample,
 )
+from enki.inversion import EkiConfig, run_eki
+from enki.models import build_model
 from enki.rng import ALGO, as_seed_sequence, derive
 
 from _helpers import CountingToyModel, ToyModel, draw_observation
@@ -233,3 +235,57 @@ def test_mcmc_config_validation():
         AbcMcmcConfig(n_steps=400.0)
     with pytest.raises(TypeError, match="n_keep"):
         AbcMcmcConfig(n_steps=100, n_keep=True)
+
+
+# ------------------------------------------------------- shared input policies
+
+_RUNNERS = {
+    "eki": lambda model, y: run_eki(model, y, EkiConfig(n_particles=40), 0),
+    "abc-smc": lambda model, y: run_abc_smc(model, y, AbcSmcConfig(n_particles=40), 0),
+    "abc-mcmc": lambda model, y: run_abc_mcmc(model, y, AbcMcmcConfig(n_steps=40), 0),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(_RUNNERS))
+def test_every_sampler_checks_observed(runner):
+    model = build_model("lingauss")  # d_y = 3
+    _, _, y = draw_observation(model, 0)
+    # a length-1 vector would broadcast against every simulation
+    for observed in ([0.3], np.append(y, 0.0), y[None, :]):
+        with pytest.raises(ValueError, match="observed must have length 3"):
+            _RUNNERS[runner](model, observed)
+    for bad in (np.nan, np.inf):
+        observed = y.copy()
+        observed[1] = bad
+        with pytest.raises(ValueError, match="observed must be finite"):
+            _RUNNERS[runner](model, observed)
+
+
+class NanAboveToyModel(ToyModel):
+    """ToyModel: NaN where working theta > cut, from batch call `start` on."""
+
+    def __init__(self, cut: float, start: int = 0):
+        super().__init__()
+        self.cut, self.start, self.batches = cut, start, 0
+
+    def simulate_batch(self, params, rngs):
+        sims = super().simulate_batch(params, rngs)
+        if self.batches >= self.start:
+            sims[np.atleast_2d(params)[:, 0] > self.cut] = np.nan
+        self.batches += 1
+        return sims
+
+
+def test_smc_rejects_non_finite_simulation():
+    # the prior round is finite; the first rejuvenation round is not
+    model = NanAboveToyModel(cut=-1.0, start=1)
+    _, _, y = draw_observation(ToyModel(), 3)
+    with pytest.raises(ValueError, match="SMC iteration 1: simulation is not finite"):
+        run_abc_smc(model, y, AbcSmcConfig(n_particles=200), 3)
+
+
+def test_mcmc_rejects_non_finite_simulation():
+    model = NanAboveToyModel(cut=0.5)
+    _, _, y = draw_observation(ToyModel(), 3)
+    with pytest.raises(ValueError, match=r"MCMC step \d+: simulation is not finite"):
+        run_abc_mcmc(model, y, AbcMcmcConfig(n_steps=400), 3)

@@ -102,6 +102,19 @@ def test_config_rejects_unknown_names():
             )
 
 
+def test_config_checks_algo_params_of_unswept_algorithms(tmp_path, capsys):
+    # an entry for an algorithm outside the sweep is checked, not ignored
+    bogus = {"abc-smc": {"bogus": 1}}
+    with pytest.raises(ConfigError, match="algo_params: abc-smc"):
+        ExperimentConfig.from_mapping(small_mapping(algo_params=bogus))
+    path = write_config(tmp_path, algo_params=bogus)
+    assert cli_main(["validate", str(path)]) == 2
+    assert "algo_params" in capsys.readouterr().err
+    # a valid entry for an unswept algorithm still passes
+    valid = {"abc-mcmc": {"n_steps": 400}}
+    ExperimentConfig.from_mapping(small_mapping(algo_params=valid))
+
+
 def test_config_validates_grid_entries():
     with pytest.raises(ConfigError, match="n_particles"):
         ExperimentConfig.from_mapping(small_mapping(n_particles=[1]))

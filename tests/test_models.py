@@ -12,7 +12,6 @@ from enki.models.gk import (
     _gk_values,
     _order_stat_indices,
     gk_quantile,
-    gk_simulate_summaries,
 )
 from enki.models.lingauss import (
     LinearGaussianModel,
@@ -20,11 +19,11 @@ from enki.models.lingauss import (
     linear_gaussian_tempered,
     tempered_recursion_step,
 )
-from enki.models.lorenz96 import L96Config, L96Model, l96_drift, l96_simulate
+from enki.models.lorenz96 import L96Config, L96Model, l96_drift
 from enki.models.transforms import inverse_transform, transform_to_unconstrained
 from enki.rng import ParticleStreams, as_seed_sequence, substream
 
-from _helpers import random_lingauss, random_spd
+from _helpers import ToyModel, random_lingauss, random_spd
 
 # 50-digit reference values (probit quantile at u = 0.77, and the g-and-k
 # quantile at the conventional truth), frozen from an mpmath evaluation.
@@ -125,9 +124,10 @@ def test_order_stat_indices_layout():
 
 
 def test_gk_summaries_sorted_and_deterministic():
-    params = GkParams(3.0, 1.0, 2.0, 0.5)
-    a = gk_simulate_summaries(params, rng=np.random.default_rng(0))
-    b = gk_simulate_summaries(params, rng=np.random.default_rng(0))
+    model = GkModel()
+    truth = model.sample_truth(None)
+    a = model.simulate(truth, np.random.default_rng(0))
+    b = model.simulate(truth, np.random.default_rng(0))
     assert a.shape == (100,)
     assert np.array_equal(a, b)
     assert np.all(np.diff(a) >= 0)
@@ -162,16 +162,13 @@ def test_gk_kernel_matches_sort_the_values_reference(theta, c, sizes, seed):
     natural = model.constrain(theta)
     root = as_seed_sequence(seed)
     streams = ParticleStreams(root, 3)
-    expected = _sort_the_values(
-        natural, c, n_raw, n_stats, [streams.particle(i) for i in range(len(theta))]
-    )
-    batch = model.simulate_batch(theta, streams)
+    rngs = streams.generators(len(theta))
+    expected = _sort_the_values(natural, c, n_raw, n_stats, rngs)
+    batch = model.simulate_batch(theta, streams.generators(len(theta)))
     assert np.array_equal(batch, expected)
     assert np.all(np.diff(batch, axis=1) >= 0)
 
-    single = gk_simulate_summaries(
-        GkParams(*natural[0], c), n_raw, n_stats, rng=np.random.default_rng(seed)
-    )
+    single = model.simulate(theta[0], np.random.default_rng(seed))
     reference = _sort_the_values(
         natural[:1], c, n_raw, n_stats, [np.random.default_rng(seed)]
     )[0]
@@ -180,24 +177,10 @@ def test_gk_kernel_matches_sort_the_values_reference(theta, c, sizes, seed):
 
 def test_gk_summary_median_tracks_location():
     # the middle order statistic estimates the median, which equals A
-    params = GkParams(3.0, 1.0, 2.0, 0.5)
-    mids = [
-        gk_simulate_summaries(params, rng=np.random.default_rng(s))[49]
-        for s in range(20)
-    ]
-    assert abs(np.median(mids) - 3.0) < 0.15
-
-
-def test_gk_model_batch_matches_serial_loop():
     model = GkModel()
-    root = as_seed_sequence(4)
-    params = model.prior_sample(7, substream(root, 0))
-    streams = ParticleStreams(root, 1, 0)
-    batch = model.simulate_batch(params, streams)
-    serial = np.stack(
-        [model.simulate(params[i], streams.particle(i)) for i in range(7)]
-    )
-    assert np.array_equal(batch, serial)
+    truth = model.sample_truth(None)
+    mids = [model.simulate(truth, np.random.default_rng(s))[49] for s in range(20)]
+    assert abs(np.median(mids) - 3.0) < 0.15
 
 
 def test_gk_model_prior_and_truth():
@@ -241,35 +224,25 @@ def test_gk_model_validation():
     GkModel(n_raw=1, n_stats=1, c=0.0)
     GkModel(n_raw=np.int64(7), n_stats=np.int64(7), c=0.8, upper=1e-3)
     # a batch must carry exactly the four parameter columns
-    streams = ParticleStreams(as_seed_sequence(0), 1, 0)
+    rngs = ParticleStreams(as_seed_sequence(0), 1, 0).generators(2)
     for cols in (3, 5):
         with pytest.raises(ValueError, match="4 columns"):
-            GkModel().simulate_batch(np.zeros((2, cols)), streams)
+            GkModel().simulate_batch(np.zeros((2, cols)), rngs)
 
 
-def test_gk_simulate_summaries_rejects_non_monotone_params():
+def test_gk_model_rejects_nan_params_and_simulates_saturated_edges():
+    model = GkModel(c=0.0)
     rng = np.random.default_rng(0)
-    nan, inf = float("nan"), float("inf")
-    bad_params = [
-        (GkParams(3.0, -1.0, 2.0, 0.5), "B"),
-        (GkParams(3.0, 1.0, 2.0, -0.5), "k"),
-        (GkParams(3.0, 1.0, 2.0, nan), "k"),
-        (GkParams(nan, 1.0, 2.0, 0.5), "A"),
-        (GkParams(3.0, inf, 2.0, 0.5), "B"),
-        (GkParams(3.0, 1.0, -inf, 0.5), "g"),
-        (GkParams(3.0, 1.0, 2.0, 0.5, c=2.0), "c"),
-        (GkParams(3.0, 1.0, 2.0, 0.5, c=-0.1), "c"),
-    ]
-    for params, field in bad_params:
-        with pytest.raises(ValueError, match=f"^{field} "):
-            gk_simulate_summaries(params, rng=rng)
-    for n_raw, n_stats, field in ((0, 0, "n_stats"), (10, 0, "n_stats"), (10, 11, "n_stats"),
-                                  (10, True, "n_stats"), (10.0, 5, "n_raw")):
-        with pytest.raises(ValueError, match=f"^{field} "):
-            gk_simulate_summaries(GkParams(3.0, 1.0, 2.0, 0.5), n_raw, n_stats, rng)
-    # the saturated edges of the prior box are accepted: B = k = 0, c = 0
-    flat = gk_simulate_summaries(GkParams(4.0, 0.0, -1.0, 0.0, c=0.0), rng=rng)
-    assert np.all(flat == 4.0)
+    for theta in ([0.0, 1.0, 2.0, np.nan], [np.nan, 1.0, 2.0, 0.5]):
+        with pytest.raises(ValueError, match="finite"):
+            model.simulate(np.array(theta), rng)
+        # the batch path rejects a NaN row too
+        with pytest.raises(ValueError, match="finite"):
+            model.simulate_batch(np.array([[0.0, 0.0, 0.0, 0.0], theta]), [rng, rng])
+    # the probit map saturates at B = k = 0 for working coordinates of -40;
+    # with c = 0 every summary is then A = 10 * ndtr(0) = 5 exactly
+    flat = model.simulate(np.array([0.0, -40.0, -1.0, -40.0]), rng)
+    assert np.all(flat == 5.0)
 
 
 # ---------------------------------------------------------------------- Lorenz 96
@@ -335,8 +308,8 @@ def test_l96_config_layout_and_validation():
 def test_l96_simulate_deterministic_given_stream():
     cfg = L96Config(d_x=6, obs_times=(0.05, 0.1), dt=0.01)
     x0 = np.full(6, 8.0)
-    a = l96_simulate(x0, cfg, np.random.default_rng(3))
-    b = l96_simulate(x0, cfg, np.random.default_rng(3))
+    a = L96Model(cfg).simulate(x0, np.random.default_rng(3))
+    b = L96Model(cfg).simulate(x0, np.random.default_rng(3))
     assert a.shape == (6,)  # 3 observed dims x 2 times, time-major
     assert np.array_equal(a, b)
 
@@ -347,7 +320,7 @@ def test_l96_simulate_noiseless_matches_manual_euler():
         observed_dims=(0, 2),
     )
     x0 = np.array([1.0, 0.5, -0.5, 2.0, 8.0])
-    out = l96_simulate(x0, cfg, np.random.default_rng(0))
+    out = L96Model(cfg).simulate(x0, np.random.default_rng(0))
     x = x0.copy()
     expected = []
     for step in range(1, 4):
@@ -361,9 +334,10 @@ def test_l96_simulate_blowup_names_time():
     # a uniform state would decay (the advection differences cancel), so use
     # an uneven huge start whose quadratic term overflows within a few steps
     cfg = L96Config(d_x=4, obs_times=(1.0,), dt=0.01, diffusion=0.0)
+    rng = np.random.default_rng(0)
     with pytest.raises(FloatingPointError, match="t="):
         with np.errstate(all="ignore"):
-            l96_simulate(np.array([1e80, 1e80, 0.0, 0.0]), cfg, np.random.default_rng(0))
+            L96Model(cfg).simulate(np.array([1e80, 1e80, 0.0, 0.0]), rng)
 
 
 def test_l96_non_finite_start_fails_before_any_step(monkeypatch):
@@ -377,10 +351,11 @@ def test_l96_non_finite_start_fails_before_any_step(monkeypatch):
     cfg = L96Config(d_x=4, obs_times=(1.0,), dt=0.01)
     start = np.array([8.0, np.nan, 8.0, 8.0])
     with pytest.raises(ValueError, match="initial state must be finite"):
-        l96_simulate(start, cfg, np.random.default_rng(0))
+        L96Model(cfg).simulate(start, np.random.default_rng(0))
     params = np.array([[8.0, 8.5, 7.5, 8.0], start])
+    rngs = ParticleStreams(as_seed_sequence(0), 1, 1).generators(2)
     with pytest.raises(ValueError, match="initial state must be finite"):
-        L96Model(cfg).simulate_batch(params, ParticleStreams(as_seed_sequence(0), 1, 1))
+        L96Model(cfg).simulate_batch(params, rngs)
 
 
 def test_l96_model_batch_blowup_names_time():
@@ -391,23 +366,10 @@ def test_l96_model_batch_blowup_names_time():
         [1e80, 1e80, 0.0, 0.0],
         [9.0, 7.0, 8.0, 8.0],
     ])
-    streams = ParticleStreams(as_seed_sequence(0), 1, 1)
+    rngs = ParticleStreams(as_seed_sequence(0), 1, 1).generators(3)
     with pytest.raises(FloatingPointError, match="t="):
         with np.errstate(all="ignore"):
-            model.simulate_batch(params, streams)
-
-
-def test_l96_model_batch_matches_serial_loop():
-    # same substreams, chunked draws: vectorised path must be bit-identical
-    model = L96Model(L96Config(d_x=6, obs_times=(0.5, 1.0), dt=0.01))
-    root = as_seed_sequence(8)
-    params = model.prior_sample(5, substream(root, 0))
-    streams = ParticleStreams(root, 1, 3)
-    batch = model.simulate_batch(params, streams)
-    serial = np.stack(
-        [model.simulate(params[i], streams.particle(i)) for i in range(5)]
-    )
-    assert np.array_equal(batch, serial)
+            model.simulate_batch(params, rngs)
 
 
 def _reference_l96(params, config, rngs):
@@ -441,8 +403,8 @@ def test_l96_batch_matches_reference_euler_loop(d_x, diffusion):
     root = as_seed_sequence(d_x)
     params = model.prior_sample(3, substream(root, 0))
     streams = ParticleStreams(root, 1, 2)
-    batch = model.simulate_batch(params, streams)
-    reference = _reference_l96(params, cfg, [streams.particle(i) for i in range(3)])
+    batch = model.simulate_batch(params, streams.generators(3))
+    reference = _reference_l96(params, cfg, streams.generators(3))
     assert np.array_equal(batch, reference)
 
 
@@ -470,7 +432,8 @@ def test_l96_batch_calls_drift_once_per_step(monkeypatch):
     monkeypatch.setattr(l96, "l96_drift", counting)
     cfg = L96Config(d_x=6, dt=0.01, obs_times=(0.5, 1.3))
     params = L96Model(cfg).prior_sample(4, np.random.default_rng(0))
-    L96Model(cfg).simulate_batch(params, ParticleStreams(as_seed_sequence(0), 1, 1))
+    rngs = ParticleStreams(as_seed_sequence(0), 1, 1).generators(4)
+    L96Model(cfg).simulate_batch(params, rngs)
     assert len(calls) == cfg.n_steps == 130
 
 
@@ -561,6 +524,36 @@ def test_lingauss_model_simulate_and_logpdf():
     pts = rng.normal(size=(5, 3))
     ref = multivariate_normal(model.prior.mean, model.prior.cov).logpdf(pts)
     assert np.allclose(model.prior_logpdf(pts), ref)
+
+
+# ------------------------------------------------------ simulate = batch of one
+
+_CONTRACT_MODELS = {
+    "gk": lambda: build_model("gk"),
+    "l96": lambda: build_model("l96", {"d_x": 8, "obs_times": [1, 2]}),
+    "lingauss": lambda: build_model("lingauss"),
+    "toy": ToyModel,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONTRACT_MODELS))
+def test_simulate_is_a_batch_of_one(name):
+    model = _CONTRACT_MODELS[name]()
+    root = as_seed_sequence(5)
+    params = model.prior_sample(4, substream(root, 0))
+    one = model.simulate(params[0], substream(root, 1))
+    assert one.shape == (model.d_y,)
+    alone = model.simulate_batch(params[:1], [substream(root, 1)])
+    assert np.array_equal(one, alone[0])
+    # a batch equals the serial loop over the same per-particle generators
+    streams = ParticleStreams(root, 2)
+    batch = model.simulate_batch(params, streams.generators(4))
+    serial = [model.simulate(p, rng) for p, rng in zip(params, streams.generators(4))]
+    assert batch.shape == (4, model.d_y)
+    assert np.array_equal(batch, np.stack(serial))
+    for bad in (params[0][:-1], np.append(params[0], 0.0), params[:2]):
+        with pytest.raises(ValueError, match=f"shape \\({model.d_x},\\)"):
+            model.simulate(bad, substream(root, 1))
 
 
 # ---------------------------------------------------------------------- registry
