@@ -189,7 +189,7 @@ def run_abc_smc(
     rw_scale = 2.38**2 / model.d_x
 
     params = model.prior_sample(n, substream(root, PRIOR))
-    sims = model.simulate_batch(params, ParticleStreams(root, SIMULATE, 0).generators(n))
+    sims = model.simulate_batch(params, ParticleStreams(root, SIMULATE, 0).shared())
     _require_finite(sims, "SMC iteration 0")
     sim_count = n
     dist = np.linalg.norm(observed - sims, axis=1)
@@ -238,8 +238,9 @@ def run_abc_smc(
         proposal = GaussPair(np.zeros(model.d_x), symmetrize(rw_scale * spread))
         steps = mvn_sample(proposal, m, substream(root, PROPOSAL, iteration))
         candidates = params[alive_idx] + steps
-        streams = ParticleStreams(root, SIMULATE, iteration)
-        cand_sims = model.simulate_batch(candidates, streams.generators(m))
+        cand_sims = model.simulate_batch(
+            candidates, ParticleStreams(root, SIMULATE, iteration).shared()
+        )
         _require_finite(cand_sims, f"SMC iteration {iteration}")
         sim_count += m
         cand_dist = np.linalg.norm(observed - cand_sims, axis=1)
@@ -262,7 +263,7 @@ def run_abc_smc(
         params = params[idx]
         sims = sims[idx]
 
-    ensemble = Ensemble(params, sims=sims, iteration=len(kappas) - 1)
+    ensemble = Ensemble(params, sims=sims)
     return RunResult(
         ensemble=ensemble,
         schedule=None,
@@ -349,7 +350,7 @@ def run_abc_mcmc(
     n_keep = config.n_keep if config.n_keep is not None else min(1000, tail.shape[0])
     n_keep = min(n_keep, tail.shape[0])
     sel = np.unique(np.round(np.linspace(0, tail.shape[0] - 1, n_keep)).astype(int))
-    ensemble = Ensemble(tail[sel], iteration=config.n_steps)
+    ensemble = Ensemble(tail[sel])
     return RunResult(
         ensemble=ensemble,
         schedule=None,

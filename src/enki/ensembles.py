@@ -35,13 +35,10 @@ class Ensemble:
     sims : (N, d_y) array, optional
         Simulated data for each particle; absent before the first
         simulation round.
-    iteration : int
-        Index of the iteration that produced this ensemble.
     """
 
     params: np.ndarray
     sims: np.ndarray | None = None
-    iteration: int = 0
 
     def __post_init__(self):
         params = np.atleast_2d(np.asarray(self.params, dtype=float))
@@ -72,12 +69,12 @@ class Ensemble:
 
     def with_sims(self, sims: np.ndarray) -> "Ensemble":
         """Same particles with a fresh simulation round attached."""
-        return Ensemble(self.params, sims=sims, iteration=self.iteration)
+        return Ensemble(self.params, sims=sims)
 
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Empirical first and second moments of a simulated ensemble.
+    """Empirical second moments of a simulated ensemble.
 
     ``cov_y_given_x`` estimates the likelihood's noise covariance,
     ``cov_yy - cov_yx (cov_xx)^-1 cov_xy``; it is symmetrized but not
@@ -85,8 +82,6 @@ class MomentSet:
     consumers that need PSD apply jitter at the point of use).
     """
 
-    mean_x: np.ndarray
-    mean_y: np.ndarray
     cov_xx: np.ndarray
     cov_xy: np.ndarray
     cov_yy: np.ndarray
@@ -120,7 +115,7 @@ class GaussPair:
 
 
 def compute_moments(ensemble: Ensemble) -> MomentSet:
-    """Empirical means and covariances of (params, sims).
+    """Empirical covariances of (params, sims).
 
     Covariances use 1/(N-1); the conditional covariance is computed via a
     linear solve against cov_xx (jitter fallback on failure), never an
@@ -131,23 +126,14 @@ def compute_moments(ensemble: Ensemble) -> MomentSet:
     x = ensemble.params
     y = ensemble.sims
     n = ensemble.n
-    mean_x = x.mean(axis=0)
-    mean_y = y.mean(axis=0)
-    xc = x - mean_x
-    yc = y - mean_y
+    xc = x - x.mean(axis=0)
+    yc = y - y.mean(axis=0)
     cov_xx = symmetrize(xc.T @ xc / (n - 1))
     cov_xy = xc.T @ yc / (n - 1)
     cov_yy = symmetrize(yc.T @ yc / (n - 1))
     # C^yy - C^yx (C^xx)^-1 C^xy, the estimate of the likelihood noise.
     cov_y_given_x = symmetrize(cov_yy - cov_xy.T @ solve_psd(cov_xx, cov_xy))
-    return MomentSet(
-        mean_x=mean_x,
-        mean_y=mean_y,
-        cov_xx=cov_xx,
-        cov_xy=cov_xy,
-        cov_yy=cov_yy,
-        cov_y_given_x=cov_y_given_x,
-    )
+    return MomentSet(cov_xx, cov_xy, cov_yy, cov_y_given_x)
 
 
 def ess(weights: np.ndarray) -> float:

@@ -141,7 +141,7 @@ def _kalman_move(
         eta = mvn_sample(GaussPair(np.zeros(observed.size), noise_cov), ensemble.n, rng)
     innov = observed - forward - eta
     moves = (cov_xy @ cho_solve((low, True), innov.T)).T
-    return Ensemble(ensemble.params + moves, sims=None, iteration=ensemble.iteration + 1)
+    return Ensemble(ensemble.params + moves)
 
 
 def eki_step(
@@ -319,7 +319,7 @@ def run_eki(
         )
     root = as_seed_sequence(seed)
     params = model.prior_sample(config.n_particles, substream(root, PRIOR))
-    ensemble = Ensemble(params, iteration=0)
+    ensemble = Ensemble(params)
     schedule = TemperSchedule()
     snapshots = [ensemble] if config.snapshots else None
     initial_moments = None
@@ -327,9 +327,9 @@ def run_eki(
     reason = "max_iters"
 
     for iteration in range(1, config.max_iters + 1):
-        # the generators are dropped with the call, not held through the move
-        streams = ParticleStreams(root, SIMULATE, iteration)
-        sims = model.simulate_batch(ensemble.params, streams.generators(ensemble.n))
+        sims = model.simulate_batch(
+            ensemble.params, ParticleStreams(root, SIMULATE, iteration).shared()
+        )
         sim_rounds += 1
         ensemble = ensemble.with_sims(sims)
         moments = compute_moments(ensemble)

@@ -2,7 +2,7 @@
 
 A model is a prior sampler plus a likelihood simulator. Algorithms never
 evaluate a likelihood density; they only draw from the prior and push
-parameters through `simulate_batch`, one generator per particle. Models work
+parameters through `simulate_batch`, one generator per round. Models work
 in an unconstrained parameter space; `constrain` maps particles back to the
 natural space for reporting.
 """
@@ -39,11 +39,11 @@ class SimulatorModel:
         """Draw `count` prior particles, shape (count, d_x)."""
         raise NotImplementedError
 
-    def simulate_batch(self, params: np.ndarray, rngs: list) -> np.ndarray:
+    def simulate_batch(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Simulate one dataset per row of `params`, shape (n, d_y).
 
-        Row i draws only from rngs[i], so a batch equals the serial loop of
-        `simulate` over the same generators.
+        Every row draws from the one generator `rng`; each model's docstring
+        states the layout of its draws.
         """
         raise NotImplementedError
 
@@ -56,7 +56,7 @@ class SimulatorModel:
         params = np.asarray(params, dtype=float)
         if params.shape != (self.d_x,):
             raise ValueError(f"params must have shape ({self.d_x},), got {params.shape}")
-        return self.simulate_batch(params[None], [rng])[0]
+        return self.simulate_batch(params[None], rng)[0]
 
     def constrain(self, params: np.ndarray) -> np.ndarray:
         """Map working-space particles to the natural parameter space."""

@@ -106,14 +106,15 @@ class GkModel(SimulatorModel):
         params = np.atleast_2d(np.asarray(params, dtype=float))
         return -0.5 * np.sum(params**2, axis=1) - 0.5 * self.d_x * np.log(2 * np.pi)
 
-    def simulate_batch(self, params: np.ndarray, rngs: list) -> np.ndarray:
+    def simulate_batch(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Order-statistic summaries of each working-space row, shape (n, n_stats).
 
-        Row i draws its n_raw standard normal deviates from rngs[i]. The
-        deviates are sorted and Q is evaluated at the kept ranks only, which
-        equals sorting all n_raw values of a non-decreasing Q. Rounding could
-        only break that between deviates a few ulps apart; the tests compare
-        the two orders bit for bit. Raises ValueError unless params has four
+        The deviates are one rng.standard_normal((n, n_raw)) draw, filled row
+        by row, so a batch equals the serial loop on one generator. Each row
+        is sorted and Q is evaluated at the kept ranks only, which equals
+        sorting all n_raw values of a non-decreasing Q. Rounding could only
+        break that between deviates a few ulps apart; the tests compare the
+        two orders bit for bit. Raises ValueError unless params has four
         columns and no NaN.
         """
         params = np.atleast_2d(np.asarray(params, dtype=float))
@@ -122,9 +123,7 @@ class GkModel(SimulatorModel):
         natural = inverse_transform(params, self.upper)
         if not np.all(np.isfinite(natural)):
             raise ValueError("params must be finite")
-        z = np.empty((params.shape[0], self.n_raw))
-        for i, row in enumerate(z):
-            rngs[i].standard_normal(out=row)
+        z = rng.standard_normal((params.shape[0], self.n_raw))
         z.sort(axis=1)
         a, b, g, k = (natural[:, j : j + 1] for j in range(4))
         kept = z[:, _order_stat_indices(self.n_raw, self.n_stats)]

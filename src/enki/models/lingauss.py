@@ -73,8 +73,10 @@ def tempered_recursion_step(
 class LinearGaussianModel(SimulatorModel):
     """Simulator wrapper around the analytic model, for end-to-end runs.
 
-    simulate_batch works row by row: row i is H x_i plus one
-    standard_normal(d_y) draw from rngs[i] through the noise factor.
+    simulate_batch returns params @ H^T plus, when the noise is nonzero, one
+    rng.standard_normal((n, d_y)) draw through the noise factor L^T. Rows
+    equal a serial loop on one generator up to the rounding of a matrix
+    product against matrix-vector products.
     """
 
     def __init__(self, prior: GaussPair, obs_matrix: np.ndarray, noise_cov: np.ndarray):
@@ -85,6 +87,8 @@ class LinearGaussianModel(SimulatorModel):
         self.d_y = self.obs_matrix.shape[0]
         if self.obs_matrix.shape[1] != self.d_x:
             raise ValueError("obs_matrix columns must match prior dimension")
+        if not np.all(np.isfinite(self.obs_matrix)):
+            raise ValueError("obs_matrix must be finite")
         if self.noise_cov.shape != (self.d_y, self.d_y):
             raise ValueError("noise_cov shape must match obs_matrix rows")
         if self.noise_cov.any():
@@ -104,13 +108,11 @@ class LinearGaussianModel(SimulatorModel):
         logdet = np.sum(np.log(np.diag(self._prior_chol)))
         return -0.5 * np.sum(white**2, axis=0) - logdet - 0.5 * self.d_x * np.log(2 * np.pi)
 
-    def simulate_batch(self, params: np.ndarray, rngs: list) -> np.ndarray:
+    def simulate_batch(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         params = np.atleast_2d(np.asarray(params, dtype=float))
-        out = np.empty((params.shape[0], self.d_y))
-        for i, row in enumerate(params):
-            out[i] = self.obs_matrix @ row
-            if self._noise_chol is not None:
-                out[i] += self._noise_chol @ rngs[i].standard_normal(self.d_y)
+        out = params @ self.obs_matrix.T
+        if self._noise_chol is not None:
+            out += rng.standard_normal((params.shape[0], self.d_y)) @ self._noise_chol.T
         return out
 
     def posterior(self, y: np.ndarray) -> GaussPair:

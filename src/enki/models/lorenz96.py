@@ -132,16 +132,17 @@ class L96Model(SimulatorModel):
             2 * np.pi * self.prior_var
         )
 
-    def simulate_batch(self, params: np.ndarray, rngs: list) -> np.ndarray:
+    def simulate_batch(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Flattened noisy observations of the path started from each row.
 
         Euler-Maruyama with stepsize dt; at each observation time the observed
         dimensions are read and perturbed with independent N(0, obs_noise_var)
         noise; blocks are concatenated time-major. All rows step in lockstep,
-        in place; row i draws its path noise in step-ordered chunks, then its
-        observation noise, from rngs[i]. Raises ValueError on a non-finite
-        start, and FloatingPointError naming the time reached if any state
-        blows up.
+        in place. The path noise is one rng.standard_normal((width, n, d_x))
+        draw per chunk of up to 64 steps, which equals one (n, d_x) draw per
+        step; the observation noise is then one (n, n_obs, n_observed) draw.
+        Raises ValueError on a non-finite start, and FloatingPointError naming
+        the time reached if any state blows up.
         """
         x = np.atleast_2d(np.asarray(params, dtype=float))
         config = self.config
@@ -158,22 +159,21 @@ class L96Model(SimulatorModel):
         # l96_drift takes along d is one contiguous block
         state = np.array(x.T, order="C").T
         drift = np.empty((d, n)).T
-        noise = np.empty((n, _CHUNK, d))
+        noise = np.empty((_CHUNK, n, d))
         next_obs = 0
         # overflow is detected explicitly at observation reads and reported with
         # the time reached, so the intermediate warnings are silenced
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, config.n_steps, _CHUNK):
                 width = min(_CHUNK, config.n_steps - start)
-                for i in range(n):
-                    rngs[i].standard_normal(out=noise[i, :width])
-                noise[:, :width] *= scale
+                rng.standard_normal(out=noise[:width])
+                noise[:width] *= scale
                 for t in range(width):
                     step = start + t + 1
                     # x + (drift * dt + scale * noise), one operation at a time
                     l96_drift(state, config.forcing, out=drift)
                     drift *= config.dt
-                    drift += noise[:, t]
+                    drift += noise[t]
                     state += drift
                     if step == obs_steps[next_obs]:
                         if not np.all(np.isfinite(state)):
@@ -182,8 +182,5 @@ class L96Model(SimulatorModel):
                             )
                         blocks[:, next_obs, :] = state[:, dims]
                         next_obs += 1
-        out = np.empty((n, config.d_y))
-        for i in range(n):
-            eps = rngs[i].standard_normal((len(obs_steps), len(dims)))
-            out[i] = (blocks[i] + np.sqrt(config.obs_noise_var) * eps).ravel()
-        return out
+        eps = rng.standard_normal(blocks.shape)
+        return (blocks + np.sqrt(config.obs_noise_var) * eps).reshape(n, config.d_y)

@@ -1,10 +1,10 @@
 """Deterministic random-stream derivation.
 
-One root seed governs a run. Every consumer (prior draw, per-particle
-simulation, perturbation round, ...) works on an independent substream
-derived from the root through a structured integer key, so results are
-identical whether particles are simulated one at a time or in vectorised
-batches.
+One root seed governs a run. Every consumer (prior draw, simulation round,
+perturbation round, ...) works on an independent substream derived from the
+root through a structured integer key. A simulation round draws all of its
+particles from one stream, so a run is reproducible from its seed, not
+across changes to how a model lays out its draws.
 """
 from __future__ import annotations
 
@@ -49,26 +49,17 @@ def substream(root: np.random.SeedSequence, *key: int) -> np.random.Generator:
     return np.random.default_rng(derive(root, *key))
 
 
+# kept for perfbench/tracing.py, which wraps ParticleStreams.shared by name
 class ParticleStreams:
-    """Per-particle substreams for one simulation round.
+    """The random stream of one simulation round.
 
-    `particle(i)` creates the i-th stream, and `generators(n)` the first n,
-    which is what a model's `simulate_batch` consumes: row i draws only from
-    generator i, so a batch matches the serial loop draw for draw in any
-    chunking. `shared()` is a single round-level stream for simulators whose
-    batched draws need no per-particle separation.
+    `shared()` is the one generator a model's `simulate_batch` draws the
+    whole round from.
     """
 
     def __init__(self, root: np.random.SeedSequence, *prefix: int):
         self._root = root
         self._prefix = tuple(int(k) for k in prefix)
-
-    def particle(self, i: int) -> np.random.Generator:
-        return substream(self._root, *self._prefix, i)
-
-    def generators(self, n: int) -> list:
-        """The streams of particles 0..n-1, in order."""
-        return [self.particle(i) for i in range(n)]
 
     def shared(self) -> np.random.Generator:
         return substream(self._root, *self._prefix)

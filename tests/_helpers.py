@@ -30,10 +30,9 @@ class ToyModel(SimulatorModel):
         params = np.atleast_2d(params)
         return -0.5 * np.sum(params**2, axis=1) - 0.5 * np.log(2 * np.pi)
 
-    def simulate_batch(self, params, rngs):
+    def simulate_batch(self, params, rng):
         theta = inverse_transform(np.atleast_2d(params))[:, 0]
-        noise = [rngs[i].standard_normal() for i in range(len(theta))]
-        return (theta + self.noise_sd * np.array(noise))[:, None]
+        return (theta + self.noise_sd * rng.standard_normal(len(theta)))[:, None]
 
     def constrain(self, params):
         return inverse_transform(params)
@@ -46,8 +45,8 @@ class CountingToyModel(ToyModel):
         super().__init__(noise_sd)
         self.calls = 0
 
-    def simulate_batch(self, params, rngs):
-        sims = super().simulate_batch(params, rngs)
+    def simulate_batch(self, params, rng):
+        sims = super().simulate_batch(params, rng)
         self.calls += len(sims)
         return sims
 

@@ -268,8 +268,8 @@ class NanAboveToyModel(ToyModel):
         super().__init__()
         self.cut, self.start, self.batches = cut, start, 0
 
-    def simulate_batch(self, params, rngs):
-        sims = super().simulate_batch(params, rngs)
+    def simulate_batch(self, params, rng):
+        sims = super().simulate_batch(params, rng)
         if self.batches >= self.start:
             sims[np.atleast_2d(params)[:, 0] > self.cut] = np.nan
         self.batches += 1

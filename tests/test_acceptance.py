@@ -166,7 +166,7 @@ def test_03_known_noise_update_specializes(capsys):
     particles = model.prior_sample(10_000, substream(alt, PRIOR))
     for i, h_step in enumerate(general.schedule.steps, start=1):
         moved = gaussian_eki_step(
-            Ensemble(particles, iteration=i - 1),
+            Ensemble(particles),
             particles @ model.obs_matrix.T,
             y_obs,
             model.noise_cov,

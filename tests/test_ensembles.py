@@ -19,21 +19,18 @@ def test_ensemble_validation():
 
 
 def test_with_sims_attaches_and_validates():
-    ens = Ensemble(np.zeros((3, 2)), iteration=4)
+    ens = Ensemble(np.zeros((3, 2)))
     out = ens.with_sims(np.ones((3, 5)))
     assert out.sims.shape == (3, 5)
-    assert out.iteration == 4
     with pytest.raises(ValueError):
         ens.with_sims(np.ones((2, 5)))
 
 
 def test_three_point_moments_hand_oracle():
-    # x = (0, 1, 2), y = 2x: means (1, 2); with 1/(N-1), cov_xx = 1,
-    # cov_xy = 2, cov_yy = 4, and the conditional covariance vanishes.
+    # x = (0, 1, 2), y = 2x: with 1/(N-1), cov_xx = 1, cov_xy = 2,
+    # cov_yy = 4, and the conditional covariance vanishes.
     ens = Ensemble(np.array([[0.0], [1.0], [2.0]]), sims=np.array([[0.0], [2.0], [4.0]]))
     mom = compute_moments(ens)
-    assert np.allclose(mom.mean_x, [1.0])
-    assert np.allclose(mom.mean_y, [2.0])
     assert np.allclose(mom.cov_xx, [[1.0]])
     assert np.allclose(mom.cov_xy, [[2.0]])
     assert np.allclose(mom.cov_yy, [[4.0]])
@@ -80,7 +77,7 @@ def test_moments_permutation_invariant(perm_seed):
     idx = np.random.default_rng(perm_seed).permutation(25)
     a = compute_moments(Ensemble(x, sims=y))
     b = compute_moments(Ensemble(x[idx], sims=y[idx]))
-    for field in ("mean_x", "mean_y", "cov_xx", "cov_xy", "cov_yy", "cov_y_given_x"):
+    for field in ("cov_xx", "cov_xy", "cov_yy", "cov_y_given_x"):
         assert np.allclose(getattr(a, field), getattr(b, field))
 
 

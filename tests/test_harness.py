@@ -151,6 +151,11 @@ def test_config_checks_model_overrides_early():
             ExperimentConfig.from_mapping(
                 small_mapping(model="lingauss", model_overrides=overrides)
             )
+    nan_matrix = [[float("nan"), 0, 0], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(ConfigError, match="model_overrides.*obs_matrix"):
+        ExperimentConfig.from_mapping(
+            small_mapping(model="lingauss", model_overrides={"obs_matrix": nan_matrix})
+        )
     for overrides in (
         {"n_stats": 0},
         {"n_raw": 0, "n_stats": 0},

@@ -71,7 +71,6 @@ def test_eki_step_h1_draws_no_noise():
     low, _ = chol_psd(mom.cov_yy)
     moves = (mom.cov_xy @ cho_solve((low, True), (y - ens.sims).T)).T
     assert np.array_equal(out.params, ens.params + moves)
-    assert out.iteration == ens.iteration + 1
     assert out.sims is None
 
 
@@ -308,10 +307,12 @@ def test_run_eki_max_iters_reason():
 def test_run_eki_snapshots_cover_every_iteration():
     rng = np.random.default_rng(13)
     model = random_lingauss(rng, 2, 2)
-    _, _, y = draw_observation(model, 9)
+    root, _, y = draw_observation(model, 9)
     res = run_eki(model, y, EkiConfig(n_particles=80, snapshots=True), 9)
     assert len(res.snapshots) == res.schedule.n_steps + 1
-    assert res.snapshots[0].iteration == 0
+    # the first snapshot is the prior draw, before any move
+    prior = model.prior_sample(80, substream(root, PRIOR))
+    assert np.array_equal(res.snapshots[0].params, prior)
     assert np.array_equal(res.snapshots[-1].params, res.ensemble.params)
 
 

@@ -21,7 +21,7 @@ from enki.models.lingauss import (
 )
 from enki.models.lorenz96 import L96Config, L96Model, l96_drift
 from enki.models.transforms import inverse_transform, transform_to_unconstrained
-from enki.rng import ParticleStreams, as_seed_sequence, substream
+from enki.rng import as_seed_sequence, substream
 
 from _helpers import ToyModel, random_lingauss, random_spd
 
@@ -133,9 +133,10 @@ def test_gk_summaries_sorted_and_deterministic():
     assert np.all(np.diff(a) >= 0)
 
 
-def _sort_the_values(natural, c, n_raw, n_stats, rngs):
-    # reference kernel: evaluate Q at every draw, sort the values, keep the ranks
-    z = np.stack([rng.standard_normal(n_raw) for rng in rngs])
+def _sort_the_values(natural, c, n_raw, n_stats, rng):
+    # reference kernel: one row of draws at a time from one generator, Q at
+    # every draw, sort the values, keep the ranks
+    z = np.stack([rng.standard_normal(n_raw) for _ in natural])
     a, b, g, k = (natural[:, j : j + 1] for j in range(4))
     vals = np.sort(_gk_values(z, GkParams(a, b, g, k, c)), axis=1)
     return vals[:, _order_stat_indices(n_raw, n_stats)]
@@ -160,17 +161,15 @@ def test_gk_kernel_matches_sort_the_values_reference(theta, c, sizes, seed):
     theta = np.array(theta)
     model = GkModel(n_raw=n_raw, n_stats=n_stats, c=c)
     natural = model.constrain(theta)
-    root = as_seed_sequence(seed)
-    streams = ParticleStreams(root, 3)
-    rngs = streams.generators(len(theta))
-    expected = _sort_the_values(natural, c, n_raw, n_stats, rngs)
-    batch = model.simulate_batch(theta, streams.generators(len(theta)))
+    stream = substream(as_seed_sequence(seed), 3)
+    expected = _sort_the_values(natural, c, n_raw, n_stats, stream)
+    batch = model.simulate_batch(theta, substream(as_seed_sequence(seed), 3))
     assert np.array_equal(batch, expected)
     assert np.all(np.diff(batch, axis=1) >= 0)
 
     single = model.simulate(theta[0], np.random.default_rng(seed))
     reference = _sort_the_values(
-        natural[:1], c, n_raw, n_stats, [np.random.default_rng(seed)]
+        natural[:1], c, n_raw, n_stats, np.random.default_rng(seed)
     )[0]
     assert np.array_equal(single, reference)
 
@@ -224,10 +223,9 @@ def test_gk_model_validation():
     GkModel(n_raw=1, n_stats=1, c=0.0)
     GkModel(n_raw=np.int64(7), n_stats=np.int64(7), c=0.8, upper=1e-3)
     # a batch must carry exactly the four parameter columns
-    rngs = ParticleStreams(as_seed_sequence(0), 1, 0).generators(2)
     for cols in (3, 5):
         with pytest.raises(ValueError, match="4 columns"):
-            GkModel().simulate_batch(np.zeros((2, cols)), rngs)
+            GkModel().simulate_batch(np.zeros((2, cols)), np.random.default_rng(0))
 
 
 def test_gk_model_rejects_nan_params_and_simulates_saturated_edges():
@@ -353,9 +351,8 @@ def test_l96_non_finite_start_fails_before_any_step(monkeypatch):
     with pytest.raises(ValueError, match="initial state must be finite"):
         L96Model(cfg).simulate(start, np.random.default_rng(0))
     params = np.array([[8.0, 8.5, 7.5, 8.0], start])
-    rngs = ParticleStreams(as_seed_sequence(0), 1, 1).generators(2)
     with pytest.raises(ValueError, match="initial state must be finite"):
-        L96Model(cfg).simulate_batch(params, rngs)
+        L96Model(cfg).simulate_batch(params, np.random.default_rng(0))
 
 
 def test_l96_model_batch_blowup_names_time():
@@ -366,27 +363,26 @@ def test_l96_model_batch_blowup_names_time():
         [1e80, 1e80, 0.0, 0.0],
         [9.0, 7.0, 8.0, 8.0],
     ])
-    rngs = ParticleStreams(as_seed_sequence(0), 1, 1).generators(3)
     with pytest.raises(FloatingPointError, match="t="):
         with np.errstate(all="ignore"):
-            model.simulate_batch(params, rngs)
+            model.simulate_batch(params, np.random.default_rng(0))
 
 
-def _reference_l96(params, config, rngs):
-    """One particle at a time: per-step path noise, then observation noise."""
+def _reference_l96(params, config, rng):
+    """All particles in lockstep: one (n, d_x) path-noise draw per step, then
+    the observation noise."""
     dims = list(config.observed_dims)
     scale = np.sqrt(config.dt) * config.diffusion
-    out = []
-    for x, rng in zip(params, rngs):
-        blocks = []
-        for step in range(1, config.n_steps + 1):
-            x = x + (l96_drift(x, config.forcing) * config.dt
-                     + scale * rng.standard_normal(config.d_x))
-            if step in config.obs_steps:
-                blocks.append(x[dims])
-        eps = rng.standard_normal((len(config.obs_steps), len(dims)))
-        out.append((np.array(blocks) + np.sqrt(config.obs_noise_var) * eps).ravel())
-    return np.array(out)
+    x = params
+    blocks = []
+    for step in range(1, config.n_steps + 1):
+        x = x + (l96_drift(x, config.forcing) * config.dt
+                 + scale * rng.standard_normal(x.shape))
+        if step in config.obs_steps:
+            blocks.append(x[:, dims])
+    blocks = np.stack(blocks, axis=1)
+    eps = rng.standard_normal(blocks.shape)
+    return (blocks + np.sqrt(config.obs_noise_var) * eps).reshape(len(x), -1)
 
 
 @pytest.mark.parametrize("diffusion", [0.0, 1.0])
@@ -402,9 +398,8 @@ def test_l96_batch_matches_reference_euler_loop(d_x, diffusion):
     model = L96Model(cfg)
     root = as_seed_sequence(d_x)
     params = model.prior_sample(3, substream(root, 0))
-    streams = ParticleStreams(root, 1, 2)
-    batch = model.simulate_batch(params, streams.generators(3))
-    reference = _reference_l96(params, cfg, streams.generators(3))
+    batch = model.simulate_batch(params, substream(root, 1, 2))
+    reference = _reference_l96(params, cfg, substream(root, 1, 2))
     assert np.array_equal(batch, reference)
 
 
@@ -432,8 +427,7 @@ def test_l96_batch_calls_drift_once_per_step(monkeypatch):
     monkeypatch.setattr(l96, "l96_drift", counting)
     cfg = L96Config(d_x=6, dt=0.01, obs_times=(0.5, 1.3))
     params = L96Model(cfg).prior_sample(4, np.random.default_rng(0))
-    rngs = ParticleStreams(as_seed_sequence(0), 1, 1).generators(4)
-    L96Model(cfg).simulate_batch(params, rngs)
+    L96Model(cfg).simulate_batch(params, np.random.default_rng(1))
     assert len(calls) == cfg.n_steps == 130
 
 
@@ -543,14 +537,15 @@ def test_simulate_is_a_batch_of_one(name):
     params = model.prior_sample(4, substream(root, 0))
     one = model.simulate(params[0], substream(root, 1))
     assert one.shape == (model.d_y,)
-    alone = model.simulate_batch(params[:1], [substream(root, 1)])
+    alone = model.simulate_batch(params[:1], substream(root, 1))
     assert np.array_equal(one, alone[0])
-    # a batch equals the serial loop over the same per-particle generators
-    streams = ParticleStreams(root, 2)
-    batch = model.simulate_batch(params, streams.generators(4))
-    serial = [model.simulate(p, rng) for p, rng in zip(params, streams.generators(4))]
+    # the same generator state gives the same batch
+    rng = substream(root, 2)
+    state = rng.bit_generator.state
+    batch = model.simulate_batch(params, rng)
     assert batch.shape == (4, model.d_y)
-    assert np.array_equal(batch, np.stack(serial))
+    rng.bit_generator.state = state
+    assert np.array_equal(batch, model.simulate_batch(params, rng))
     for bad in (params[0][:-1], np.append(params[0], 0.0), params[:2]):
         with pytest.raises(ValueError, match=f"shape \\({model.d_x},\\)"):
             model.simulate(bad, substream(root, 1))

@@ -45,19 +45,19 @@ def test_distinct_tags_give_distinct_streams():
 
 def test_particle_streams_match_explicit_substreams():
     root = as_seed_sequence(11)
-    streams = ParticleStreams(root, 1, 7)
-    for i in (0, 3):
-        a = streams.particle(i).standard_normal(5)
-        b = substream(root, 1, 7, i).standard_normal(5)
-        assert np.array_equal(a, b)
-    shared = streams.shared().standard_normal(5)
+    shared = ParticleStreams(root, 1, 7).shared().standard_normal(5)
     assert np.array_equal(shared, substream(root, 1, 7).standard_normal(5))
 
 
 def test_chunked_draws_match_one_shot():
-    # vectorised simulators draw per particle in chunks; same stream, same bits
+    # simulators draw a round in chunks; same stream, same bits
     root = as_seed_sequence(2)
     one = substream(root, 1, 0, 4).standard_normal(100)
     gen = substream(root, 1, 0, 4)
     parts = np.concatenate([gen.standard_normal(30), gen.standard_normal(70)])
     assert np.array_equal(one, parts)
+    # Lorenz 96 path noise: one (64, n, d) draw per chunk is one (n, d) draw per step
+    chunk = substream(root, 1, 5).standard_normal((64, 3, 4))
+    gen = substream(root, 1, 5)
+    steps = np.stack([gen.standard_normal((3, 4)) for _ in range(64)])
+    assert np.array_equal(chunk, steps)
