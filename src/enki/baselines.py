@@ -314,19 +314,12 @@ def run_abc_mcmc(
 
     identity = np.eye(d_x)
     for t in range(1, config.n_steps + 1):
-        if t > _ADAPT_START:
-            spread = running.cov
-            if not spread.any():
-                spread = identity
-        else:
+        spread = running.cov if t > _ADAPT_START else identity
+        if not spread.any():
             spread = identity
-        prop_cov = rw_scale * spread
         z = rng.standard_normal(d_x)
-        if prop_cov.any():
-            low, _ = chol_psd(prop_cov)
-            candidate = state + low @ z
-        else:
-            candidate = state.copy()
+        low, _ = chol_psd(rw_scale * spread)
+        candidate = state + low @ z
         cand_sim = model.simulate(candidate, rng)
         _require_finite(cand_sim, f"MCMC step {t}")
         sim_count += 1

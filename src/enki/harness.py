@@ -208,28 +208,22 @@ def _final_temp(algorithm: str, result: RunResult) -> float:
     return float(result.diagnostics["final_kappa"])
 
 
-def _algo_config(algorithm: str, n: int, params: dict, snapshots: bool):
-    """The algorithm's config for one cell; raises TypeError or ValueError."""
+def _algo_config(algorithm: str, n: int, params: dict, snapshots: bool) -> tuple:
+    """(runner, config) for one cell; raises TypeError or ValueError.
+
+    The runner is looked up in this module's namespace at each call, so a
+    wrapper installed on the module attribute is the one that runs.
+    """
     params = dict(params or {})
     if algorithm.startswith("eki-"):
-        return EkiConfig(n_particles=n, stop_mode=algorithm.removeprefix("eki-"),
-                         snapshots=snapshots, **params)
+        return run_eki, EkiConfig(n_particles=n, stop_mode=algorithm.removeprefix("eki-"),
+                                  snapshots=snapshots, **params)
     if algorithm == "abc-smc":
-        return AbcSmcConfig(n_particles=n, **params)
+        return run_abc_smc, AbcSmcConfig(n_particles=n, **params)
     # abc-mcmc: validate() has already rejected any name outside ALGORITHMS
     n_steps = params.pop("n_steps", 25 * n)
     n_keep = params.pop("n_keep", n)
-    return AbcMcmcConfig(n_steps=n_steps, n_keep=n_keep, **params)
-
-
-def _dispatch(model, observed, algorithm: str, n: int, seed, snapshots: bool,
-              params: dict) -> RunResult:
-    cfg = _algo_config(algorithm, n, params, snapshots)
-    if algorithm.startswith("eki-"):
-        return run_eki(model, observed, cfg, seed)
-    if algorithm == "abc-smc":
-        return run_abc_smc(model, observed, cfg, seed)
-    return run_abc_mcmc(model, observed, cfg, seed)
+    return run_abc_mcmc, AbcMcmcConfig(n_steps=n_steps, n_keep=n_keep, **params)
 
 
 def _execute_cell(config: ExperimentConfig, cell: tuple) -> tuple:
@@ -242,13 +236,15 @@ def _execute_cell(config: ExperimentConfig, cell: tuple) -> tuple:
         data_rng = substream(cell_seq, DATA)
         truth = model.sample_truth(data_rng)
         observed = model.simulate(truth, data_rng)
+        runner, algo_config = _algo_config(algorithm, n, config.algo_params.get(algorithm),
+                                           config.snapshots)
         start = time.perf_counter()
-        result = _dispatch(model, observed, algorithm, n, derive(cell_seq, ALGO),
-                           config.snapshots, config.algo_params.get(algorithm))
+        result = runner(model, observed, algo_config, derive(cell_seq, ALGO))
         wall = time.perf_counter() - start
+        ensemble, truth = model.constrain(result.ensemble.params), model.constrain(truth)
         outcome = {
             "sim_count": result.sim_count,
-            "rmse": rmse(model.constrain(result.ensemble.params), model.constrain(truth)),
+            "rmse": rmse(ensemble, truth),
             "wall_time_s": wall,
             "termination": result.termination_reason,
             "final_temp": _final_temp(algorithm, result),
@@ -257,7 +253,7 @@ def _execute_cell(config: ExperimentConfig, cell: tuple) -> tuple:
             k: v for k, v in result.diagnostics.items() if k != "kappa_trace"
         }
         artifacts = {
-            "ensemble": model.constrain(result.ensemble.params),
+            "ensemble": ensemble,
             "schedule": result.schedule.to_records() if result.schedule else None,
             "snapshots": (
                 [model.constrain(s.params) for s in result.snapshots]
@@ -267,7 +263,7 @@ def _execute_cell(config: ExperimentConfig, cell: tuple) -> tuple:
             "meta": {
                 **key,
                 "model_overrides": config.model_overrides,
-                "truth": model.constrain(truth),
+                "truth": truth,
                 **outcome,
                 "diagnostics": diagnostics,
             },

@@ -48,7 +48,6 @@ class TemperSchedule:
     """
 
     lambdas: list = field(default_factory=lambda: [0.0])
-    steps: list = field(default_factory=list)
     ess_values: list = field(default_factory=list)
     clamped: list = field(default_factory=list)
     flagged: list = field(default_factory=list)
@@ -56,11 +55,14 @@ class TemperSchedule:
     def record(self, lam: float, ess_value: float, clamped: bool, flagged: bool):
         if lam <= self.lambdas[-1]:
             raise ValueError("temperatures must be strictly increasing")
-        self.steps.append(lam - self.lambdas[-1])
         self.lambdas.append(lam)
         self.ess_values.append(ess_value)
         self.clamped.append(clamped)
         self.flagged.append(flagged)
+
+    @property
+    def steps(self) -> list:
+        return [b - a for a, b in zip(self.lambdas, self.lambdas[1:])]
 
     @property
     def final_lambda(self) -> float:
@@ -68,20 +70,14 @@ class TemperSchedule:
 
     @property
     def n_steps(self) -> int:
-        return len(self.steps)
+        return len(self.lambdas) - 1
 
     def to_records(self) -> list:
         """Rows of {iteration, lambda, h, ess, clamped, flagged} for serialization."""
+        rows = zip(self.lambdas[1:], self.steps, self.ess_values, self.clamped, self.flagged)
         return [
-            {
-                "iteration": i + 1,
-                "lambda": self.lambdas[i + 1],
-                "h": self.steps[i],
-                "ess": self.ess_values[i],
-                "clamped": self.clamped[i],
-                "flagged": self.flagged[i],
-            }
-            for i in range(self.n_steps)
+            {"iteration": i, "lambda": lam, "h": h, "ess": e, "clamped": c, "flagged": f}
+            for i, (lam, h, e, c, f) in enumerate(rows, start=1)
         ]
 
 
@@ -122,25 +118,24 @@ class RunResult:
 
 def _kalman_move(
     ensemble: Ensemble,
-    forward: np.ndarray,
     observed: np.ndarray,
-    cov_xy: np.ndarray,
-    cov_yy: np.ndarray,
+    moments: MomentSet,
     noise_cov: np.ndarray,
     rng: np.random.Generator,
 ) -> Ensemble:
     """Perturbed-observation Kalman move shared by both update steps.
 
-    Moves particle i by C^xy (C^yy + G)^-1 (y - f_i - eta_i) with
+    Moves particle i by C^xy (C^yy + G)^-1 (y - f_i - eta_i), with f_i the
+    particle's row of ensemble.sims, moments = compute_moments(ensemble) and
     eta_i ~ N(0, G); a zero G draws nothing. A single factorization is
     shared by all particles.
     """
-    low, _ = chol_psd(cov_yy + noise_cov)
+    low, _ = chol_psd(moments.cov_yy + noise_cov)
     eta = 0.0
     if noise_cov.any():
         eta = mvn_sample(GaussPair(np.zeros(observed.size), noise_cov), ensemble.n, rng)
-    innov = observed - forward - eta
-    moves = (cov_xy @ cho_solve((low, True), innov.T)).T
+    innov = observed - ensemble.sims - eta
+    moves = (moments.cov_xy @ cho_solve((low, True), innov.T)).T
     return Ensemble(ensemble.params + moves)
 
 
@@ -166,9 +161,7 @@ def eki_step(
     observed = np.atleast_1d(np.asarray(observed, dtype=float))
     coeff = max(1.0 / h - 1.0, 0.0)
     noise_cov = symmetrize(coeff * moments.cov_y_given_x)
-    return _kalman_move(
-        ensemble, ensemble.sims, observed, moments.cov_xy, moments.cov_yy, noise_cov, rng
-    )
+    return _kalman_move(ensemble, observed, moments, noise_cov, rng)
 
 
 def gaussian_eki_step(
@@ -189,14 +182,10 @@ def gaussian_eki_step(
     forward = np.atleast_2d(np.asarray(forward_evals, dtype=float))
     observed = np.atleast_1d(np.asarray(observed, dtype=float))
     r = symmetrize(np.atleast_2d(np.asarray(noise_cov, dtype=float)))
-    n = ensemble.n
-    if forward.shape[0] != n:
+    if forward.shape[0] != ensemble.n:
         raise ValueError("forward_evals rows must match particle count")
-    xc = ensemble.params - ensemble.params.mean(axis=0)
-    fc = forward - forward.mean(axis=0)
-    cov_xh = xc.T @ fc / (n - 1)
-    cov_hh = symmetrize(fc.T @ fc / (n - 1))
-    return _kalman_move(ensemble, forward, observed, cov_xh, cov_hh, r / h, rng)
+    ensemble = ensemble.with_sims(forward)
+    return _kalman_move(ensemble, observed, compute_moments(ensemble), r / h, rng)
 
 
 def select_next_lambda(
@@ -323,14 +312,12 @@ def run_eki(
     schedule = TemperSchedule()
     snapshots = [ensemble] if config.snapshots else None
     initial_moments = None
-    sim_rounds = 0
     reason = "max_iters"
 
     for iteration in range(1, config.max_iters + 1):
         sims = model.simulate_batch(
             ensemble.params, ParticleStreams(root, SIMULATE, iteration).shared()
         )
-        sim_rounds += 1
         ensemble = ensemble.with_sims(sims)
         moments = compute_moments(ensemble)
         if initial_moments is None:
@@ -373,8 +360,8 @@ def run_eki(
     return RunResult(
         ensemble=ensemble,
         schedule=schedule,
-        sim_count=config.n_particles * sim_rounds,
+        # every exit from the loop follows that iteration's simulation round
+        sim_count=config.n_particles * iteration,
         snapshots=snapshots,
         termination_reason=reason,
-        diagnostics={"iterations": schedule.n_steps, "sim_rounds": sim_rounds},
     )

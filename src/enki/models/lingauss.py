@@ -70,6 +70,14 @@ def tempered_recursion_step(
     return linear_gaussian_posterior(current, obs_matrix, r / h, y)
 
 
+def _factor(name: str, cov: np.ndarray) -> np.ndarray:
+    """Cholesky factor of cov; ValueError naming it if non-finite or not PSD."""
+    try:
+        return chol_psd(cov)[0]
+    except np.linalg.LinAlgError as err:
+        raise ValueError(f"{name} must be finite and positive semi-definite: {err}") from err
+
+
 class LinearGaussianModel(SimulatorModel):
     """Simulator wrapper around the analytic model, for end-to-end runs.
 
@@ -91,11 +99,10 @@ class LinearGaussianModel(SimulatorModel):
             raise ValueError("obs_matrix must be finite")
         if self.noise_cov.shape != (self.d_y, self.d_y):
             raise ValueError("noise_cov shape must match obs_matrix rows")
+        self._noise_chol = None
         if self.noise_cov.any():
-            self._noise_chol, _ = chol_psd(self.noise_cov)
-        else:
-            self._noise_chol = None
-        self._prior_chol, _ = chol_psd(prior.cov)
+            self._noise_chol = _factor("noise_cov", self.noise_cov)
+        self._prior_chol = _factor("prior_cov", prior.cov)
 
     def prior_sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return mvn_sample(self.prior, count, rng)
@@ -110,6 +117,8 @@ class LinearGaussianModel(SimulatorModel):
 
     def simulate_batch(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         params = np.atleast_2d(np.asarray(params, dtype=float))
+        if params.shape[1] != self.d_x:
+            raise ValueError(f"params must have {self.d_x} columns")
         out = params @ self.obs_matrix.T
         if self._noise_chol is not None:
             out += rng.standard_normal((params.shape[0], self.d_y)) @ self._noise_chol.T

@@ -24,10 +24,10 @@ class L96Config:
     """Integration grid and observation design.
 
     observed_dims default to every other dimension starting from the first
-    (0-based even indices = 1-based odd dimensions) and must not be empty.
-    diffusion (nonnegative) scales the sqrt(dt) path noise and exists mainly
-    as a test hook (0 disables it). forcing, obs_noise_var and diffusion
-    must be finite.
+    (0-based even indices = 1-based odd dimensions); they must be integers
+    and not empty. diffusion (nonnegative) scales the sqrt(dt) path noise and
+    exists mainly as a test hook (0 disables it). forcing, obs_noise_var,
+    diffusion, dt and every obs_times entry must be finite.
     """
 
     d_x: int = 40
@@ -40,8 +40,8 @@ class L96Config:
 
     def __post_init__(self):
         _require_int("d_x", self.d_x, 4)
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not math.isfinite(self.forcing):
             raise ValueError(f"forcing must be finite, got {self.forcing}")
         for name in ("obs_noise_var", "diffusion"):
@@ -49,8 +49,8 @@ class L96Config:
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         times = tuple(float(t) for t in self.obs_times)
-        if not times or any(t <= 0 for t in times):
-            raise ValueError("obs_times must be positive")
+        if not times or not all(math.isfinite(t) and t > 0 for t in times):
+            raise ValueError(f"obs_times must be finite and positive, got {times}")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("obs_times must be strictly increasing")
         # observation times must land exactly on the integration grid
@@ -62,6 +62,8 @@ class L96Config:
         dims = self.observed_dims
         if dims is None:
             dims = tuple(range(0, self.d_x, 2))
+        for m in dims:
+            _require_int("observed_dims entry", m, 0)
         dims = tuple(int(m) for m in dims)
         if not dims:
             raise ValueError("observed_dims must name at least one dimension")

@@ -9,7 +9,8 @@ from pathlib import Path
 import enki
 from enki.cli import main as cli_main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 ENTRY_POINTS = [
     "AbcMcmcConfig",
@@ -67,3 +68,17 @@ def test_readme_quickstarts_run(tmp_path):
     config = tmp_path / "experiment.yaml"
     config.write_text(_readme_block("yaml"))
     assert cli_main(["validate", str(config)]) == 0
+
+
+def test_bench_tracer_finds_every_name_it_wraps(tmp_path, monkeypatch):
+    # the benchmark's tracer wraps functions at the module attributes their
+    # callers look up; a name dropped from one of those modules breaks it
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer = importlib.import_module("tracing").Tracer(tmp_path)
+    original = enki.inversion.eki_step
+    try:
+        tracer.install()
+        assert enki.inversion.eki_step is not original
+    finally:
+        tracer.uninstall()
+    assert enki.inversion.eki_step is original

@@ -146,16 +146,36 @@ def test_config_checks_model_overrides_early():
             ExperimentConfig.from_mapping(
                 small_mapping(model="l96", model_overrides=overrides)
             )
+    for field, value in (
+        ("dt", float("nan")),
+        ("dt", float("inf")),
+        ("obs_times", [float("inf")]),
+        ("obs_times", [1.0, float("nan")]),
+        ("observed_dims", [0.5, 2]),
+        ("observed_dims", [2.7]),
+        ("observed_dims", [True]),
+    ):
+        with pytest.raises(ConfigError, match=f"model_overrides.*{field}"):
+            ExperimentConfig.from_mapping(
+                small_mapping(model="l96", model_overrides={field: value})
+            )
     for overrides in ({"d_x": 0}, {"d_x": 2.7}, {"d_x": True}):
         with pytest.raises(ConfigError, match="model_overrides.*d_x"):
             ExperimentConfig.from_mapping(
                 small_mapping(model="lingauss", model_overrides=overrides)
             )
     nan_matrix = [[float("nan"), 0, 0], [0, 1, 0], [0, 0, 1]]
-    with pytest.raises(ConfigError, match="model_overrides.*obs_matrix"):
-        ExperimentConfig.from_mapping(
-            small_mapping(model="lingauss", model_overrides={"obs_matrix": nan_matrix})
-        )
+    indefinite = [[1, 0, 0], [0, -1, 0], [0, 0, 1]]
+    for field, value in (
+        ("obs_matrix", nan_matrix),
+        ("noise_cov", nan_matrix),
+        ("noise_cov", indefinite),
+        ("prior_cov", indefinite),
+    ):
+        with pytest.raises(ConfigError, match=f"model_overrides.*{field}"):
+            ExperimentConfig.from_mapping(
+                small_mapping(model="lingauss", model_overrides={field: value})
+            )
     for overrides in (
         {"n_stats": 0},
         {"n_raw": 0, "n_stats": 0},
@@ -420,7 +440,8 @@ def test_cli_bad_inputs_exit_2(tmp_path, capsys):
     assert cli_main(["run", str(small), "--out", str(tmp_path / "unused")]) == 2
     assert "n_particles" in capsys.readouterr().err
 
-    for overrides in ({"observed_dims": []}, {"diffusion": -1.0}):
+    for overrides in ({"observed_dims": []}, {"diffusion": -1.0},
+                      {"obs_times": [float("inf")]}):
         l96 = write_config(tmp_path, model="l96", model_overrides=overrides)
         assert cli_main(["validate", str(l96)]) == 2
         assert "model_overrides" in capsys.readouterr().err

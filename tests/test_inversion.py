@@ -246,7 +246,7 @@ def test_run_eki_sampling_reaches_terminal_temperature():
     assert res.schedule.final_lambda == 1.0
     assert res.schedule.lambdas[0] == 0.0
     assert np.all(np.diff(res.schedule.lambdas) > 0)
-    assert res.sim_count == 400 * res.diagnostics["sim_rounds"]
+    assert res.sim_count == 400 * res.schedule.n_steps
     assert res.schedule.clamped[-1]
 
 

@@ -295,9 +295,13 @@ def test_l96_config_layout_and_validation():
         L96Config(diffusion=-1.0)
     nan, inf = float("nan"), float("inf")
     for name, value in (("forcing", nan), ("forcing", inf), ("obs_noise_var", nan),
-                        ("obs_noise_var", inf), ("diffusion", nan)):
+                        ("obs_noise_var", inf), ("diffusion", nan), ("dt", nan),
+                        ("dt", inf), ("obs_times", (inf,)), ("obs_times", (1.0, nan))):
         with pytest.raises(ValueError, match=name):
             L96Config(**{name: value})
+    for dims in ((0.5, 2), (2.7,), (True,)):
+        with pytest.raises(TypeError, match="observed_dims"):
+            L96Config(observed_dims=dims)
     for prior_var in (nan, inf, 0.0):
         with pytest.raises(ValueError, match="prior_var"):
             L96Model(L96Config(d_x=4, obs_times=(0.01,), dt=0.01), prior_var=prior_var)
@@ -549,6 +553,9 @@ def test_simulate_is_a_batch_of_one(name):
     for bad in (params[0][:-1], np.append(params[0], 0.0), params[:2]):
         with pytest.raises(ValueError, match=f"shape \\({model.d_x},\\)"):
             model.simulate(bad, substream(root, 1))
+    if name != "toy":  # ToyModel has no column check
+        with pytest.raises(ValueError, match=f"{model.d_x} columns"):
+            model.simulate_batch(np.zeros((2, model.d_x + 1)), substream(root, 1))
 
 
 # ---------------------------------------------------------------------- registry
