@@ -14,7 +14,7 @@ import numpy as np
 
 from .ensembles import Ensemble, GaussPair, mvn_sample
 from .inversion import RunResult, _check_observed
-from .linalg import chol_psd, symmetrize
+from .linalg import _one_blas_thread, chol_psd, symmetrize
 from .models.base import SimulatorModel, _require_int
 from .rng import (
     ACCEPT,
@@ -171,6 +171,7 @@ def _require_finite(sims: np.ndarray, where: str) -> None:
         raise ValueError(f"{where}: simulation is not finite")
 
 
+@_one_blas_thread()
 def run_abc_smc(
     model: SimulatorModel, observed: np.ndarray, config: AbcSmcConfig, seed,
 ) -> RunResult:
@@ -279,6 +280,7 @@ def run_abc_smc(
     )
 
 
+@_one_blas_thread()
 def run_abc_mcmc(
     model: SimulatorModel, observed: np.ndarray, config: AbcMcmcConfig, seed,
 ) -> RunResult:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .ensembles import Ensemble, GaussPair, MomentSet, compute_moments, ess, mvn_sample
-from .linalg import chol_psd, solve_psd, symmetrize
+from .linalg import _one_blas_thread, chol_psd, solve_psd, symmetrize
 from .models.base import SimulatorModel, _require_int
 from .rng import PERTURB, PRIOR, SIMULATE, ParticleStreams, as_seed_sequence, substream
 
@@ -286,6 +286,7 @@ def _check_observed(model: SimulatorModel, observed) -> np.ndarray:
     return observed
 
 
+@_one_blas_thread()
 def run_eki(
     model: SimulatorModel,
     observed: np.ndarray,
@@ -296,8 +297,10 @@ def run_eki(
 
     Per iteration: simulate one dataset per particle, compute joint moments,
     check the mode's stopping rule, select the next temperature, perturb and
-    move. Reproducible bit-for-bit from (model, observed, config, seed).
-    Needs n_particles >= eki_min_particles(model).
+    move. Runs with OpenBLAS on one thread (see `enki.linalg`), so it is
+    reproducible bit-for-bit from (model, observed, config, seed) whatever
+    the caller's BLAS thread count. Needs n_particles >=
+    eki_min_particles(model).
     """
     observed = _check_observed(model, observed)
     n_min = eki_min_particles(model)

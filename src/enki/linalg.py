@@ -6,8 +6,21 @@ symmetrize, attempt to factor, and on failure add diagonal jitter starting
 at ``1e-10 * trace/d`` and escalating tenfold up to ``1e-4 * trace/d``
 before giving up. Solves are always against a factorization, never an
 explicit inverse.
+
+`run_eki`, `run_abc_smc` and `run_abc_mcmc` run under `_one_blas_thread`:
+every OpenBLAS library mapped into the process works on one thread for the
+duration of the call, and gets its previous count back afterwards.
+Parallelism comes from the harness's worker processes alone, and a seeded
+output does not depend on the BLAS thread count. A process whose numpy and
+scipy use another BLAS, or a platform without ``/proc/self/maps``, is left
+as it is.
 """
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -31,13 +44,16 @@ def chol_psd(mat: np.ndarray) -> tuple[np.ndarray, float]:
 
     Raises
     ------
+    ValueError
+        ``expected square matrix ...`` unless `mat` is a square 2-D array.
     numpy.linalg.LinAlgError
         If the matrix stays non-factorizable at the largest jitter, or
         contains non-finite entries (numpy's cholesky does not reject NaN).
     """
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected square matrix, got shape {mat.shape}")
     a = symmetrize(mat)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise np.linalg.LinAlgError("matrix has non-finite entries")
     d = a.shape[0]
@@ -65,3 +81,52 @@ def solve_psd(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``mat @ x = rhs`` for symmetric (near-)PSD `mat` via `chol_psd`."""
     low, _ = chol_psd(mat)
     return cho_solve((low, True), np.asarray(rhs, dtype=float))
+
+
+@functools.cache
+def _openblas_thread_counters() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS mapped into this process.
+
+    Found by library file name in ``/proc/self/maps``; empty where there is
+    none, or no such file. numpy's and scipy's libraries are both mapped by
+    the imports at the top of this module.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh}
+    except OSError:
+        return ()
+    counters = []
+    for path in sorted(p for p in paths if "openblas" in Path(p).name.lower()):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            try:
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            counters.append((get, put))
+            break
+    return tuple(counters)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body, or the decorated function, with every OpenBLAS on one thread.
+
+    Each library gets its previous count back on exit, also when the body
+    raises. The count is process-wide: of calls running at once in threads
+    of one process, the first to return restores it under the others.
+    """
+    counters = _openblas_thread_counters()
+    previous = [get() for get, _ in counters]
+    for _, put in counters:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(counters, previous):
+            put(count)

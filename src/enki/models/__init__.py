@@ -55,6 +55,9 @@ def _build_lingauss(overrides: dict) -> LinearGaussianModel:
     _require_int("d_x", d_x, 1)
     mean = np.asarray(overrides.get("prior_mean", np.zeros(d_x)), dtype=float)
     cov = np.asarray(overrides.get("prior_cov", np.eye(d_x)), dtype=float)
+    for name, value in (("prior_mean", mean), ("prior_cov", cov)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
     prior = GaussPair(mean, cov)
     obs_matrix = np.asarray(overrides.get("obs_matrix", np.eye(prior.dim)), dtype=float)
     obs_matrix = np.atleast_2d(obs_matrix)

@@ -3,11 +3,21 @@ from __future__ import annotations
 
 import numpy as np
 
+from enki.baselines import AbcMcmcConfig, AbcSmcConfig, run_abc_mcmc, run_abc_smc
 from enki.ensembles import GaussPair
+from enki.inversion import EkiConfig, run_eki
 from enki.models.base import SimulatorModel
 from enki.models.lingauss import LinearGaussianModel
 from enki.models.transforms import inverse_transform
 from enki.rng import DATA, as_seed_sequence, substream
+
+
+# each sampler at a small, fixed size, called as SAMPLERS[name](model, observed)
+SAMPLERS = {
+    "eki": lambda model, y: run_eki(model, y, EkiConfig(n_particles=40), 0),
+    "abc-smc": lambda model, y: run_abc_smc(model, y, AbcSmcConfig(n_particles=40), 0),
+    "abc-mcmc": lambda model, y: run_abc_mcmc(model, y, AbcMcmcConfig(n_steps=40), 0),
+}
 
 
 class ToyModel(SimulatorModel):

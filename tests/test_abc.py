@@ -12,11 +12,10 @@ from enki.baselines import (
     run_abc_smc,
     systematic_resample,
 )
-from enki.inversion import EkiConfig, run_eki
 from enki.models import build_model
 from enki.rng import ALGO, as_seed_sequence, derive
 
-from _helpers import CountingToyModel, ToyModel, draw_observation
+from _helpers import SAMPLERS, CountingToyModel, ToyModel, draw_observation
 
 
 # ------------------------------------------------------------------ primitives
@@ -239,26 +238,19 @@ def test_mcmc_config_validation():
 
 # ------------------------------------------------------- shared input policies
 
-_RUNNERS = {
-    "eki": lambda model, y: run_eki(model, y, EkiConfig(n_particles=40), 0),
-    "abc-smc": lambda model, y: run_abc_smc(model, y, AbcSmcConfig(n_particles=40), 0),
-    "abc-mcmc": lambda model, y: run_abc_mcmc(model, y, AbcMcmcConfig(n_steps=40), 0),
-}
-
-
-@pytest.mark.parametrize("runner", sorted(_RUNNERS))
+@pytest.mark.parametrize("runner", sorted(SAMPLERS))
 def test_every_sampler_checks_observed(runner):
     model = build_model("lingauss")  # d_y = 3
     _, _, y = draw_observation(model, 0)
     # a length-1 vector would broadcast against every simulation
     for observed in ([0.3], np.append(y, 0.0), y[None, :]):
         with pytest.raises(ValueError, match="observed must have length 3"):
-            _RUNNERS[runner](model, observed)
+            SAMPLERS[runner](model, observed)
     for bad in (np.nan, np.inf):
         observed = y.copy()
         observed[1] = bad
         with pytest.raises(ValueError, match="observed must be finite"):
-            _RUNNERS[runner](model, observed)
+            SAMPLERS[runner](model, observed)
 
 
 class NanAboveToyModel(ToyModel):

@@ -171,6 +171,8 @@ def test_config_checks_model_overrides_early():
         ("noise_cov", nan_matrix),
         ("noise_cov", indefinite),
         ("prior_cov", indefinite),
+        ("prior_cov", nan_matrix),
+        ("prior_mean", [0.0, float("inf"), 0.0]),
     ):
         with pytest.raises(ConfigError, match=f"model_overrides.*{field}"):
             ExperimentConfig.from_mapping(

@@ -1,8 +1,21 @@
-"""Factorization and jitter-policy tests."""
+"""Factorization, jitter-policy and BLAS-thread-policy tests."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from _helpers import SAMPLERS, ToyModel, draw_observation
 
-from enki.linalg import JITTER_REL_MAX, JITTER_REL_START, chol_psd, solve_psd, symmetrize
+from enki.linalg import (
+    JITTER_REL_MAX,
+    JITTER_REL_START,
+    _openblas_thread_counters,
+    chol_psd,
+    solve_psd,
+    symmetrize,
+)
 
 
 def test_symmetrize_is_exact():
@@ -44,8 +57,9 @@ def test_chol_psd_rejects_non_finite():
 
 
 def test_chol_psd_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        chol_psd(np.ones((2, 3)))
+    for shape in ((2, 3), (3, 2), (4,), (2, 2, 2)):
+        with pytest.raises(ValueError, match=r"expected square matrix, got shape \("):
+            chol_psd(np.ones(shape))
 
 
 def test_chol_psd_gives_up_on_negative_definite():
@@ -59,3 +73,90 @@ def test_solve_psd_matches_direct_solve():
     mat = a @ a.T + 0.5 * np.eye(4)
     rhs = rng.normal(size=(4, 2))
     assert np.allclose(solve_psd(mat, rhs), np.linalg.solve(mat, rhs))
+
+
+# ------------------------------------------------------------ BLAS threads
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_GK_RUN = """
+import sys
+import enki.linalg
+from enki import EkiConfig, build_model, run_eki
+from enki.rng import DATA, as_seed_sequence, substream
+
+assert enki.linalg._openblas_thread_counters.cache_info().currsize == 0
+model = build_model("gk")
+data_rng = substream(as_seed_sequence(1), DATA)
+observed = model.simulate(model.sample_truth(data_rng), data_rng)
+res = run_eki(model, observed, EkiConfig(n_particles=120, max_iters=3), 1)
+sys.stdout.write(res.ensemble.params.tobytes().hex())
+"""
+
+
+def _blas_threads() -> list:
+    return [get() for get, _ in _openblas_thread_counters()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The caller's OpenBLAS libraries set to 2 threads, restored after the test."""
+    counters = _openblas_thread_counters()
+    if not counters:
+        pytest.skip("no OpenBLAS library in this process")
+    previous = _blas_threads()
+    for _, put in counters:
+        put(2)
+    yield
+    for (_, put), count in zip(counters, previous):
+        put(count)
+
+
+class ThreadProbeModel(ToyModel):
+    """ToyModel recording the OpenBLAS thread counts of every simulation round."""
+
+    def __init__(self, fail: bool = False):
+        super().__init__()
+        self.fail, self.seen = fail, []
+
+    def simulate_batch(self, params, rng):
+        self.seen.append(_blas_threads())
+        if self.fail:
+            raise RuntimeError("probe failure")
+        return super().simulate_batch(params, rng)
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+def test_samplers_run_on_one_blas_thread(sampler, two_blas_threads):
+    model = ThreadProbeModel()
+    _, _, y = draw_observation(ToyModel(), 0)
+    SAMPLERS[sampler](model, y)
+    assert model.seen
+    assert all(counts == [1] * len(counts) for counts in model.seen)
+    assert set(_blas_threads()) == {2}
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+def test_samplers_restore_blas_threads_after_raising(sampler, two_blas_threads):
+    model = ThreadProbeModel(fail=True)
+    _, _, y = draw_observation(ToyModel(), 0)
+    with pytest.raises(RuntimeError, match="probe failure"):
+        SAMPLERS[sampler](model, y)
+    assert model.seen == [[1] * len(model.seen[0])]
+    assert set(_blas_threads()) == {2}
+
+
+def test_run_eki_output_bits_do_not_depend_on_blas_threads():
+    if not _openblas_thread_counters():
+        pytest.skip("no OpenBLAS library in this process")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _GK_RUN], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        outputs.append(out.stdout)
+    assert outputs[0]
+    assert outputs[0] == outputs[1]
