@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import Ensemble, GaussPair, mvn_sample
-from .inversion import RunResult, _check_observed
+from .inversion import RunResult, _check_observed, _require_finite
 from .linalg import _one_blas_thread, chol_psd, symmetrize
 from .models.base import SimulatorModel, _require_int
 from .rng import (
@@ -163,12 +163,6 @@ def _adapt_kappa(
         kappa = np.nextafter(kappa_prev, 0.0)
         new_alive = alive & (dist < kappa)
     return float(kappa), new_alive
-
-
-def _require_finite(sims: np.ndarray, where: str) -> None:
-    # the reject policy of run_eki: a non-finite simulation ends the run
-    if not np.all(np.isfinite(sims)):
-        raise ValueError(f"{where}: simulation is not finite")
 
 
 @_one_blas_thread()
@@ -332,7 +326,6 @@ def run_abc_mcmc(
         ok = np.log(rng.random()) < log_ratio and cand_dist < kappa
         if ok:
             state = candidate
-            dist_cur = cand_dist
         accepted[t - 1] = ok
         gain = t ** (-_GAIN_DECAY)
         kappa = float(np.exp(np.log(kappa) - gain * (float(ok) - _TARGET_ACCEPTANCE)))

@@ -226,8 +226,12 @@ def _algo_config(algorithm: str, n: int, params: dict, snapshots: bool) -> tuple
     return run_abc_mcmc, AbcMcmcConfig(n_steps=n_steps, n_keep=n_keep, **params)
 
 
-def _execute_cell(config: ExperimentConfig, cell: tuple) -> tuple:
-    """Run one (algorithm, N, seed) cell; never raises, reports errors in-row."""
+def _execute_cell(config: ExperimentConfig, out_path: Path, cell: tuple) -> dict:
+    """Run one (algorithm, N, seed) cell, write its run directory, return its row.
+
+    A run that fails gives an error row and no directory; an OSError from
+    the writes is not caught, so it aborts the sweep.
+    """
     algorithm, n, seed = cell
     key = {"algorithm": algorithm, "model": config.model, "N": n, "seed": seed}
     try:
@@ -249,35 +253,37 @@ def _execute_cell(config: ExperimentConfig, cell: tuple) -> tuple:
             "termination": result.termination_reason,
             "final_temp": _final_temp(algorithm, result),
         }
-        diagnostics = {
-            k: v for k, v in result.diagnostics.items() if k != "kappa_trace"
-        }
-        artifacts = {
-            "ensemble": ensemble,
-            "schedule": result.schedule.to_records() if result.schedule else None,
-            "snapshots": (
-                [model.constrain(s.params) for s in result.snapshots]
-                if result.snapshots
-                else None
-            ),
-            "meta": {
-                **key,
-                "model_overrides": config.model_overrides,
-                "truth": truth,
-                **outcome,
-                "diagnostics": diagnostics,
+        schedule = result.schedule.to_records() if result.schedule else None
+        snapshots = [model.constrain(s.params) for s in result.snapshots or ()]
+        meta = {
+            **key,
+            "model_overrides": config.model_overrides,
+            "truth": truth,
+            **outcome,
+            "diagnostics": {
+                k: v for k, v in result.diagnostics.items() if k != "kappa_trace"
             },
         }
-        return {**key, **outcome}, artifacts
     except Exception as err:  # per-run failures must not abort the sweep
-        outcome = {
+        return {
+            **key,
             "sim_count": 0,
             "rmse": float("nan"),
             "wall_time_s": 0.0,
             "termination": f"error: {type(err).__name__}: {err}",
             "final_temp": float("nan"),
         }
-        return {**key, **outcome}, None
+    run_dir = out_path / "runs" / f"{algorithm}_{config.model}_N{n}_seed{seed}"
+    run_dir.mkdir(parents=True, exist_ok=True)
+    _write_ensemble_csv(ensemble, run_dir / "ensemble.csv")
+    _write_json(meta, run_dir / "meta.json")
+    if schedule is not None:
+        _write_json(schedule, run_dir / "schedule.json")
+    if snapshots:
+        (run_dir / "snapshots").mkdir(exist_ok=True)
+        for i, params in enumerate(snapshots):
+            _write_ensemble_csv(params, run_dir / "snapshots" / f"iter_{i:03d}.csv")
+    return {**key, **outcome}
 
 
 def _format_value(key: str, value) -> str:
@@ -326,19 +332,6 @@ def _write_json(value, path: Path) -> None:
         fh.write("\n")
 
 
-def _write_artifacts(run_dir: Path, artifacts: dict) -> None:
-    run_dir.mkdir(parents=True, exist_ok=True)
-    _write_ensemble_csv(artifacts["ensemble"], run_dir / "ensemble.csv")
-    _write_json(artifacts["meta"], run_dir / "meta.json")
-    if artifacts["schedule"] is not None:
-        _write_json(artifacts["schedule"], run_dir / "schedule.json")
-    if artifacts["snapshots"] is not None:
-        snap_dir = run_dir / "snapshots"
-        snap_dir.mkdir(exist_ok=True)
-        for i, params in enumerate(artifacts["snapshots"]):
-            _write_ensemble_csv(params, snap_dir / f"iter_{i:03d}.csv")
-
-
 def resolve_out_dir(config: ExperimentConfig, override=None) -> Path:
     """Output directory: CLI override, config `out`, then $ENKI_OUT_ROOT/<label>."""
     if override:
@@ -353,9 +346,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, out_dir=None) -> 
     """Run the full sweep and write metrics plus per-run artifacts.
 
     Returns (rows, out_path). Cells run in parallel processes when
-    threads > 1; results are written in cell order, so output files are
-    identical for any thread count. A failed cell contributes an error row
-    and no artifact directory. Raises ValueError if threads < 1.
+    threads > 1, and each cell writes its own run directory; metrics.csv
+    lists the rows in cell order, so every output file is identical for any
+    thread count apart from wall_time_s. A failed cell contributes an error
+    row and no run directory. Raises ValueError if threads < 1.
     """
     if threads < 1:
         raise ValueError(f"threads: must be at least 1, got {threads}")
@@ -368,19 +362,12 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, out_dir=None) -> 
         for n in config.n_particles
         for seed in config.seeds
     ]
-    run_cell = functools.partial(_execute_cell, config)
+    run_cell = functools.partial(_execute_cell, config, out_path)
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_cell, cells))
+            rows = list(pool.map(run_cell, cells))
     else:
-        outcomes = [run_cell(cell) for cell in cells]
-
-    rows = []
-    for row, artifacts in outcomes:
-        rows.append(row)
-        if artifacts is not None:
-            name = f"{row['algorithm']}_{row['model']}_N{row['N']}_seed{row['seed']}"
-            _write_artifacts(out_path / "runs" / name, artifacts)
+        rows = [run_cell(cell) for cell in cells]
     write_metrics_csv(rows, out_path / "metrics.csv")
     return rows, out_path
 

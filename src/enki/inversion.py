@@ -286,6 +286,12 @@ def _check_observed(model: SimulatorModel, observed) -> np.ndarray:
     return observed
 
 
+def _require_finite(sims: np.ndarray, where: str) -> None:
+    """The samplers' non-finite policy: a non-finite simulation ends the run."""
+    if not np.all(np.isfinite(sims)):
+        raise ValueError(f"{where}: simulation is not finite")
+
+
 @_one_blas_thread()
 def run_eki(
     model: SimulatorModel,
@@ -300,7 +306,8 @@ def run_eki(
     move. Runs with OpenBLAS on one thread (see `enki.linalg`), so it is
     reproducible bit-for-bit from (model, observed, config, seed) whatever
     the caller's BLAS thread count. Needs n_particles >=
-    eki_min_particles(model).
+    eki_min_particles(model). A non-finite simulation raises ValueError
+    naming the iteration.
     """
     observed = _check_observed(model, observed)
     n_min = eki_min_particles(model)
@@ -321,6 +328,7 @@ def run_eki(
         sims = model.simulate_batch(
             ensemble.params, ParticleStreams(root, SIMULATE, iteration).shared()
         )
+        _require_finite(sims, f"EKI iteration {iteration}")
         ensemble = ensemble.with_sims(sims)
         moments = compute_moments(ensemble)
         if initial_moments is None:

@@ -12,6 +12,7 @@ from enki.baselines import (
     run_abc_smc,
     systematic_resample,
 )
+from enki.inversion import EkiConfig, run_eki
 from enki.models import build_model
 from enki.rng import ALGO, as_seed_sequence, derive
 
@@ -268,16 +269,20 @@ class NanAboveToyModel(ToyModel):
         return sims
 
 
-def test_smc_rejects_non_finite_simulation():
-    # the prior round is finite; the first rejuvenation round is not
-    model = NanAboveToyModel(cut=-1.0, start=1)
+@pytest.mark.parametrize(
+    "cut, start, run, match",
+    [
+        # eki and smc: the first simulation round is finite, the second is not
+        (-1.0, 1, lambda m, y: run_eki(m, y, EkiConfig(n_particles=200), 3),
+         "EKI iteration 2: simulation is not finite"),
+        (-1.0, 1, lambda m, y: run_abc_smc(m, y, AbcSmcConfig(n_particles=200), 3),
+         "SMC iteration 1: simulation is not finite"),
+        (0.5, 0, lambda m, y: run_abc_mcmc(m, y, AbcMcmcConfig(n_steps=400), 3),
+         r"MCMC step \d+: simulation is not finite"),
+    ],
+    ids=["eki", "abc-smc", "abc-mcmc"],
+)
+def test_sampler_rejects_non_finite_simulation(cut, start, run, match):
     _, _, y = draw_observation(ToyModel(), 3)
-    with pytest.raises(ValueError, match="SMC iteration 1: simulation is not finite"):
-        run_abc_smc(model, y, AbcSmcConfig(n_particles=200), 3)
-
-
-def test_mcmc_rejects_non_finite_simulation():
-    model = NanAboveToyModel(cut=0.5)
-    _, _, y = draw_observation(ToyModel(), 3)
-    with pytest.raises(ValueError, match=r"MCMC step \d+: simulation is not finite"):
-        run_abc_mcmc(model, y, AbcMcmcConfig(n_steps=400), 3)
+    with pytest.raises(ValueError, match=match):
+        run(NanAboveToyModel(cut, start), y)

@@ -1,6 +1,6 @@
 """Acceptance gate: end-to-end checks of the package's headline claims.
 
-Nine numbered checks, each printing one PASS/FAIL line (through the capture
+Ten numbered checks, each printing one PASS/FAIL line (through the capture
 bypass, so batch logs always carry the verdicts) before asserting:
 
 1. closed-form tempering: recursion over any partition equals the direct
@@ -13,10 +13,13 @@ bypass, so batch logs always carry the verdicts) before asserting:
 6. both inversion modes beat both ABC baselines on g-and-k RMSE at
    equal-or-smaller simulation budgets
 7. reduced lattice twin experiment: spread on observed vs unobserved
-   dimensions (measured unattainable at this scale; kept honest), plus a
-   full-size smoke run
+   dimensions (measured unattainable at this scale; kept honest), a
+   full-size smoke run, and the same spread claim plus an error bound with
+   early observations, where the data inform the update
 8. ABC baselines are self-consistent and match brute-force rejection
 9. the module invariants hold under direct stress
+10. sampling mode is calibrated: g-and-k truths drawn from the prior fall
+    inside the final ensemble's central 90% interval about 90% of the time
 """
 import time
 
@@ -39,7 +42,7 @@ from enki.models.lingauss import (
     tempered_recursion_step,
 )
 from enki.models.lorenz96 import l96_drift
-from enki.rng import ALGO, PERTURB, PRIOR, as_seed_sequence, derive, substream
+from enki.rng import ALGO, DATA, PERTURB, PRIOR, as_seed_sequence, derive, substream
 
 from _helpers import ToyModel, draw_observation, random_lingauss, random_spd
 
@@ -357,6 +360,54 @@ def test_07_full_configuration_smoke(capsys):
     assert ok
 
 
+def test_07_early_observations_inform_the_update(capsys):
+    # At t >= 1 the data carry almost no linear information about the
+    # initial state (see REDUCED_MARGIN_NOTE); at t = 0.1, 0.2 they do, so a
+    # broken update shows. The bound is the expected particle RMSE under the
+    # linear-Gaussian posterior of a 20,000-draw prior-predictive regression
+    # y = a + B x + N(0, R): the best one-shot linear update.
+    start = time.perf_counter()
+    model = build_model("l96", {"d_x": 8, "obs_times": [0.1, 0.2]})
+    observed = list(model.config.observed_dims)
+    unobserved = [m for m in range(model.d_x) if m not in observed]
+    rng = np.random.default_rng(as_seed_sequence(7))
+    x = model.prior_sample(20_000, rng)
+    # in four batches: the kernel's noise buffer grows with the batch
+    y = np.vstack([model.simulate_batch(chunk, rng) for chunk in np.split(x, 4)])
+    design = np.hstack([np.ones((len(x), 1)), x])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    noise_cov = resid.T @ resid / (len(x) - design.shape[1])
+    prior = GaussPair(
+        np.full(model.d_x, model.config.forcing), model.prior_var * np.eye(model.d_x)
+    )
+
+    errs, bounds, obs_spread, unobs_spread = [], [], [], []
+    for seed in (0, 1, 2):
+        _, truth, data = draw_observation(model, seed)
+        post = linear_gaussian_posterior(prior, coef[1:].T, noise_cov, data - coef[0])
+        bounds.append(np.sqrt(np.mean(np.diag(post.cov) + (post.mean - truth) ** 2)))
+        res = run_eki(
+            model, data, EkiConfig(n_particles=200), derive(as_seed_sequence(seed), ALGO)
+        )
+        assert res.termination_reason == "sampling"
+        errs.append(np.sqrt(np.mean((res.ensemble.params - truth) ** 2)))
+        sd = res.ensemble.params.std(axis=0, ddof=1)
+        obs_spread.append(sd[observed].mean())
+        unobs_spread.append(sd[unobserved].mean())
+    err, bound = float(np.mean(errs)), float(np.mean(bounds))
+    mean_obs, mean_unobs = float(np.mean(obs_spread)), float(np.mean(unobs_spread))
+    elapsed = time.perf_counter() - start
+    spread_ok, err_ok = mean_obs < mean_unobs, err < bound
+    _verdict(
+        capsys, "7 (early observations)", spread_ok and err_ok,
+        f"observed spread {mean_obs:.4f} vs unobserved {mean_unobs:.4f}, particle rmse "
+        f"{err:.3f} (linear-Gaussian reference {bound:.3f}) over 3 seeds, {elapsed:.0f}s",
+    )
+    assert spread_ok, f"observed spread {mean_obs:.4f} not below unobserved {mean_unobs:.4f}"
+    assert err_ok, f"particle rmse {err:.3f} not below the linear reference {bound:.3f}"
+
+
 # ---------------------------------------------------------------- check 8
 
 def _rejection_oracle(y_value, kappa, draws=4_000_000, seed=99):
@@ -479,3 +530,43 @@ def test_09_invariant_stress_suite(capsys):
 
     elapsed = time.perf_counter() - start
     _verdict(capsys, 9, True, f"five invariant families stressed, {elapsed:.0f}s")
+
+
+# ---------------------------------------------------------------- check 10
+
+CALIBRATION_NOTE = (
+    "at N=150 the central 90% interval covers the truth 29/23/21/28 of 60 times "
+    "(A/B/g/k; gate 47): with d_y=100 the estimated C^{y|x} of 150 particles is "
+    "noisy and the final sample too narrow; at N=500 the counts are 56/54/52/55"
+)
+
+
+@pytest.mark.parametrize(
+    "n_particles",
+    [500, pytest.param(150, marks=pytest.mark.xfail(strict=True, reason=CALIBRATION_NOTE))],
+)
+def test_10_sampling_mode_is_calibrated(capsys, n_particles):
+    # simulation-based calibration (Talts et al. 2018, arXiv 1804.06788): per
+    # coordinate, count how many of 60 prior-drawn truths fall inside the
+    # final ensemble's central 90% interval. A collapsed posterior scores well
+    # on rmse but misses the truth here. The gate, 47 of 60, is 0.9 - 3 SE of
+    # a binomial coverage at 60 truths, rounded down.
+    start = time.perf_counter()
+    model = build_model("gk")
+    hits = np.zeros(model.d_x, dtype=int)
+    for seed in range(1000, 1060):
+        root = as_seed_sequence(seed)
+        data_rng = substream(root, DATA)
+        truth = model.prior_sample(1, data_rng)[0]  # working space: N(0, I)
+        y = model.simulate(truth, data_rng)
+        res = run_eki(model, y, EkiConfig(n_particles=n_particles), derive(root, ALGO))
+        lo, hi = np.quantile(res.ensemble.params, [0.05, 0.95], axis=0)
+        hits += (lo <= truth) & (truth <= hi)
+    elapsed = time.perf_counter() - start
+    ok = bool(np.all(hits >= 47))
+    _verdict(
+        capsys, f"10 (N={n_particles})", ok,
+        f"90% interval covers the truth {'/'.join(map(str, hits))} of 60 times "
+        f"(A/B/g/k; gate 47), {elapsed:.0f}s",
+    )
+    assert ok, f"coverage counts {hits.tolist()} of 60, gate 47 each"

@@ -228,6 +228,7 @@ def sweep(tmp_path_factory):
             "seeds": [0, 1],
             "label": "sweep",
             "algo_params": {"abc-mcmc": {"n_steps": 400, "n_keep": 40}},
+            "snapshots": True,
         }
     )
     out = tmp_path_factory.mktemp("sweep")
@@ -285,17 +286,29 @@ def test_sweep_artifacts_layout(sweep):
     assert not (mcmc_dir / "schedule.json").exists()
 
 
+def _without_wall_time(path):
+    """A run file's content, less wall_time_s: the one value allowed to differ."""
+    if path.name == "meta.json":
+        meta = json.loads(path.read_text())
+        del meta["wall_time_s"]
+        return meta
+    if path.name == "metrics.csv":
+        col = METRICS_FIELDS.index("wall_time_s")
+        return [row[:col] + row[col + 1:] for row in csv.reader(path.read_text().splitlines())]
+    return path.read_text()
+
+
 def test_sweep_deterministic_across_workers(sweep, tmp_path):
-    cfg, rows, _ = sweep
-    again_rows, again_path = run_experiment(cfg, threads=2, out_dir=tmp_path / "again")
-    for a, b in zip(rows, again_rows):
-        for key in METRICS_FIELDS:
-            if key == "wall_time_s":
-                continue  # the one column allowed to differ between runs
-            if key in ("rmse", "final_temp"):
-                assert float(a[key]) == float(b[key])
-            else:
-                assert a[key] == b[key]
+    # the fixture ran on one process: every file but wall_time_s must match
+    cfg, _, out_path = sweep
+    _, again_path = run_experiment(cfg, threads=2, out_dir=tmp_path / "again")
+    files = sorted(p.relative_to(out_path) for p in out_path.rglob("*") if p.is_file())
+    assert files == sorted(
+        p.relative_to(again_path) for p in again_path.rglob("*") if p.is_file()
+    )
+    assert any(f.parent.name == "snapshots" for f in files)
+    for rel in files:
+        assert _without_wall_time(out_path / rel) == _without_wall_time(again_path / rel), rel
 
 
 def test_error_rows_do_not_abort_sweep(tmp_path, monkeypatch):
@@ -318,6 +331,17 @@ def test_error_rows_do_not_abort_sweep(tmp_path, monkeypatch):
     parsed = read_metrics_csv(out_path / "metrics.csv")
     groups = summarize_rows(parsed)
     assert [g["algorithm"] for g in groups] == ["eki-sampling"]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_write_failure_aborts_sweep(tmp_path, threads):
+    # a run that fails is an error row, but a run directory that cannot be
+    # written ends the sweep before metrics.csv
+    (tmp_path / "runs").write_text("a file where the run directories go")
+    cfg = ExperimentConfig.from_mapping(small_mapping(seeds=0))
+    with pytest.raises(OSError):
+        run_experiment(cfg, threads=threads, out_dir=tmp_path)
+    assert not (tmp_path / "metrics.csv").exists()
 
 
 def test_summary_table_and_csv(sweep, tmp_path):
