@@ -297,6 +297,7 @@ def run_abc_mcmc(
     sim = model.simulate(state, rng)
     _require_finite(sim, "MCMC step 0")
     sim_count = 1
+    logp_cur = model.prior_logpdf(state[None])[0]
     dist_cur = float(np.linalg.norm(observed - sim))
     kappa = dist_cur if dist_cur > 0 else 1.0
 
@@ -320,12 +321,10 @@ def run_abc_mcmc(
         _require_finite(cand_sim, f"MCMC step {t}")
         sim_count += 1
         cand_dist = float(np.linalg.norm(observed - cand_sim))
-        log_ratio = float(
-            model.prior_logpdf(candidate[None])[0] - model.prior_logpdf(state[None])[0]
-        )
-        ok = np.log(rng.random()) < log_ratio and cand_dist < kappa
+        cand_logp = model.prior_logpdf(candidate[None])[0]
+        ok = np.log(rng.random()) < float(cand_logp - logp_cur) and cand_dist < kappa
         if ok:
-            state = candidate
+            state, logp_cur = candidate, cand_logp
         accepted[t - 1] = ok
         gain = t ** (-_GAIN_DECAY)
         kappa = float(np.exp(np.log(kappa) - gain * (float(ok) - _TARGET_ACCEPTANCE)))

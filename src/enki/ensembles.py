@@ -7,6 +7,7 @@ covariances use the 1/(N-1) normalization and are explicitly symmetrized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,14 +79,21 @@ class MomentSet:
 
     ``cov_y_given_x`` estimates the likelihood's noise covariance,
     ``cov_yy - cov_yx (cov_xx)^-1 cov_xy``; it is symmetrized but not
-    forced positive semi-definite (finite-N estimates can be indefinite;
-    consumers that need PSD apply jitter at the point of use).
+    forced positive semi-definite (finite-N estimates can be indefinite).
+    ``chol_y_given_x`` is its lower factor under `chol_psd`'s jitter policy,
+    computed on first use and then kept, so one factor serves every
+    consumer of the estimate.
     """
 
     cov_xx: np.ndarray
     cov_xy: np.ndarray
     cov_yy: np.ndarray
     cov_y_given_x: np.ndarray
+
+    @cached_property
+    def chol_y_given_x(self) -> np.ndarray:
+        low, _ = chol_psd(self.cov_y_given_x)
+        return low
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 
-from .ensembles import Ensemble, GaussPair, MomentSet, compute_moments, ess, mvn_sample
+# mvn_sample and solve_psd kept for perfbench/tracing.py, which wraps them here by name
+from .ensembles import Ensemble, MomentSet, compute_moments, ess, mvn_sample
 from .linalg import _one_blas_thread, chol_psd, solve_psd, symmetrize
 from .models.base import SimulatorModel, _require_int
 from .rng import PERTURB, PRIOR, SIMULATE, ParticleStreams, as_seed_sequence, substream
@@ -121,20 +122,22 @@ def _kalman_move(
     observed: np.ndarray,
     moments: MomentSet,
     noise_cov: np.ndarray,
+    noise_chol: np.ndarray | None,
     rng: np.random.Generator,
 ) -> Ensemble:
     """Perturbed-observation Kalman move shared by both update steps.
 
     Moves particle i by C^xy (C^yy + G)^-1 (y - f_i - eta_i), with f_i the
-    particle's row of ensemble.sims, moments = compute_moments(ensemble) and
-    eta_i ~ N(0, G); a zero G draws nothing. A single factorization is
-    shared by all particles.
+    particle's row of ensemble.sims, moments = compute_moments(ensemble),
+    G = noise_cov and eta_i ~ N(0, G). The caller passes a lower factor L of
+    G as noise_chol, and the draw is ``rng.standard_normal((N, d_y)) @ L.T``,
+    `mvn_sample`'s layout; noise_chol None draws nothing. A single
+    factorization of C^yy + G is shared by all particles.
     """
     low, _ = chol_psd(moments.cov_yy + noise_cov)
-    eta = 0.0
-    if noise_cov.any():
-        eta = mvn_sample(GaussPair(np.zeros(observed.size), noise_cov), ensemble.n, rng)
-    innov = observed - ensemble.sims - eta
+    innov = observed - ensemble.sims
+    if noise_chol is not None:
+        innov = innov - rng.standard_normal(innov.shape) @ noise_chol.T
     moves = (moments.cov_xy @ cho_solve((low, True), innov.T)).T
     return Ensemble(ensemble.params + moves)
 
@@ -150,9 +153,10 @@ def eki_step(
 
     Moves each particle by
     C^xy (C^yy + (1/h - 1) C^{y|x})^-1 (y - y_i - eta_i) with
-    eta_i ~ N(0, (1/h - 1) C^{y|x}). The (1/h - 1) factor is floored at 0,
-    so h = 1 draws no noise at all and h > 1 (optimisation-mode steps)
-    degenerates to the plain C^yy bracket.
+    eta_i ~ N(0, (1/h - 1) C^{y|x}), drawn from sqrt(1/h - 1) times
+    moments.chol_y_given_x, the factor `select_next_lambda` was given. The
+    (1/h - 1) factor is floored at 0, so h = 1 draws no noise at all and
+    h > 1 (optimisation-mode steps) degenerates to the plain C^yy bracket.
     """
     if ensemble.sims is None:
         raise ValueError("ensemble has no simulated data")
@@ -161,7 +165,8 @@ def eki_step(
     observed = np.atleast_1d(np.asarray(observed, dtype=float))
     coeff = max(1.0 / h - 1.0, 0.0)
     noise_cov = symmetrize(coeff * moments.cov_y_given_x)
-    return _kalman_move(ensemble, observed, moments, noise_cov, rng)
+    noise_chol = np.sqrt(coeff) * moments.chol_y_given_x if noise_cov.any() else None
+    return _kalman_move(ensemble, observed, moments, noise_cov, noise_chol, rng)
 
 
 def gaussian_eki_step(
@@ -185,13 +190,16 @@ def gaussian_eki_step(
     if forward.shape[0] != ensemble.n:
         raise ValueError("forward_evals rows must match particle count")
     ensemble = ensemble.with_sims(forward)
-    return _kalman_move(ensemble, observed, compute_moments(ensemble), r / h, rng)
+    noise_cov = r / h
+    noise_chol = chol_psd(noise_cov)[0] if noise_cov.any() else None
+    moments = compute_moments(ensemble)
+    return _kalman_move(ensemble, observed, moments, noise_cov, noise_chol, rng)
 
 
 def select_next_lambda(
     sims: np.ndarray,
     observed: np.ndarray,
-    cov_y_given_x: np.ndarray,
+    chol_y_given_x: np.ndarray,
     lambda_prev: float,
     lambda_max: float,
     rho: float = _RHO,
@@ -201,11 +209,13 @@ def select_next_lambda(
     """Next inverse temperature by bisection on the pseudo-weight ESS.
 
     Pseudo-weights w_i are proportional to exp(-(lambda - lambda_prev) d_i / 2)
-    with d_i the squared Mahalanobis distance of particle i's simulation from
-    the observations under cov_y_given_x, computed in log space with
-    max-subtraction. Returns (lambda_next, normalized weights) where
-    lambda_next has ESS within bisect_tol * N of rho * N, or lambda_max when
-    even the full step keeps ESS at or above target (clamp, no search).
+    with d_i = |L^-1 (y - y_i)|^2 the squared Mahalanobis distance of particle
+    i's simulation from the observations, L = chol_y_given_x the lower factor
+    of the noise covariance (one triangular solve serves all particles).
+    Weights are computed in log space with max-subtraction. Returns
+    (lambda_next, normalized weights) where lambda_next has ESS within
+    bisect_tol * N of rho * N, or lambda_max when even the full step keeps
+    ESS at or above target (clamp, no search).
     Raises ValueError on any non-finite simulation.
     """
     if lambda_prev >= lambda_max:
@@ -218,7 +228,8 @@ def select_next_lambda(
     # C-ordered rows whatever the simulator returned: the einsum's summation
     # order, hence its last bits, follows the memory layout
     resid = (observed - np.ascontiguousarray(sims)).T
-    dist = np.einsum("ij,ij->j", resid, solve_psd(cov_y_given_x, resid))
+    white = solve_triangular(chol_y_given_x, resid, lower=True)
+    dist = np.einsum("ij,ij->j", white, white)
     target = rho * n
     tol = bisect_tol * n
 
@@ -234,7 +245,7 @@ def select_next_lambda(
 
     # collapse: ESS below target even at 2^-40 of the bracket (possible when
     # the d_i spread over many orders of magnitude, as on a near-singular
-    # cov_y_given_x)
+    # noise covariance)
     lo = lambda_prev
     hi = lambda_max
     eps_lam = lambda_prev + (lambda_max - lambda_prev) * 2.0**-40
@@ -346,7 +357,7 @@ def run_eki(
             # no terminal temperature in optimisation mode: grow the bracket
             lambda_hi = lambda_prev * 10.0 + 1.0
         lam, weights = select_next_lambda(
-            sims, observed, moments.cov_y_given_x, lambda_prev, lambda_hi
+            sims, observed, moments.chol_y_given_x, lambda_prev, lambda_hi
         )
         try:
             moved = eki_step(

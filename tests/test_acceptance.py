@@ -1,6 +1,6 @@
 """Acceptance gate: end-to-end checks of the package's headline claims.
 
-Ten numbered checks, each printing one PASS/FAIL line (through the capture
+Eleven numbered checks, each printing one PASS/FAIL line (through the capture
 bypass, so batch logs always carry the verdicts) before asserting:
 
 1. closed-form tempering: recursion over any partition equals the direct
@@ -19,7 +19,10 @@ bypass, so batch logs always carry the verdicts) before asserting:
 8. ABC baselines are self-consistent and match brute-force rejection
 9. the module invariants hold under direct stress
 10. sampling mode is calibrated: g-and-k truths drawn from the prior fall
-    inside the final ensemble's central 90% interval about 90% of the time
+    inside the final ensemble's central 90% interval about 90% of the time,
+    and inside its central 50% interval about half the time
+11. sampling mode's final spread on a d_y=300 linear-Gaussian model matches
+    the closed-form posterior's (measured too narrow today; kept honest)
 """
 import time
 
@@ -37,6 +40,7 @@ from enki.linalg import chol_psd, symmetrize
 from enki.models import build_model
 from enki.models.gk import GkParams, gk_quantile
 from enki.models.lingauss import (
+    LinearGaussianModel,
     linear_gaussian_posterior,
     linear_gaussian_tempered,
     tempered_recursion_step,
@@ -535,9 +539,10 @@ def test_09_invariant_stress_suite(capsys):
 # ---------------------------------------------------------------- check 10
 
 CALIBRATION_NOTE = (
-    "at N=150 the central 90% interval covers the truth 29/23/21/28 of 60 times "
-    "(A/B/g/k; gate 47): with d_y=100 the estimated C^{y|x} of 150 particles is "
-    "noisy and the final sample too narrow; at N=500 the counts are 56/54/52/55"
+    "at N=150 the central 90% interval covers the truth 29/24/21/28 of 60 times "
+    "(A/B/g/k; gate 47) and the central 50% interval 10/8/9/12 (gate 19-41): "
+    "with d_y=100 the estimated C^{y|x} of 150 particles is noisy and the final "
+    "sample too narrow; at N=500 the counts are 56/54/52/55 and 32/25/27/36"
 )
 
 
@@ -550,23 +555,67 @@ def test_10_sampling_mode_is_calibrated(capsys, n_particles):
     # coordinate, count how many of 60 prior-drawn truths fall inside the
     # final ensemble's central 90% interval. A collapsed posterior scores well
     # on rmse but misses the truth here. The gate, 47 of 60, is 0.9 - 3 SE of
-    # a binomial coverage at 60 truths, rounded down.
+    # a binomial coverage at 60 truths, rounded down. The central 50% count
+    # is gated on both sides, 19 to 41 of 60 (30 +- 3 SE): an over-dispersed
+    # sample, such as eta drawn with twice the variance, passes the one-sided
+    # 90% gate but lands above 41 here.
     start = time.perf_counter()
     model = build_model("gk")
     hits = np.zeros(model.d_x, dtype=int)
+    hits50 = np.zeros(model.d_x, dtype=int)
     for seed in range(1000, 1060):
         root = as_seed_sequence(seed)
         data_rng = substream(root, DATA)
         truth = model.prior_sample(1, data_rng)[0]  # working space: N(0, I)
         y = model.simulate(truth, data_rng)
         res = run_eki(model, y, EkiConfig(n_particles=n_particles), derive(root, ALGO))
-        lo, hi = np.quantile(res.ensemble.params, [0.05, 0.95], axis=0)
+        lo, lo50, hi50, hi = np.quantile(res.ensemble.params, [0.05, 0.25, 0.75, 0.95], axis=0)
         hits += (lo <= truth) & (truth <= hi)
+        hits50 += (lo50 <= truth) & (truth <= hi50)
     elapsed = time.perf_counter() - start
-    ok = bool(np.all(hits >= 47))
+    ok90 = bool(np.all(hits >= 47))
+    ok50 = bool(np.all((19 <= hits50) & (hits50 <= 41)))
     _verdict(
-        capsys, f"10 (N={n_particles})", ok,
+        capsys, f"10 (N={n_particles})", ok90 and ok50,
         f"90% interval covers the truth {'/'.join(map(str, hits))} of 60 times "
-        f"(A/B/g/k; gate 47), {elapsed:.0f}s",
+        f"(A/B/g/k; gate 47), 50% interval {'/'.join(map(str, hits50))} "
+        f"(gate 19-41), {elapsed:.0f}s",
     )
-    assert ok, f"coverage counts {hits.tolist()} of 60, gate 47 each"
+    assert ok90, f"90% coverage counts {hits.tolist()} of 60, gate 47 each"
+    assert ok50, f"50% coverage counts {hits50.tolist()} of 60, gate 19-41 each"
+
+
+# ---------------------------------------------------------------- check 11
+
+SPREAD_NOTE = (
+    "the final ensemble sd is about 0.52 of the posterior sd (median over "
+    "coordinates, every seed; gate 0.8-1.25): with d_y=300 and N=600 the "
+    "estimated C^{y|x} is noisy, and the sample ends too narrow"
+)
+
+
+@pytest.mark.xfail(strict=True, reason=SPREAD_NOTE)
+def test_11_high_dimensional_spread_matches_posterior(capsys):
+    # the benchmark's lingauss-hd model: d_x=10, d_y=300, R = 0.5 I, with a
+    # fixed observation matrix; per seed, the median over coordinates of the
+    # final ensemble sd over the closed-form posterior sd must lie within
+    # [0.8, 1.25], a bound fixed before the first run
+    start = time.perf_counter()
+    d_x, d_y = 10, 300
+    h_mat = np.random.default_rng(20211006).standard_normal((d_y, d_x)) / np.sqrt(d_x)
+    prior = GaussPair(np.zeros(d_x), np.eye(d_x))
+    model = LinearGaussianModel(prior, h_mat, 0.5 * np.eye(d_y))
+    ratios = []
+    for seed in range(4):
+        root, _, y = draw_observation(model, seed)
+        res = run_eki(model, y, EkiConfig(n_particles=600), derive(root, ALGO))
+        post_sd = np.sqrt(np.diag(model.posterior(y).cov))
+        ratios.append(float(np.median(res.ensemble.params.std(axis=0, ddof=1) / post_sd)))
+    elapsed = time.perf_counter() - start
+    ok = all(0.8 <= r <= 1.25 for r in ratios)
+    _verdict(
+        capsys, 11, ok,
+        f"final sd / posterior sd {'/'.join(f'{r:.3f}' for r in ratios)} "
+        f"(gate 0.8-1.25), {elapsed:.0f}s",
+    )
+    assert ok, f"spread ratios {ratios}, gate [0.8, 1.25] each"

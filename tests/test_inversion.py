@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
 import enki
-from enki.ensembles import Ensemble, GaussPair, compute_moments, mvn_sample
+from enki.ensembles import Ensemble, GaussPair, MomentSet, compute_moments, mvn_sample
 from enki.inversion import (
     EkiConfig,
     TemperSchedule,
@@ -21,7 +21,7 @@ from enki.linalg import chol_psd, symmetrize
 from enki.models.gk import GkModel
 from enki.rng import PERTURB, PRIOR, as_seed_sequence, derive, substream
 
-from _helpers import draw_observation, random_lingauss
+from _helpers import draw_observation, random_lingauss, random_spd
 
 
 # ------------------------------------------------------------- temper schedule
@@ -113,6 +113,63 @@ def test_eki_step_input_contract():
         eki_step(ens, np.zeros(2), 0.0, mom, np.random.default_rng(0))
 
 
+def test_eki_step_draws_eta_from_the_noise_factor():
+    # at h = 0.4 the move is the written-out filter step with
+    # eta = sqrt(1/h - 1) Z L^T, L the Cholesky factor of C^{y|x}
+    ens = _make_simulated(4, n=300, d_x=2, d_y=3)
+    mom = compute_moments(ens)
+    y = np.array([0.3, -0.2, 0.1])
+    out = eki_step(ens, y, 0.4, mom, np.random.default_rng(5))
+    z = np.random.default_rng(5).standard_normal((ens.n, 3))
+    eta = np.sqrt(1.5) * z @ np.linalg.cholesky(mom.cov_y_given_x).T
+    bracket = mom.cov_yy + 1.5 * mom.cov_y_given_x
+    moves = (mom.cov_xy @ np.linalg.solve(bracket, (y - ens.sims - eta).T)).T
+    assert np.allclose(out.params, ens.params + moves, rtol=1e-10, atol=1e-12)
+
+
+def test_noise_factor_is_computed_once_and_only_when_needed(monkeypatch):
+    calls = []
+
+    def counting_chol(mat):
+        calls.append(np.shape(mat))
+        return chol_psd(mat)
+
+    monkeypatch.setattr(enki.ensembles, "chol_psd", counting_chol)
+    mom = compute_moments(_make_simulated(5))
+    first = mom.chol_y_given_x
+    assert mom.chol_y_given_x is first
+    assert calls == [(2, 2)]
+    assert np.allclose(first @ first.T, mom.cov_y_given_x)
+
+    # the known-noise step scales its own R / h, never the estimate
+    def refuse(self):
+        raise AssertionError("gaussian_eki_step factored cov_y_given_x")
+
+    monkeypatch.setattr(MomentSet, "chol_y_given_x", property(refuse))
+    rng = np.random.default_rng(6)
+    params = rng.normal(size=(50, 2))
+    gaussian_eki_step(Ensemble(params), params @ rng.normal(size=(2, 3)),
+                      np.zeros(3), np.eye(3), 0.5, rng)
+
+
+def test_run_eki_factors_each_dy_matrix_once_per_iteration(monkeypatch):
+    # per iteration: C^{y|x} once (distances and eta) and C^yy + G once (move)
+    rng = np.random.default_rng(15)
+    model = random_lingauss(rng, 2, 6)
+    _, _, y = draw_observation(model, 10)
+    shapes = []
+
+    def counting_chol(mat):
+        shapes.append(np.shape(mat))
+        return chol_psd(mat)
+
+    for site in (enki.linalg, enki.ensembles, enki.inversion):
+        monkeypatch.setattr(site, "chol_psd", counting_chol)
+    res = run_eki(model, y, EkiConfig(n_particles=120), 10)
+    assert res.schedule.n_steps > 1
+    assert shapes.count((6, 6)) == 2 * res.schedule.n_steps
+
+
 def test_eki_step_single_update_matches_scalar_posterior():
     # one h=1 step on a linear model is the Kalman update; with a huge
     # ensemble the empirical moments converge and so does the posterior
@@ -200,6 +257,26 @@ def test_select_lambda_hits_ess_target():
     lam, w = select_next_lambda(sims, y, np.eye(3), 0.0, 1e9, rho=0.5, bisect_tol=1e-2)
     assert 0.0 < lam < 1e9
     assert abs(1.0 / np.dot(w, w) - 500.0) <= 10.0
+
+
+def test_select_lambda_distances_under_a_general_factor():
+    # the factor of a non-identity C gives the lambda and weights of the
+    # distances r_i^T C^-1 r_i, fed in as one-dimensional residuals
+    rng = np.random.default_rng(8)
+    cov = random_spd(rng, 4)
+    sims = rng.normal(size=(300, 4)) @ np.linalg.cholesky(cov).T
+    y = np.array([1.0, -0.5, 0.2, 0.8])
+    resid = y - sims
+    dist = np.einsum("ij,ij->i", resid, np.linalg.solve(cov, resid.T).T)
+    lam, w = select_next_lambda(sims, y, np.linalg.cholesky(cov), 0.0, 1e9)
+    lam_ref, w_ref = select_next_lambda(
+        np.sqrt(dist)[:, None], np.zeros(1), np.eye(1), 0.0, 1e9
+    )
+    assert lam == pytest.approx(lam_ref, rel=1e-9)
+    assert np.allclose(w, w_ref, rtol=1e-9, atol=1e-15)
+    assert 0.0 < lam < 1e9
+    direct = np.exp(-0.5 * lam * (dist - dist.min()))
+    assert np.allclose(w, direct / direct.sum(), rtol=1e-9, atol=1e-15)
 
 
 def test_select_lambda_respects_lambda_prev():
