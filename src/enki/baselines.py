@@ -23,7 +23,6 @@ from .rng import (
     PROPOSAL,
     RESAMPLE,
     SIMULATE,
-    ParticleStreams,
     as_seed_sequence,
     substream,
 )
@@ -129,7 +128,7 @@ class RunningMoments:
 
 
 def _adapt_kappa(
-    dist: np.ndarray, alive: np.ndarray, kappa_prev: float, target: float, iters: int
+    dist: np.ndarray, alive: np.ndarray, kappa_prev: float, target: float
 ) -> tuple:
     """Bisect kappa in (0, kappa_prev) so the alive count hits `target`.
 
@@ -143,7 +142,7 @@ def _adapt_kappa(
         return int(np.count_nonzero(alive & (dist < k)))
 
     lo, hi = 0.0, float(kappa_prev)
-    for _ in range(iters):
+    for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         if count_at(mid) >= target:
             hi = mid
@@ -184,7 +183,7 @@ def run_abc_smc(
     rw_scale = 2.38**2 / model.d_x
 
     params = model.prior_sample(n, substream(root, PRIOR))
-    sims = model.simulate_batch(params, ParticleStreams(root, SIMULATE, 0).shared())
+    sims = model.simulate_batch(params, substream(root, SIMULATE, 0))
     _require_finite(sims, "SMC iteration 0")
     sim_count = n
     dist = np.linalg.norm(observed - sims, axis=1)
@@ -207,7 +206,7 @@ def run_abc_smc(
 
     for iteration in range(1, _SMC_MAX_ITERS + 1):
         target = _ESS_KAPPA_TARGET * ess_cur
-        kappa, alive = _adapt_kappa(dist, alive, kappa, target, _BISECT_ITERS)
+        kappa, alive = _adapt_kappa(dist, alive, kappa, target)
         ess_cur = float(alive.sum())
         kappas.append(kappa)
         ess_trace.append(ess_cur)
@@ -233,9 +232,7 @@ def run_abc_smc(
         proposal = GaussPair(np.zeros(model.d_x), symmetrize(rw_scale * spread))
         steps = mvn_sample(proposal, m, substream(root, PROPOSAL, iteration))
         candidates = params[alive_idx] + steps
-        cand_sims = model.simulate_batch(
-            candidates, ParticleStreams(root, SIMULATE, iteration).shared()
-        )
+        cand_sims = model.simulate_batch(candidates, substream(root, SIMULATE, iteration))
         _require_finite(cand_sims, f"SMC iteration {iteration}")
         sim_count += m
         cand_dist = np.linalg.norm(observed - cand_sims, axis=1)

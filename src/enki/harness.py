@@ -144,11 +144,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"model: unknown '{self.model}' (available: {', '.join(available_models())})"
             )
-        for name, values in (
+        grid = (
             ("algorithm", self.algorithms),
             ("n_particles", self.n_particles),
             ("seeds", self.seeds),
-        ):
+        )
+        for name, values in grid:
             if values is None:
                 raise ConfigError(f"{name}: required field missing")
             if not isinstance(values, list) or not values:
@@ -164,6 +165,9 @@ class ExperimentConfig:
         for s in self.seeds:
             if isinstance(s, bool) or not isinstance(s, int) or s < 0:
                 raise ConfigError(f"seeds: every entry must be a nonnegative int, got {s!r}")
+        for name, values in grid:  # a repeat would run one cell twice into one directory
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name}: repeated entries in {values}")
         if not isinstance(self.algo_params, dict):
             raise ConfigError("algo_params: must be a mapping keyed by algorithm")
         for key, params in self.algo_params.items():

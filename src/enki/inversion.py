@@ -18,7 +18,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from .ensembles import Ensemble, MomentSet, compute_moments, ess, mvn_sample
 from .linalg import _one_blas_thread, chol_psd, solve_psd, symmetrize
 from .models.base import SimulatorModel, _require_int
-from .rng import PERTURB, PRIOR, SIMULATE, ParticleStreams, as_seed_sequence, substream
+from .rng import PERTURB, PRIOR, SIMULATE, as_seed_sequence, substream
 
 __all__ = [
     "TemperSchedule",
@@ -154,9 +154,10 @@ def eki_step(
     Moves each particle by
     C^xy (C^yy + (1/h - 1) C^{y|x})^-1 (y - y_i - eta_i) with
     eta_i ~ N(0, (1/h - 1) C^{y|x}), drawn from sqrt(1/h - 1) times
-    moments.chol_y_given_x, the factor `select_next_lambda` was given. The
-    (1/h - 1) factor is floored at 0, so h = 1 draws no noise at all and
-    h > 1 (optimisation-mode steps) degenerates to the plain C^yy bracket.
+    moments.chol_y_given_x, the factor `select_next_lambda` was given; C^{y|x}
+    is exactly symmetric already (`compute_moments`). The (1/h - 1) factor is
+    floored at 0, so h = 1 draws no noise at all and h > 1 (optimisation-mode
+    steps) degenerates to the plain C^yy bracket.
     """
     if ensemble.sims is None:
         raise ValueError("ensemble has no simulated data")
@@ -164,7 +165,7 @@ def eki_step(
         raise ValueError("stepsize h must be positive")
     observed = np.atleast_1d(np.asarray(observed, dtype=float))
     coeff = max(1.0 / h - 1.0, 0.0)
-    noise_cov = symmetrize(coeff * moments.cov_y_given_x)
+    noise_cov = coeff * moments.cov_y_given_x
     noise_chol = np.sqrt(coeff) * moments.chol_y_given_x if noise_cov.any() else None
     return _kalman_move(ensemble, observed, moments, noise_cov, noise_chol, rng)
 
@@ -211,11 +212,11 @@ def select_next_lambda(
     Pseudo-weights w_i are proportional to exp(-(lambda - lambda_prev) d_i / 2)
     with d_i = |L^-1 (y - y_i)|^2 the squared Mahalanobis distance of particle
     i's simulation from the observations, L = chol_y_given_x the lower factor
-    of the noise covariance (one triangular solve serves all particles).
-    Weights are computed in log space with max-subtraction. Returns
-    (lambda_next, normalized weights) where lambda_next has ESS within
-    bisect_tol * N of rho * N, or lambda_max when even the full step keeps
-    ESS at or above target (clamp, no search).
+    of the noise covariance (one triangular solve serves all particles, and
+    gives the same bits for C- and F-ordered sims). Weights are computed in
+    log space with max-subtraction. Returns (lambda_next, normalized weights)
+    where lambda_next has ESS within bisect_tol * N of rho * N, or lambda_max
+    when even the full step keeps ESS at or above target (clamp, no search).
     Raises ValueError on any non-finite simulation.
     """
     if lambda_prev >= lambda_max:
@@ -225,9 +226,7 @@ def select_next_lambda(
     if not np.all(np.isfinite(sims)):
         raise ValueError("sims must be finite")
     n = sims.shape[0]
-    # C-ordered rows whatever the simulator returned: the einsum's summation
-    # order, hence its last bits, follows the memory layout
-    resid = (observed - np.ascontiguousarray(sims)).T
+    resid = (observed - sims).T
     white = solve_triangular(chol_y_given_x, resid, lower=True)
     dist = np.einsum("ij,ij->j", white, white)
     target = rho * n
@@ -270,12 +269,10 @@ def select_next_lambda(
 
 
 def stop_optimisation(
-    initial_moments: MomentSet, current_moments: MomentSet, upsilon: float
+    initial_var: np.ndarray, current_var: np.ndarray, upsilon: float
 ) -> bool:
-    """True iff every marginal variance fell strictly below upsilon x initial."""
-    init_var = np.diag(initial_moments.cov_xx)
-    cur_var = np.diag(current_moments.cov_xx)
-    return bool(np.all(cur_var < upsilon * init_var))
+    """True iff every marginal variance in current_var is strictly below upsilon x initial_var."""
+    return bool(np.all(current_var < upsilon * initial_var))
 
 
 def eki_min_particles(model: SimulatorModel) -> int:
@@ -332,21 +329,20 @@ def run_eki(
     ensemble = Ensemble(params)
     schedule = TemperSchedule()
     snapshots = [ensemble] if config.snapshots else None
-    initial_moments = None
+    initial_var = None
     reason = "max_iters"
 
     for iteration in range(1, config.max_iters + 1):
-        sims = model.simulate_batch(
-            ensemble.params, ParticleStreams(root, SIMULATE, iteration).shared()
-        )
+        sims = model.simulate_batch(ensemble.params, substream(root, SIMULATE, iteration))
         _require_finite(sims, f"EKI iteration {iteration}")
         ensemble = ensemble.with_sims(sims)
         moments = compute_moments(ensemble)
-        if initial_moments is None:
-            initial_moments = moments
+        current_var = np.diag(moments.cov_xx)
+        if initial_var is None:
+            initial_var = current_var
 
         if config.stop_mode == "optimisation" and iteration > 1:
-            if stop_optimisation(initial_moments, moments, _UPSILON):
+            if stop_optimisation(initial_var, current_var, _UPSILON):
                 reason = "optimisation"
                 break
 

@@ -98,6 +98,7 @@ class GkModel(SimulatorModel):
         self.upper = float(upper)
         if not (math.isfinite(self.upper) and self.upper > 0.0):
             raise ValueError(f"upper must be finite and positive, got {upper}")
+        self._kept = _order_stat_indices(self.n_raw, self.n_stats)
 
     def prior_sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal((count, self.d_x))
@@ -126,7 +127,7 @@ class GkModel(SimulatorModel):
         z = rng.standard_normal((params.shape[0], self.n_raw))
         z.sort(axis=1)
         a, b, g, k = (natural[:, j : j + 1] for j in range(4))
-        kept = z[:, _order_stat_indices(self.n_raw, self.n_stats)]
+        kept = z[:, self._kept]
         return _gk_values(kept, GkParams(a, b, g, k, self.c))
 
     def constrain(self, params: np.ndarray) -> np.ndarray:

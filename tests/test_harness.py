@@ -126,6 +126,16 @@ def test_config_validates_grid_entries():
         ExperimentConfig.from_mapping(small_mapping(snapshots="false"))
     with pytest.raises(ConfigError, match="label"):
         ExperimentConfig.from_mapping(small_mapping(label=None))
+    # a repeated entry would run one cell several times into one directory
+    for field, value in (
+        ("algorithm", ["eki-sampling", "eki-sampling"]),
+        ("algorithm", ["abc-smc", "eki-sampling", "abc-smc"]),
+        ("n_particles", [40, 40]),
+        ("seeds", [0, 0]),
+        ("seeds", [0, 1, 2, 1]),
+    ):
+        with pytest.raises(ConfigError, match=f"^{field}: repeated"):
+            ExperimentConfig.from_mapping(small_mapping(**{field: value}))
 
 
 def test_config_checks_model_overrides_early():

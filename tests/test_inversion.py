@@ -279,6 +279,20 @@ def test_select_lambda_distances_under_a_general_factor():
     assert np.allclose(w, direct / direct.sum(), rtol=1e-9, atol=1e-15)
 
 
+def test_select_lambda_ignores_the_memory_layout_of_sims():
+    # simulators return C- or F-ordered arrays (g-and-k's kept ranks are
+    # F-ordered); lambda and the weights must not depend on which
+    rng = np.random.default_rng(9)
+    low = np.linalg.cholesky(random_spd(rng, 5))
+    sims = rng.normal(size=(400, 5)) @ low.T
+    y = np.array([0.3, -1.0, 0.5, 0.0, 1.2])
+    lam_c, w_c = select_next_lambda(np.ascontiguousarray(sims), y, low, 0.0, 1e9)
+    lam_f, w_f = select_next_lambda(np.asfortranarray(sims), y, low, 0.0, 1e9)
+    assert 0.0 < lam_c < 1e9
+    assert lam_f == lam_c
+    assert np.array_equal(w_f, w_c)
+
+
 def test_select_lambda_respects_lambda_prev():
     rng = np.random.default_rng(4)
     sims = rng.normal(size=(200, 2))
@@ -305,11 +319,12 @@ def test_select_lambda_rejects_non_finite_sims():
 
 def test_stop_optimisation_is_strict():
     base = _make_simulated(0, n=100)
-    mom = compute_moments(base)
-    assert not stop_optimisation(mom, mom, upsilon=1.0)  # equality fails
+    var = np.diag(compute_moments(base).cov_xx)
+    assert not stop_optimisation(var, var, upsilon=1.0)  # equality fails
     shrunk = Ensemble(base.params * 0.01, sims=base.sims)
-    assert stop_optimisation(mom, compute_moments(shrunk), upsilon=1e-2)
-    assert not stop_optimisation(mom, compute_moments(shrunk), upsilon=1e-5)
+    shrunk_var = np.diag(compute_moments(shrunk).cov_xx)
+    assert stop_optimisation(var, shrunk_var, upsilon=1e-2)
+    assert not stop_optimisation(var, shrunk_var, upsilon=1e-5)
 
 
 # --------------------------------------------------------------------- run_eki
