@@ -114,7 +114,7 @@ class RunningMoments:
         self.count += 1
         delta = x - self._mean
         self._mean = self._mean + delta / self.count
-        self._m2 = self._m2 + np.outer(delta, x - self._mean)
+        self._m2 = self._m2 + delta[:, None] * (x - self._mean)
 
     @property
     def mean(self) -> np.ndarray:
@@ -183,6 +183,7 @@ def run_abc_smc(
     rw_scale = 2.38**2 / model.d_x
 
     params = model.prior_sample(n, substream(root, PRIOR))
+    logp = model.prior_logpdf(params)
     sims = model.simulate_batch(params, substream(root, SIMULATE, 0))
     _require_finite(sims, "SMC iteration 0")
     sim_count = n
@@ -217,6 +218,7 @@ def run_abc_smc(
             weights = alive / alive.sum()
             idx = systematic_resample(weights, substream(root, RESAMPLE, iteration))
             params = params[idx]
+            logp = logp[idx]
             sims = sims[idx]
             dist = dist[idx]
             alive = np.ones(n, dtype=bool)
@@ -236,11 +238,13 @@ def run_abc_smc(
         _require_finite(cand_sims, f"SMC iteration {iteration}")
         sim_count += m
         cand_dist = np.linalg.norm(observed - cand_sims, axis=1)
-        log_ratio = model.prior_logpdf(candidates) - model.prior_logpdf(params[alive_idx])
+        cand_logp = model.prior_logpdf(candidates)
+        log_ratio = cand_logp - logp[alive_idx]
         uniforms = substream(root, ACCEPT, iteration).random(m)
         accept = (np.log(uniforms) < log_ratio) & (cand_dist < kappa)
         moved = alive_idx[accept]
         params[moved] = candidates[accept]
+        logp[moved] = cand_logp[accept]
         sims[moved] = cand_sims[accept]
         dist[moved] = cand_dist[accept]
         rate = float(accept.mean())
@@ -318,10 +322,13 @@ def run_abc_mcmc(
         _require_finite(cand_sim, f"MCMC step {t}")
         sim_count += 1
         cand_dist = float(np.linalg.norm(observed - cand_sim))
-        cand_logp = model.prior_logpdf(candidate[None])[0]
-        ok = np.log(rng.random()) < float(cand_logp - logp_cur) and cand_dist < kappa
-        if ok:
-            state, logp_cur = candidate, cand_logp
+        u = rng.random()
+        ok = False
+        if cand_dist < kappa:  # the prior ratio decides only inside kappa
+            cand_logp = model.prior_logpdf(candidate[None])[0]
+            ok = np.log(u) < float(cand_logp - logp_cur)
+            if ok:
+                state, logp_cur = candidate, cand_logp
         accepted[t - 1] = ok
         gain = t ** (-_GAIN_DECAY)
         kappa = float(np.exp(np.log(kappa) - gain * (float(ok) - _TARGET_ACCEPTANCE)))

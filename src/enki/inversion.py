@@ -296,7 +296,7 @@ def _check_observed(model: SimulatorModel, observed) -> np.ndarray:
 
 def _require_finite(sims: np.ndarray, where: str) -> None:
     """The samplers' non-finite policy: a non-finite simulation ends the run."""
-    if not np.all(np.isfinite(sims)):
+    if not np.isfinite(sims).all():
         raise ValueError(f"{where}: simulation is not finite")
 
 

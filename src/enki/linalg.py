@@ -2,9 +2,12 @@
 
 Empirical covariances from small or collapsed ensembles are routinely
 rank-deficient, so every Cholesky in the package goes through `chol_psd`:
-symmetrize, attempt to factor, and on failure add diagonal jitter starting
-at ``1e-10 * trace/d`` and escalating tenfold up to ``1e-4 * trace/d``
-before giving up. Solves are always against a factorization, never an
+check the shape, symmetrize, reject non-finite entries, and attempt to
+factor. Only on failure does it compute the trace and add diagonal jitter,
+starting at ``1e-10 * trace/d`` and escalating tenfold up to
+``1e-4 * trace/d`` before giving up. A jittered factor logs one DEBUG line
+through this module's `logging` logger, which is silent unless the caller
+configures logging. Solves are always against a factorization, never an
 explicit inverse.
 
 `run_eki`, `run_abc_smc` and `run_abc_mcmc` run under `_one_blas_thread`:
@@ -20,10 +23,13 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import logging
 from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_solve
+
+_log = logging.getLogger(__name__)
 
 JITTER_REL_START = 1e-10
 JITTER_REL_MAX = 1e-4
@@ -39,39 +45,48 @@ def chol_psd(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of a (near-)PSD matrix under the jitter policy.
 
     Returns (L, jitter) with ``L @ L.T == symmetrize(mat) + jitter * I``.
-    For a matrix with nonpositive trace (e.g. exactly zero), the relative
-    scale degenerates, so the ladder falls back to absolute units.
+    The checks run in this order: shape, finiteness, then one factorization
+    of ``symmetrize(mat)``, which returns jitter 0.0 when it succeeds. Only
+    after it fails is the trace computed and the jitter ladder climbed from
+    trace/d; for a matrix with nonpositive trace (e.g. exactly zero) that
+    relative scale degenerates, so the ladder falls back to absolute
+    units. A factor found on the ladder logs one DEBUG line with the matrix
+    size, the jitter and its level relative to that scale.
 
     Raises
     ------
     ValueError
         ``expected square matrix ...`` unless `mat` is a square 2-D array.
     numpy.linalg.LinAlgError
-        If the matrix stays non-factorizable at the largest jitter, or
-        contains non-finite entries (numpy's cholesky does not reject NaN).
+        If the matrix contains non-finite entries (numpy's cholesky does
+        not reject NaN), or stays non-factorizable at the largest jitter.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected square matrix, got shape {mat.shape}")
     a = symmetrize(mat)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("matrix has non-finite entries")
-    d = a.shape[0]
-    scale = np.trace(a) / d
-    if scale <= 0.0:
-        scale = 1.0
     try:
         return np.linalg.cholesky(a), 0.0
     except np.linalg.LinAlgError:
         pass
+    d = a.shape[0]
+    scale = np.trace(a) / d
+    if scale <= 0.0:
+        scale = 1.0
     rel = JITTER_REL_START
     eye = np.eye(d)
     while rel <= JITTER_REL_MAX * (1 + 1e-12):
         jitter = rel * scale
         try:
-            return np.linalg.cholesky(a + jitter * eye), jitter
+            low = np.linalg.cholesky(a + jitter * eye)
         except np.linalg.LinAlgError:
             rel *= 10.0
+            continue
+        _log.debug("chol_psd: %d x %d matrix factored with jitter %.3e (relative %.0e)",
+                   d, d, jitter, rel)
+        return low, jitter
     raise np.linalg.LinAlgError(
         f"matrix not factorizable after jitter escalation to {JITTER_REL_MAX * scale:.3e}"
     )

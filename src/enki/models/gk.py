@@ -41,10 +41,10 @@ class GkParams:
     c: float = 0.8
 
 
-def _gk_values(z, params: GkParams):
+def _gk_values(z, a, b, g, k, c):
     # (1 - e^{-gz}) / (1 + e^{-gz}) written as tanh(gz/2) to avoid overflow.
-    skew = 1.0 + params.c * np.tanh(params.g * z / 2.0)
-    return params.A + params.B * skew * (1.0 + z**2) ** params.k * z
+    skew = 1.0 + c * np.tanh(g * z / 2.0)
+    return a + b * skew * (1.0 + z**2) ** k * z
 
 
 def gk_quantile(u, params: GkParams):
@@ -55,7 +55,7 @@ def gk_quantile(u, params: GkParams):
     u = np.asarray(u, dtype=float)
     if not np.all((u > 0.0) & (u < 1.0)):
         raise ValueError("u must lie strictly inside (0, 1)")
-    out = _gk_values(ndtri(u), params)
+    out = _gk_values(ndtri(u), params.A, params.B, params.g, params.k, params.c)
     return float(out) if out.ndim == 0 else out
 
 
@@ -99,13 +99,14 @@ class GkModel(SimulatorModel):
         if not (math.isfinite(self.upper) and self.upper > 0.0):
             raise ValueError(f"upper must be finite and positive, got {upper}")
         self._kept = _order_stat_indices(self.n_raw, self.n_stats)
+        self._log_norm = 0.5 * self.d_x * np.log(2 * np.pi)
 
     def prior_sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal((count, self.d_x))
 
     def prior_logpdf(self, params: np.ndarray) -> np.ndarray:
         params = np.atleast_2d(np.asarray(params, dtype=float))
-        return -0.5 * np.sum(params**2, axis=1) - 0.5 * self.d_x * np.log(2 * np.pi)
+        return -0.5 * np.sum(params**2, axis=1) - self._log_norm
 
     def simulate_batch(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Order-statistic summaries of each working-space row, shape (n, n_stats).
@@ -122,13 +123,12 @@ class GkModel(SimulatorModel):
         if params.shape[1] != self.d_x:
             raise ValueError(f"params must have {self.d_x} columns")
         natural = inverse_transform(params, self.upper)
-        if not np.all(np.isfinite(natural)):
+        if not np.isfinite(natural).all():
             raise ValueError("params must be finite")
         z = rng.standard_normal((params.shape[0], self.n_raw))
         z.sort(axis=1)
-        a, b, g, k = (natural[:, j : j + 1] for j in range(4))
-        kept = z[:, self._kept]
-        return _gk_values(kept, GkParams(a, b, g, k, self.c))
+        a, b, g, k = natural.T[:, :, None]
+        return _gk_values(z[:, self._kept], a, b, g, k, self.c)
 
     def constrain(self, params: np.ndarray) -> np.ndarray:
         return inverse_transform(params, self.upper)

@@ -1,4 +1,5 @@
 """Factorization, jitter-policy and BLAS-thread-policy tests."""
+import logging
 import os
 import subprocess
 import sys
@@ -25,21 +26,41 @@ def test_symmetrize_is_exact():
     assert np.allclose(s, [[1.0, 1.0], [1.0, 3.0]])
 
 
-def test_chol_psd_clean_matrix_no_jitter():
+def test_chol_psd_clean_matrix_no_jitter(caplog):
     a = np.array([[4.0, 1.0], [1.0, 3.0]])
-    low, jitter = chol_psd(a)
+    with caplog.at_level(logging.DEBUG, logger="enki.linalg"):
+        low, jitter = chol_psd(a)
     assert jitter == 0.0
     assert np.allclose(low @ low.T, a)
     assert np.allclose(np.triu(low, 1), 0.0)
+    assert not caplog.records
 
 
-def test_chol_psd_rank_deficient_gets_small_jitter():
+def test_chol_psd_no_jitter_factor_is_numpy_cholesky_of_the_symmetrized_input():
+    rng = np.random.default_rng(3)
+    for d in (1, 4, 30):
+        a = rng.normal(size=(d, d))
+        mat = a @ a.T + 0.1 * np.eye(d)
+        mat[np.tril_indices(d, -1)] *= 1 + 1e-9  # not exactly symmetric
+        low, jitter = chol_psd(mat)
+        assert jitter == 0.0
+        assert np.array_equal(low, np.linalg.cholesky(symmetrize(mat)))
+
+
+def test_chol_psd_rank_deficient_gets_small_jitter(caplog):
     v = np.array([1.0, 2.0, 3.0])
     a = np.outer(v, v)  # rank 1, singular
-    low, jitter = chol_psd(a)
+    with caplog.at_level(logging.DEBUG, logger="enki.linalg"):
+        low, jitter = chol_psd(a)
     scale = np.trace(a) / 3
     assert 0.0 < jitter <= JITTER_REL_MAX * scale * (1 + 1e-12)
     assert np.allclose(low @ low.T, a + jitter * np.eye(3))
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG
+    rel = jitter / scale
+    assert record.getMessage() == (
+        f"chol_psd: 3 x 3 matrix factored with jitter {jitter:.3e} (relative {rel:.0e})"
+    )
 
 
 def test_chol_psd_zero_matrix_uses_absolute_scale():
@@ -50,16 +71,22 @@ def test_chol_psd_zero_matrix_uses_absolute_scale():
 
 
 def test_chol_psd_rejects_non_finite():
-    with pytest.raises(np.linalg.LinAlgError):
-        chol_psd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-    with pytest.raises(np.linalg.LinAlgError):
-        chol_psd(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    # also where the factorization would fail and start the jitter ladder
+    for bad in (np.nan, np.inf, -np.inf):
+        for where in ((0, 0), (1, 0), (1, 1)):
+            for diag in (1.0, -1.0):
+                a = np.array([[1.0, 0.0], [0.0, diag]])
+                a[where] = bad
+                with pytest.raises(np.linalg.LinAlgError, match="non-finite entries"):
+                    chol_psd(a)
 
 
 def test_chol_psd_rejects_nonsquare():
-    for shape in ((2, 3), (3, 2), (4,), (2, 2, 2)):
-        with pytest.raises(ValueError, match=r"expected square matrix, got shape \("):
-            chol_psd(np.ones(shape))
+    # the shape check comes first, also for non-finite or negative entries
+    for fill in (1.0, np.nan, -1.0):
+        for shape in ((2, 3), (3, 2), (4,), (2, 2, 2)):
+            with pytest.raises(ValueError, match=r"expected square matrix, got shape \("):
+                chol_psd(np.full(shape, fill))
 
 
 def test_chol_psd_gives_up_on_negative_definite():

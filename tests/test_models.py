@@ -138,7 +138,7 @@ def _sort_the_values(natural, c, n_raw, n_stats, rng):
     # every draw, sort the values, keep the ranks
     z = np.stack([rng.standard_normal(n_raw) for _ in natural])
     a, b, g, k = (natural[:, j : j + 1] for j in range(4))
-    vals = np.sort(_gk_values(z, GkParams(a, b, g, k, c)), axis=1)
+    vals = np.sort(_gk_values(z, a, b, g, k, c), axis=1)
     return vals[:, _order_stat_indices(n_raw, n_stats)]
 
 
