@@ -8,6 +8,7 @@ schedule toward a fixed acceptance rate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,6 @@ _ESS_KAPPA_TARGET = 0.9  # SMC keeps this fraction of the ESS per kappa step
 _RESAMPLE_THRESHOLD = 0.5  # SMC resamples below this fraction of N
 _STOP_ACCEPTANCE = 0.015  # SMC stops once its move acceptance falls below this
 _SMC_MAX_ITERS = 1000  # SMC iteration cap
-_BISECT_ITERS = 60  # SMC bisection steps per kappa adaptation
 _TARGET_ACCEPTANCE = 0.10  # MCMC steers kappa toward this acceptance rate
 _GAIN_DECAY = 0.6  # MCMC log-kappa gain is t^(-_GAIN_DECAY)
 _ADAPT_START = 10  # MCMC proposes from the identity up to this step
@@ -51,7 +51,7 @@ class AbcSmcConfig:
     """SMC sampler settings.
 
     Fixed: the initial kappa is the largest prior-predictive distance; each
-    kappa adaptation keeps 0.9 of the ESS, by 60 bisection steps;
+    kappa adaptation keeps 0.9 of the ESS, read off the sorted distances;
     resampling triggers below 0.5 * N; the random-walk proposal is
     2.38^2 / d_x times the ensemble covariance; the run stops once the
     rejuvenation acceptance rate first falls below 1.5%, or after 1000
@@ -87,13 +87,19 @@ class AbcMcmcConfig:
 
 
 def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Indices of a systematic resample: one uniform offset, N strata."""
+    """Indices of a systematic resample: one uniform offset, N strata.
+
+    Raises ValueError unless the weights are nonnegative, not NaN, and have
+    a finite positive sum.
+    """
     w = np.asarray(weights, dtype=float)
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
+    if not (w >= 0).all():  # NaN fails this test too
+        raise ValueError("weights must be nonnegative and not NaN")
     total = w.sum()
     if total <= 0:
         raise ValueError("weights sum to zero")
+    if not np.isfinite(total):
+        raise ValueError(f"weights must have a finite sum, got {total}")
     n = w.size
     positions = (rng.random() + np.arange(n)) / n
     cumulative = np.cumsum(w / total)
@@ -130,38 +136,25 @@ class RunningMoments:
 def _adapt_kappa(
     dist: np.ndarray, alive: np.ndarray, kappa_prev: float, target: float
 ) -> tuple:
-    """Bisect kappa in (0, kappa_prev) so the alive count hits `target`.
+    """Kappa below kappa_prev whose alive count is nearest `target`.
 
-    With indicator weights the ESS equals the number of surviving
-    particles, a step function of kappa, so the bisection converges onto
-    the jump nearest the target and we keep whichever side is closer. The
-    returned kappa is always strictly below kappa_prev.
+    With indicator weights the ESS is the alive count, which first reaches
+    a target in (0, alive count] just above s_m, the m-th smallest alive
+    distance, m = ceil(target). The two candidates are s_m, which drops the
+    m-th particle, and the next float above it, which keeps it; a tie, or a
+    drop that would leave no particle alive, keeps it. The returned kappa is
+    always strictly below kappa_prev, so s_m wins whenever the next float
+    reaches kappa_prev.
     """
-
-    def count_at(k: float) -> int:
-        return int(np.count_nonzero(alive & (dist < k)))
-
-    lo, hi = 0.0, float(kappa_prev)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if count_at(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    c_hi = count_at(hi)
-    c_lo = count_at(lo)
-    if abs(c_hi - target) <= abs(c_lo - target) or c_lo < 1:
-        kappa = hi
-    else:
-        kappa = lo
-    if kappa >= kappa_prev:
-        kappa = np.nextafter(kappa_prev, 0.0)
-    new_alive = alive & (dist < kappa)
-    if not new_alive.any():
-        # never annihilate the ensemble; back off to just below kappa_prev
-        kappa = np.nextafter(kappa_prev, 0.0)
-        new_alive = alive & (dist < kappa)
-    return float(kappa), new_alive
+    ranked = np.sort(dist[alive])
+    s_m = ranked[math.ceil(target) - 1]
+    c_hi = np.searchsorted(ranked, s_m, side="right")
+    c_lo = np.searchsorted(ranked, s_m, side="left")
+    keep = abs(c_hi - target) <= abs(c_lo - target) or c_lo < 1
+    kappa = np.nextafter(s_m, np.inf)
+    if not keep or kappa >= kappa_prev:
+        kappa = s_m
+    return float(kappa), alive & (dist < kappa)
 
 
 @_one_blas_thread()
@@ -170,12 +163,15 @@ def run_abc_smc(
 ) -> RunResult:
     """Adaptive ABC-SMC with systematic resampling and RW-MH rejuvenation.
 
-    Per iteration: shrink kappa by bisection so the surviving-particle ESS
-    stays near 0.9 times its previous value, resample when the
-    ESS drops below 0.5 * N, then give every surviving
-    particle one random-walk move accepted iff the prior ratio passes and a
-    fresh simulation lands inside kappa. Stops when the move acceptance
-    rate first falls below 1.5%. Every simulate call is counted.
+    Per iteration: shrink kappa to an alive distance, or the next float
+    above it, so the surviving-particle ESS lands nearest 0.9 times its
+    previous value; resample when the ESS drops below 0.5 * N; then give
+    every surviving particle one random-walk move accepted iff the prior
+    ratio passes and a fresh simulation lands inside kappa. Stops when the
+    move acceptance rate first falls below 1.5%, or as "collapsed" when
+    fewer than two particles survive or no kappa below the current one
+    keeps any (every alive distance equal, as with discrete data that all
+    match exactly). Every simulate call is counted.
     """
     observed = _check_observed(model, observed)
     root = as_seed_sequence(seed)
@@ -190,12 +186,10 @@ def run_abc_smc(
     dist = np.linalg.norm(observed - sims, axis=1)
 
     kappa = float(dist.max())
-    if kappa <= 0:
-        kappa = 1.0
     alive = dist < kappa
-    if not alive.any():
-        kappa = np.nextafter(float(dist.max()), np.inf)
-        alive = dist < kappa
+    if not alive.any():  # every distance equal: keep them all, at 1.0 if all are zero
+        kappa = np.nextafter(kappa, np.inf) if kappa > 0 else 1.0
+        alive[:] = True
     ess_cur = float(alive.sum())
 
     kappas = [kappa]
@@ -207,7 +201,11 @@ def run_abc_smc(
 
     for iteration in range(1, _SMC_MAX_ITERS + 1):
         target = _ESS_KAPPA_TARGET * ess_cur
-        kappa, alive = _adapt_kappa(dist, alive, kappa, target)
+        kappa_next, alive_next = _adapt_kappa(dist, alive, kappa, target)
+        if not alive_next.any():  # every alive distance ties just below kappa
+            reason = "collapsed"
+            break
+        kappa, alive = kappa_next, alive_next
         ess_cur = float(alive.sum())
         kappas.append(kappa)
         ess_trace.append(ess_cur)

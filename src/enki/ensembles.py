@@ -153,8 +153,8 @@ def ess(weights: np.ndarray) -> float:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a nonempty vector")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
+    if not (w >= 0).all():  # NaN fails this test too
+        raise ValueError("weights must be nonnegative and not NaN")
     total = w.sum()
     if total == 0:
         raise ValueError("weights sum to zero")

@@ -298,13 +298,17 @@ def _format_value(key: str, value) -> str:
     return str(value)
 
 
-def write_metrics_csv(rows: list, path) -> None:
-    """Write metrics rows under the fixed header (column order is part of the contract)."""
+def _write_csv(path, header: list, rows) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(METRICS_FIELDS)
-        for row in rows:
-            writer.writerow([_format_value(k, row[k]) for k in METRICS_FIELDS])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_metrics_csv(rows: list, path) -> None:
+    """Write metrics rows under the fixed header (column order is part of the contract)."""
+    _write_csv(path, METRICS_FIELDS,
+               ([_format_value(k, row[k]) for k in METRICS_FIELDS] for row in rows))
 
 
 def read_metrics_csv(path) -> list:
@@ -322,11 +326,8 @@ def read_metrics_csv(path) -> list:
 
 def _write_ensemble_csv(params: np.ndarray, path: Path) -> None:
     params = np.atleast_2d(np.asarray(params, dtype=float))
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{k + 1}" for k in range(params.shape[1])])
-        for row in params:
-            writer.writerow([repr(float(v)) for v in row])
+    _write_csv(path, [f"x{k + 1}" for k in range(params.shape[1])],
+               ([repr(float(v)) for v in row] for row in params))
 
 
 def _write_json(value, path: Path) -> None:
@@ -421,8 +422,4 @@ def format_summary(groups: list) -> str:
 
 
 def write_summary_csv(groups: list, path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_SUMMARY_FIELDS)
-        writer.writeheader()
-        for g in groups:
-            writer.writerow(g)
+    _write_csv(path, _SUMMARY_FIELDS, ([g[k] for k in _SUMMARY_FIELDS] for g in groups))

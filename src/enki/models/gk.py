@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 from scipy.special import ndtri
 
-from .base import SimulatorModel
+from .base import SimulatorModel, _require_int
 from .transforms import inverse_transform, transform_to_unconstrained
 
 __all__ = ["GkParams", "gk_quantile", "GkModel"]
@@ -73,22 +72,17 @@ class GkModel(SimulatorModel):
     Uniform(0, 10)^4 on the natural scale is exactly N(0, I) here. The
     conventional ground truth is (3, 1, 2, 1/2).
 
-    Raises ValueError unless n_raw and n_stats are integers with
-    1 <= n_stats <= n_raw, c lies in [0, 0.8], and upper is finite and
-    positive. The probit map keeps every B and k in [0, upper].
+    Raises TypeError unless n_raw and n_stats are integers, and ValueError
+    unless 1 <= n_stats <= n_raw, c lies in [0, 0.8], and upper is finite
+    and positive. The probit map keeps every B and k in [0, upper].
     """
 
     d_x = 4
 
     def __init__(self, n_raw: int = 1000, n_stats: int = 100, c: float = 0.8,
                  upper: float = 10.0):
-        for name, value in (("n_raw", n_raw), ("n_stats", n_stats)):
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if n_stats < 1:
-            raise ValueError(f"n_stats must be at least 1, got {n_stats}")
-        if n_stats > n_raw:
-            raise ValueError(f"n_stats must not exceed n_raw, got {n_stats} > {n_raw}")
+        _require_int("n_stats", n_stats, 1)
+        _require_int("n_raw", n_raw, n_stats)
         self.n_raw = int(n_raw)
         self.n_stats = int(n_stats)
         self.d_y = self.n_stats

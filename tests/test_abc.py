@@ -10,6 +10,7 @@ from enki.baselines import (
     AbcMcmcConfig,
     AbcSmcConfig,
     RunningMoments,
+    _adapt_kappa,
     run_abc_mcmc,
     run_abc_smc,
     systematic_resample,
@@ -53,6 +54,10 @@ def test_systematic_resample_input_contract():
         systematic_resample(np.array([0.5, -0.5]), np.random.default_rng(0))
     with pytest.raises(ValueError):
         systematic_resample(np.zeros(3), np.random.default_rng(0))
+    # a NaN or infinite weight must not draw every index onto one particle
+    for bad, match in ((np.nan, "nonnegative"), (-np.inf, "nonnegative"), (np.inf, "finite")):
+        with pytest.raises(ValueError, match=match):
+            systematic_resample(np.array([bad, 1.0]), np.random.default_rng(0))
 
 
 def test_running_moments_match_batch_estimates():
@@ -147,6 +152,27 @@ def test_smc_bitwise_reproducible():
     assert a.sim_count == b.sim_count
 
 
+class _RoundedToyModel(ToyModel):
+    """ToyModel with its data rounded to integers, so distances tie exactly."""
+
+    def simulate_batch(self, params, rng):
+        return np.round(super().simulate_batch(params, rng))
+
+
+def test_smc_stops_when_no_lower_kappa_keeps_a_particle():
+    # integer data: once every alive particle matches the data exactly, each
+    # kappa below the last one empties the alive set; the run must stop and
+    # return the exact matches, not resample an empty set
+    model = _RoundedToyModel()
+    observed = np.array([3.0])
+    res = run_abc_smc(model, observed, AbcSmcConfig(n_particles=200), 0)
+    kappas = res.diagnostics["kappas"]
+    assert res.termination_reason == "collapsed"
+    assert kappas[-1] == np.nextafter(0.0, 1.0)
+    assert all(b < a for a, b in zip(kappas, kappas[1:]))
+    assert np.array_equal(res.ensemble.sims, np.full((200, 1), 3.0))
+
+
 def test_smc_config_invariant_chain():
     # the tuning constants are fixed: passing one is an unknown field
     for name in ("ess_kappa_target", "stop_acceptance", "initial_kappa", "max_iters"):
@@ -156,6 +182,97 @@ def test_smc_config_invariant_chain():
         AbcSmcConfig(n_particles=1)
     with pytest.raises(TypeError, match="n_particles"):
         AbcSmcConfig(n_particles=100.0)
+
+
+def _bisect_kappa(dist, alive, kappa_prev, target):
+    # the 60-step bisection that _adapt_kappa replaced, kept as a reference
+    def count_at(k):
+        return int(np.count_nonzero(alive & (dist < k)))
+
+    lo, hi = 0.0, float(kappa_prev)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if count_at(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    c_hi = count_at(hi)
+    c_lo = count_at(lo)
+    if abs(c_hi - target) <= abs(c_lo - target) or c_lo < 1:
+        kappa = hi
+    else:
+        kappa = lo
+    if kappa >= kappa_prev:
+        kappa = np.nextafter(kappa_prev, 0.0)
+    new_alive = alive & (dist < kappa)
+    if not new_alive.any():
+        kappa = np.nextafter(kappa_prev, 0.0)
+        new_alive = alive & (dist < kappa)
+    return float(kappa), new_alive
+
+
+def _kappa_inputs(seed):
+    # distances in [1, 2], about half of them tied: on a coarse grid for odd
+    # seeds, at one shared value for even ones; an alive mask with a member
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    dist = rng.uniform(1.0, 2.0, n)
+    tied = rng.random(n) < 0.5
+    dist[tied] = np.round(dist[tied], 1) if seed % 2 else dist[0]
+    alive = rng.random(n) < 0.8
+    alive[int(rng.integers(n))] = True
+    return rng, dist, alive
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_adapt_kappa_equals_the_converged_bisection(seed):
+    # with kappa_prev / s_m <= 2^6 the 60 halvings end on adjacent floats,
+    # s_m and the next float up, and the two rules must agree bit for bit
+    rng, dist, alive = _kappa_inputs(seed)
+    top = dist[alive].max()
+    count = int(alive.sum())
+    for kappa_prev in (np.nextafter(top, np.inf), top * rng.uniform(1.01, 32.0)):
+        for target in (0.9 * count, count, 1.0 - rng.uniform(), 1.0):
+            kappa, new_alive = _adapt_kappa(dist, alive, kappa_prev, target)
+            ref_kappa, ref_alive = _bisect_kappa(dist, alive, kappa_prev, target)
+            assert kappa == ref_kappa
+            assert np.array_equal(new_alive, ref_alive)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_adapt_kappa_sits_on_the_jump_where_the_bisection_stops_short(seed):
+    # at kappa_prev / s_m = 2^12 the bisection ends about 2^-48 s_m above the
+    # jump; the direct rule returns s_m or the next float, and keeps the same
+    # particles
+    rng = np.random.default_rng(seed)
+    dist = rng.uniform(1.0, 2.0, 100)
+    alive = np.ones(100, dtype=bool)
+    target = 90.0
+    s_m = np.sort(dist)[89]
+    kappa_prev = 2.0**12 * s_m
+    kappa, new_alive = _adapt_kappa(dist, alive, kappa_prev, target)
+    ref_kappa, ref_alive = _bisect_kappa(dist, alive, kappa_prev, target)
+    assert kappa in (s_m, np.nextafter(s_m, np.inf))
+    assert ref_kappa > np.nextafter(s_m, np.inf)
+    assert np.array_equal(new_alive, ref_alive)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_adapt_kappa_keeps_the_nearest_achievable_count(seed):
+    # oracle: every threshold below kappa_prev keeps one of the counts
+    # {0} and #{alive d <= v} over the alive distances v; the rule keeps the
+    # nonzero count nearest the target, the larger one on a tie
+    rng, dist, alive = _kappa_inputs(seed)
+    alive_d = dist[alive]
+    kappa_prev = alive_d.max() * rng.uniform(1.01, 100.0)
+    counts = sorted({int(np.sum(alive_d <= v)) for v in alive_d})
+    for target in rng.uniform(0.0, alive_d.size, 5).tolist() + [float(alive_d.size)]:
+        kappa, new_alive = _adapt_kappa(dist, alive, kappa_prev, target)
+        best = min(counts, key=lambda c: (abs(c - target), -c))
+        assert kappa < kappa_prev
+        assert new_alive.any()
+        assert not (new_alive & ~alive).any()
+        assert int(new_alive.sum()) == best
 
 
 # -------------------------------------------------------------------- ABC-MCMC

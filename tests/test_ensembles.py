@@ -101,6 +101,10 @@ def test_ess_input_contract():
         ess(np.array([0.0, 0.0]))
     with pytest.raises(ValueError):
         ess(np.empty(0))
+    # a NaN or infinite weight is rejected, not turned into a NaN or zero ESS
+    for bad in (np.nan, -np.inf, np.inf):
+        with pytest.raises(ValueError):
+            ess(np.array([bad, 1.0]))
 
 
 @settings(max_examples=60, deadline=None)

@@ -209,8 +209,6 @@ def test_gk_model_validation():
         ({"c": float("nan")}, "c"),
         ({"n_stats": 0}, "n_stats"),
         ({"n_raw": 0, "n_stats": 0}, "n_stats"),
-        ({"n_stats": True}, "n_stats"),
-        ({"n_raw": 1000.0}, "n_raw"),
         ({"upper": -1.0}, "upper"),
         ({"upper": 0.0}, "upper"),
         ({"upper": float("inf")}, "upper"),
@@ -218,6 +216,10 @@ def test_gk_model_validation():
     ]
     for kwargs, field in bad_inputs:
         with pytest.raises(ValueError, match=f"^{field} "):
+            GkModel(**kwargs)
+    # a bool or a float, even an integral one, is not an integer
+    for kwargs, field in (({"n_stats": True}, "n_stats"), ({"n_raw": 1000.0}, "n_raw")):
+        with pytest.raises(TypeError, match=f"^{field} "):
             GkModel(**kwargs)
     # the edges of the accepted ranges still build
     GkModel(n_raw=1, n_stats=1, c=0.0)
