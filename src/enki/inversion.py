@@ -117,29 +117,29 @@ class RunResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _kalman_move(
+def _perturbed_innovations(
     ensemble: Ensemble,
     observed: np.ndarray,
     moments: MomentSet,
     noise_cov: np.ndarray,
     noise_chol: np.ndarray | None,
     rng: np.random.Generator,
-) -> Ensemble:
-    """Perturbed-observation Kalman move shared by both update steps.
+) -> tuple:
+    """Factor and innovations shared by both update steps.
 
-    Moves particle i by C^xy (C^yy + G)^-1 (y - f_i - eta_i), with f_i the
-    particle's row of ensemble.sims, moments = compute_moments(ensemble),
-    G = noise_cov and eta_i ~ N(0, G). The caller passes a lower factor L of
-    G as noise_chol, and the draw is ``rng.standard_normal((N, d_y)) @ L.T``,
-    `mvn_sample`'s layout; noise_chol None draws nothing. A single
-    factorization of C^yy + G is shared by all particles.
+    Returns (low, innov): low is the lower `chol_psd` factor of C^yy + G,
+    with moments = compute_moments(ensemble) and G = noise_cov, and row i of
+    innov is y - f_i - eta_i, with f_i the particle's row of ensemble.sims
+    and eta_i ~ N(0, G). The caller passes a lower factor L of G as
+    noise_chol, and the draw is ``rng.standard_normal((N, d_y)) @ L.T``,
+    `mvn_sample`'s layout; noise_chol None draws nothing. Each step applies
+    the gain C^xy (C^yy + G)^-1 to the rows of innov in its own order.
     """
     low, _ = chol_psd(moments.cov_yy + noise_cov)
     innov = observed - ensemble.sims
     if noise_chol is not None:
         innov = innov - rng.standard_normal(innov.shape) @ noise_chol.T
-    moves = (moments.cov_xy @ cho_solve((low, True), innov.T)).T
-    return Ensemble(ensemble.params + moves)
+    return low, innov
 
 
 def eki_step(
@@ -151,23 +151,26 @@ def eki_step(
 ) -> Ensemble:
     """One perturbed-observation update with simulator-estimated noise.
 
-    Moves each particle by
-    C^xy (C^yy + (1/h - 1) C^{y|x})^-1 (y - y_i - eta_i) with
+    Moves each particle by K (y - y_i - eta_i) with the gain
+    K = C^xy (C^yy + (1/h - 1) C^{y|x})^-1 and
     eta_i ~ N(0, (1/h - 1) C^{y|x}), drawn from sqrt(1/h - 1) times
     moments.chol_y_given_x, the factor `select_next_lambda` was given; C^{y|x}
     is exactly symmetric already (`compute_moments`). The (1/h - 1) factor is
     floored at 0, so h = 1 draws no noise at all and h > 1 (optimisation-mode
-    steps) degenerates to the plain C^yy bracket.
+    steps) degenerates to the plain C^yy bracket. One solve per step forms
+    K^T, d_x right-hand sides, and every particle's move is its innovation
+    row times K^T. observed must have length d_y.
     """
     if ensemble.sims is None:
         raise ValueError("ensemble has no simulated data")
     if h <= 0:
         raise ValueError("stepsize h must be positive")
-    observed = np.atleast_1d(np.asarray(observed, dtype=float))
+    observed = _observed_vector(observed, ensemble.sims.shape[1])
     coeff = max(1.0 / h - 1.0, 0.0)
     noise_cov = coeff * moments.cov_y_given_x
     noise_chol = np.sqrt(coeff) * moments.chol_y_given_x if noise_cov.any() else None
-    return _kalman_move(ensemble, observed, moments, noise_cov, noise_chol, rng)
+    low, innov = _perturbed_innovations(ensemble, observed, moments, noise_cov, noise_chol, rng)
+    return Ensemble(ensemble.params + innov @ cho_solve((low, True), moments.cov_xy.T))
 
 
 def gaussian_eki_step(
@@ -181,12 +184,15 @@ def gaussian_eki_step(
     """Classic additive-Gaussian iterate, for models y = H(x) + N(0, R).
 
     Gain C^xH (C^HH + R/h)^-1, perturbations eta ~ N(0, R/h); h = 1 is the
-    single perturbed-observation Kalman filter update step.
+    single perturbed-observation Kalman filter update step. Unlike
+    `eki_step`, it solves against all N innovations and then multiplies by
+    C^xH, the written-out filter's association, which it reproduces bit for
+    bit. observed must have length d_y, the column count of forward_evals.
     """
     if h <= 0:
         raise ValueError("stepsize h must be positive")
     forward = np.atleast_2d(np.asarray(forward_evals, dtype=float))
-    observed = np.atleast_1d(np.asarray(observed, dtype=float))
+    observed = _observed_vector(observed, forward.shape[1])
     r = symmetrize(np.atleast_2d(np.asarray(noise_cov, dtype=float)))
     if forward.shape[0] != ensemble.n:
         raise ValueError("forward_evals rows must match particle count")
@@ -194,7 +200,8 @@ def gaussian_eki_step(
     noise_cov = r / h
     noise_chol = chol_psd(noise_cov)[0] if noise_cov.any() else None
     moments = compute_moments(ensemble)
-    return _kalman_move(ensemble, observed, moments, noise_cov, noise_chol, rng)
+    low, innov = _perturbed_innovations(ensemble, observed, moments, noise_cov, noise_chol, rng)
+    return Ensemble(ensemble.params + (moments.cov_xy @ cho_solve((low, True), innov.T)).T)
 
 
 def select_next_lambda(
@@ -217,12 +224,13 @@ def select_next_lambda(
     log space with max-subtraction. Returns (lambda_next, normalized weights)
     where lambda_next has ESS within bisect_tol * N of rho * N, or lambda_max
     when even the full step keeps ESS at or above target (clamp, no search).
-    Raises ValueError on any non-finite simulation.
+    Raises ValueError on any non-finite simulation, or unless observed has
+    length d_y, the column count of sims.
     """
     if lambda_prev >= lambda_max:
         raise ValueError("lambda_prev must be below lambda_max")
     sims = np.atleast_2d(np.asarray(sims, dtype=float))
-    observed = np.atleast_1d(np.asarray(observed, dtype=float))
+    observed = _observed_vector(observed, sims.shape[1])
     if not np.all(np.isfinite(sims)):
         raise ValueError("sims must be finite")
     n = sims.shape[0]
@@ -284,11 +292,17 @@ def eki_min_particles(model: SimulatorModel) -> int:
     return model.d_x + model.d_y + 1
 
 
+def _observed_vector(observed, d_y: int) -> np.ndarray:
+    """observed as a float vector; ValueError unless it has length d_y."""
+    observed = np.atleast_1d(np.asarray(observed, dtype=float))
+    if observed.shape != (d_y,):
+        raise ValueError(f"observed must have length {d_y}, got {observed.shape}")
+    return observed
+
+
 def _check_observed(model: SimulatorModel, observed) -> np.ndarray:
     """observed as a float vector; ValueError unless finite and of length d_y."""
-    observed = np.atleast_1d(np.asarray(observed, dtype=float))
-    if observed.shape != (model.d_y,):
-        raise ValueError(f"observed must have length {model.d_y}, got {observed.shape}")
+    observed = _observed_vector(observed, model.d_y)
     if not np.all(np.isfinite(observed)):
         raise ValueError("observed must be finite")
     return observed

@@ -67,9 +67,9 @@ def test_eki_step_h1_draws_no_noise():
     probe_after = gen.standard_normal(3)
     fresh = np.random.default_rng(7).standard_normal(3)
     assert np.array_equal(probe_after, fresh)
-    # and the move is the plain deterministic Kalman formula
+    # and the move is the plain deterministic Kalman formula, gain first
     low, _ = chol_psd(mom.cov_yy)
-    moves = (mom.cov_xy @ cho_solve((low, True), (y - ens.sims).T)).T
+    moves = (y - ens.sims) @ cho_solve((low, True), mom.cov_xy.T)
     assert np.array_equal(out.params, ens.params + moves)
     assert out.sims is None
 
@@ -111,20 +111,49 @@ def test_eki_step_input_contract():
         eki_step(Ensemble(ens.params), np.zeros(2), 1.0, mom, np.random.default_rng(0))
     with pytest.raises(ValueError):
         eki_step(ens, np.zeros(2), 0.0, mom, np.random.default_rng(0))
-
-
-def test_eki_step_draws_eta_from_the_noise_factor():
-    # at h = 0.4 the move is the written-out filter step with
-    # eta = sqrt(1/h - 1) Z L^T, L the Cholesky factor of C^{y|x}
-    ens = _make_simulated(4, n=300, d_x=2, d_y=3)
+    # an observed vector of the wrong length is refused, not broadcast
+    ens = _make_simulated(3, d_y=3)
     mom = compute_moments(ens)
-    y = np.array([0.3, -0.2, 0.1])
-    out = eki_step(ens, y, 0.4, mom, np.random.default_rng(5))
-    z = np.random.default_rng(5).standard_normal((ens.n, 3))
-    eta = np.sqrt(1.5) * z @ np.linalg.cholesky(mom.cov_y_given_x).T
-    bracket = mom.cov_yy + 1.5 * mom.cov_y_given_x
+    for observed in (np.zeros(1), np.zeros(2)):
+        with pytest.raises(ValueError, match="observed must have length 3"):
+            eki_step(ens, observed, 1.0, mom, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("h", [0.4, 1.0, 4.0])
+@pytest.mark.parametrize("d_x, d_y", [(2, 3), (5, 2)])
+def test_eki_step_draws_eta_from_the_noise_factor(h, d_x, d_y):
+    # the move is the written-out filter step with eta = sqrt(c) Z L^T,
+    # c = max(1/h - 1, 0) and L the Cholesky factor of C^{y|x}
+    ens = _make_simulated(4, n=300, d_x=d_x, d_y=d_y)
+    mom = compute_moments(ens)
+    y = np.array([0.3, -0.2, 0.1])[:d_y]
+    out = eki_step(ens, y, h, mom, np.random.default_rng(5))
+    coeff = max(1.0 / h - 1.0, 0.0)
+    z = np.random.default_rng(5).standard_normal((ens.n, d_y))
+    eta = np.sqrt(coeff) * z @ np.linalg.cholesky(mom.cov_y_given_x).T
+    bracket = mom.cov_yy + coeff * mom.cov_y_given_x
     moves = (mom.cov_xy @ np.linalg.solve(bracket, (y - ens.sims - eta).T)).T
     assert np.allclose(out.params, ens.params + moves, rtol=1e-10, atol=1e-12)
+
+
+def test_each_step_solves_in_its_own_order(monkeypatch):
+    # eki_step solves for the gain (d_x right-hand sides); gaussian_eki_step
+    # solves against every particle's innovation (N right-hand sides)
+    shapes = []
+
+    def recording_cho_solve(c_and_lower, b):
+        shapes.append(np.shape(b))
+        return cho_solve(c_and_lower, b)
+
+    monkeypatch.setattr(enki.inversion, "cho_solve", recording_cho_solve)
+    n, d_x, d_y = 60, 2, 5
+    ens = _make_simulated(12, n=n, d_x=d_x, d_y=d_y)
+    eki_step(ens, np.zeros(d_y), 0.5, compute_moments(ens), np.random.default_rng(0))
+    assert shapes == [(d_y, d_x)]
+    shapes.clear()
+    gaussian_eki_step(Ensemble(ens.params), ens.sims, np.zeros(d_y), np.eye(d_y), 0.5,
+                      np.random.default_rng(0))
+    assert shapes == [(d_y, n)]
 
 
 def test_noise_factor_is_computed_once_and_only_when_needed(monkeypatch):
@@ -220,6 +249,13 @@ def test_gaussian_step_validation():
             Ensemble(params), np.zeros((4, 1)), np.zeros(1), np.eye(1), 0.0,
             np.random.default_rng(0),
         )
+    forward = np.arange(12.0).reshape(4, 3)
+    for observed in (np.zeros(1), np.zeros(2)):
+        with pytest.raises(ValueError, match="observed must have length 3"):
+            gaussian_eki_step(
+                Ensemble(params), forward, observed, np.eye(3), 1.0,
+                np.random.default_rng(0),
+            )
 
 
 # ------------------------------------------------------------ select_next_lambda
@@ -313,6 +349,13 @@ def test_select_lambda_rejects_non_finite_sims():
     ):
         with pytest.raises(ValueError, match="finite"):
             select_next_lambda(sims, y, np.eye(1), 0.0, 1.0)
+
+
+def test_select_lambda_rejects_observed_of_the_wrong_length():
+    sims = np.random.default_rng(13).normal(size=(50, 3))
+    for observed in (np.zeros(1), np.zeros(2), np.zeros(4)):
+        with pytest.raises(ValueError, match="observed must have length 3"):
+            select_next_lambda(sims, observed, np.eye(3), 0.0, 1.0)
 
 
 # ------------------------------------------------------------------ stop rules
