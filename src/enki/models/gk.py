@@ -10,10 +10,15 @@ probit-unconstrained scale, where the uniform prior becomes standard normal.
 For B >= 0, k >= 0 and 0 <= c <= 0.8 the quantile Q(z) is non-decreasing in
 the normal deviate z (Rayner & MacGillivray 2002), so the j-th order
 statistic of the draws Q(z_i) is Q at the j-th order statistic of the z_i.
-The kernel therefore sorts the deviates and evaluates Q only at the kept
-ranks: 100 evaluations per dataset instead of 1000, with the same values,
-since each kept value is Q of the same deviate either way. The probit map
-keeps B and k in [0, upper], and a c outside [0, 0.8] is rejected.
+The kernel therefore draws only the kept order statistics of the deviates,
+with their exact joint law. By the Renyi representation of uniform spacings
+(Devroye 1986, Non-Uniform Random Variate Generation, ch. V), the r-th of
+n_raw sorted uniforms is S_r / S, where S_r sums r i.i.d. Exp(1) variables
+and S sums n_raw + 1 of them. The sum between two kept ranks is one Gamma
+variate, so a dataset costs n_stats + 1 gamma draws, n_stats probits and
+n_stats evaluations of Q: 101, 100 and 100 for the default sizes, instead
+of 1000 normals and a sort. The probit map keeps B and k in [0, upper], and
+a c outside [0, 0.8] is rejected.
 """
 from __future__ import annotations
 
@@ -92,7 +97,10 @@ class GkModel(SimulatorModel):
         self.upper = float(upper)
         if not (math.isfinite(self.upper) and self.upper > 0.0):
             raise ValueError(f"upper must be finite and positive, got {upper}")
-        self._kept = _order_stat_indices(self.n_raw, self.n_stats)
+        # Gamma shapes of the spacings: up to the first kept rank, between
+        # consecutive kept ranks, and from the last one to n_raw + 1
+        ranks = _order_stat_indices(self.n_raw, self.n_stats) + 1
+        self._gaps = np.diff(ranks, prepend=0, append=self.n_raw + 1).astype(float)
         self._log_norm = 0.5 * self.d_x * np.log(2 * np.pi)
 
     def prior_sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -105,13 +113,14 @@ class GkModel(SimulatorModel):
     def simulate_batch(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Order-statistic summaries of each working-space row, shape (n, n_stats).
 
-        The deviates are one rng.standard_normal((n, n_raw)) draw, filled row
-        by row, so a batch equals the serial loop on one generator. Each row
-        is sorted and Q is evaluated at the kept ranks only, which equals
-        sorting all n_raw values of a non-decreasing Q. Rounding could only
-        break that between deviates a few ulps apart; the tests compare the
-        two orders bit for bit. Raises ValueError unless params has four
-        columns and no NaN.
+        The spacings are one rng.standard_gamma(gaps, (n, n_stats + 1)) draw,
+        filled row by row, so a batch equals the serial loop on one
+        generator. With S_r a row's sum up to the r-th kept rank and S its
+        total, a kept deviate is ndtri(S_r / S) while S_r <= S - S_r and
+        -ndtri((S - S_r) / S) after that, with S - S_r summed from the top,
+        so both tails keep full relative precision and rows stay
+        non-decreasing. Raises ValueError unless params has four columns and
+        no NaN.
         """
         params = np.atleast_2d(np.asarray(params, dtype=float))
         if params.shape[1] != self.d_x:
@@ -119,10 +128,16 @@ class GkModel(SimulatorModel):
         natural = inverse_transform(params, self.upper)
         if not np.isfinite(natural).all():
             raise ValueError("params must be finite")
-        z = rng.standard_normal((params.shape[0], self.n_raw))
-        z.sort(axis=1)
+        spacings = rng.standard_gamma(self._gaps, (params.shape[0], self.n_stats + 1))
+        below = np.add.accumulate(spacings, axis=1)
+        total = below[:, -1:]
+        below = below[:, :-1]
+        above = np.add.accumulate(spacings[:, :0:-1], axis=1)[:, ::-1]
+        upper = above < below
+        z = ndtri(np.minimum(above, below) / total)
+        np.negative(z, out=z, where=upper)
         a, b, g, k = natural.T[:, :, None]
-        return _gk_values(z[:, self._kept], a, b, g, k, self.c)
+        return _gk_values(z, a, b, g, k, self.c)
 
     def constrain(self, params: np.ndarray) -> np.ndarray:
         return inverse_transform(params, self.upper)

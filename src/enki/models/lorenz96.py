@@ -104,7 +104,7 @@ def l96_drift(x: np.ndarray, forcing: float, out: np.ndarray = None) -> np.ndarr
     return out
 
 
-_CHUNK = 64  # Euler steps of path noise drawn per refill of the noise buffer
+_CHUNK = 8  # Euler steps of path noise drawn per refill of the noise buffer
 
 
 class L96Model(SimulatorModel):
@@ -141,7 +141,7 @@ class L96Model(SimulatorModel):
         dimensions are read and perturbed with independent N(0, obs_noise_var)
         noise; blocks are concatenated time-major. All rows step in lockstep,
         in place. The path noise is one rng.standard_normal((width, n, d_x))
-        draw per chunk of up to 64 steps, which equals one (n, d_x) draw per
+        draw per chunk of up to 8 steps, which equals one (n, d_x) draw per
         step; the observation noise is then one (n, n_obs, n_observed) draw.
         Raises ValueError on a non-finite start, and FloatingPointError naming
         the time reached if any state blows up.

@@ -332,7 +332,8 @@ def _reference_mcmc(model, observed, n_steps, seed):
     """The ABC-MCMC loop written plainly: every step evaluates the prior,
     checks finiteness with np.all and updates the moments with np.outer.
 
-    Returns (chain, kappa_trace, accepted, sim_count).
+    Returns (chain, kappa_trace, accepted, sim_count, jittered), where
+    jittered counts the proposal factors that needed jitter.
     """
     rng = substream(as_seed_sequence(seed), CHAIN)
     d_x = model.d_x
@@ -349,12 +350,14 @@ def _reference_mcmc(model, observed, n_steps, seed):
     kappa_trace = [kappa]
     accepted = []
     identity = np.eye(d_x)
+    jittered = 0
     for t in range(1, n_steps + 1):
         spread = symmetrize(m2 / (count - 1)) if t > 10 else identity
         if not spread.any():
             spread = identity
         z = rng.standard_normal(d_x)
-        low, _ = chol_psd(rw_scale * spread)
+        low, jitter = chol_psd(rw_scale * spread)
+        jittered += jitter > 0.0
         candidate = state + low @ z
         cand_sim = model.simulate(candidate, rng)
         assert np.all(np.isfinite(cand_sim))
@@ -373,20 +376,29 @@ def _reference_mcmc(model, observed, n_steps, seed):
         mean = mean + delta / count
         m2 = m2 + np.outer(delta, state - mean)
         chain.append(state)
-    return np.array(chain), np.array(kappa_trace), np.array(accepted), sim_count
+    return np.array(chain), np.array(kappa_trace), np.array(accepted), sim_count, jittered
+
+
+# Chain seed s runs on the observation drawn with seed 40 + s. For gk these
+# are the first two s from 0 on whose reference chain jitters: in the first
+# steps after the running covariance takes over (step 11), the chain has
+# visited too few distinct states for that covariance to have full rank, so
+# the proposal factor comes from the jitter ladder. The test asserts that it
+# does, so a change of the gk draws that loses this path fails instead of
+# passing without it.
+_MCMC_REFERENCE_SEEDS = {"gk": (1, 2), "toy": (0, 1)}
 
 
 @pytest.mark.parametrize("name", ["gk", "toy"])
 def test_mcmc_matches_the_plain_reference_loop(name, caplog):
-    # 500 steps keep the whole post-burn-in half (250 <= the 1000 default).
-    # On these gk seeds the chain has accepted fewer than four moves when
-    # the running covariance takes over at step 11, so that covariance is
-    # rank-deficient and the proposal factor comes from the jitter ladder.
+    # 500 steps keep the whole post-burn-in half (250 <= the 1000 default)
     model = build_model("gk") if name == "gk" else ToyModel()
     n_steps = 500
-    for seed in (0, 1):
+    for seed in _MCMC_REFERENCE_SEEDS[name]:
         _, _, y = draw_observation(model, 40 + seed)
-        chain, kappa_trace, accepted, sim_count = _reference_mcmc(model, y, n_steps, seed)
+        chain, kappa_trace, accepted, sim_count, jittered = _reference_mcmc(
+            model, y, n_steps, seed
+        )
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="enki.linalg"):
             res = run_abc_mcmc(model, y, AbcMcmcConfig(n_steps=n_steps), seed)
@@ -396,13 +408,14 @@ def test_mcmc_matches_the_plain_reference_loop(name, caplog):
         assert res.diagnostics["acceptance_rate_overall"] == float(accepted.mean())
         assert res.diagnostics["acceptance_rate"] == float(accepted[n_steps // 2 :].mean())
         assert res.sim_count == sim_count == n_steps + 1
-        jittered = [r for r in caplog.records if r.name == "enki.linalg"]
+        records = [r for r in caplog.records if r.name == "enki.linalg"]
+        assert len(records) == jittered
+        assert all(r.levelno == logging.DEBUG and "jitter" in r.getMessage()
+                   for r in records)
         if name == "gk":
-            assert jittered
-            assert all(r.levelno == logging.DEBUG and "jitter" in r.getMessage()
-                       for r in jittered)
+            assert jittered > 0
         else:
-            assert not jittered  # a 1 x 1 running variance never needs jitter
+            assert jittered == 0  # a 1 x 1 running variance never needs jitter
 
 
 def test_mcmc_acceptance_shrinks_kappa():

@@ -539,10 +539,10 @@ def test_09_invariant_stress_suite(capsys):
 # ---------------------------------------------------------------- check 10
 
 CALIBRATION_NOTE = (
-    "at N=150 the central 90% interval covers the truth 29/24/21/28 of 60 times "
-    "(A/B/g/k; gate 47) and the central 50% interval 10/8/9/12 (gate 19-41): "
+    "at N=150 the central 90% interval covers the truth 17/15/25/28 of 60 times "
+    "(A/B/g/k; gate 47) and the central 50% interval 7/9/10/11 (gate 19-41): "
     "with d_y=100 the estimated C^{y|x} of 150 particles is noisy and the final "
-    "sample too narrow; at N=500 the counts are 56/54/52/55 and 32/25/27/36"
+    "sample too narrow; at N=500 the counts are 50/53/49/58 and 29/27/28/37"
 )
 
 

@@ -156,22 +156,70 @@ _THETA = st.one_of(
     st.sampled_from([(1000, 100), (150, 100), (7, 7), (1, 1)]),
     st.integers(0, 2**32 - 1),
 )
-def test_gk_kernel_matches_sort_the_values_reference(theta, c, sizes, seed):
+def test_gk_batch_equals_the_serial_loop(theta, c, sizes, seed):
     n_raw, n_stats = sizes
     theta = np.array(theta)
     model = GkModel(n_raw=n_raw, n_stats=n_stats, c=c)
-    natural = model.constrain(theta)
-    stream = substream(as_seed_sequence(seed), 3)
-    expected = _sort_the_values(natural, c, n_raw, n_stats, stream)
     batch = model.simulate_batch(theta, substream(as_seed_sequence(seed), 3))
-    assert np.array_equal(batch, expected)
+    stream = substream(as_seed_sequence(seed), 3)
+    serial = np.stack([model.simulate(row, stream) for row in theta])
+    assert np.array_equal(batch, serial)
     assert np.all(np.diff(batch, axis=1) >= 0)
 
-    single = model.simulate(theta[0], np.random.default_rng(seed))
-    reference = _sort_the_values(
-        natural[:1], c, n_raw, n_stats, np.random.default_rng(seed)
-    )[0]
-    assert np.array_equal(single, reference)
+
+def test_gk_kernel_has_the_law_of_the_sort_reference():
+    # 20,000 datasets at the truth from the kernel and from sorting 1000
+    # values each: per-rank means within 5 SE, per-rank variances within
+    # 5 SE of their difference, and two-sample KS at five ranks
+    from scipy.stats import ks_2samp
+
+    model = GkModel()
+    natural = model.constrain(model.sample_truth(None))
+    n_sets, chunk = 20_000, 1_000
+    kernel = model.simulate_batch(
+        np.tile(model.sample_truth(None), (n_sets, 1)), np.random.default_rng(2)
+    )
+    rng = np.random.default_rng(1)
+    reference = np.concatenate([
+        _sort_the_values(np.tile(natural, (chunk, 1)), model.c, 1000, 100, rng)
+        for _ in range(n_sets // chunk)
+    ])
+
+    def moments(x):
+        mean, var = x.mean(axis=0), x.var(axis=0, ddof=1)
+        m4 = ((x - mean) ** 4).mean(axis=0)
+        return mean, var, (m4 - var**2) / len(x)
+
+    mean_k, var_k, var_se2_k = moments(kernel)
+    mean_r, var_r, var_se2_r = moments(reference)
+    assert np.all(np.abs(mean_k - mean_r) < 5 * np.sqrt((var_k + var_r) / n_sets))
+    assert np.all(np.abs(var_k - var_r) < 5 * np.sqrt(var_se2_k + var_se2_r))
+    for rank in (1, 10, 50, 90, 100):
+        assert ks_2samp(kernel[:, rank - 1], reference[:, rank - 1]).pvalue > 1e-3
+
+
+class _TinyEndSpacings:
+    # stands in for a generator: each row's spacings are 1 apart from the
+    # first and the last, 1e-18, so S = 99 and the bottom and top kept ranks
+    # sit 1e-18 / 99 from either end of (0, 1)
+    def standard_gamma(self, shape, size):
+        spacings = np.ones(size)
+        spacings[:, [0, -1]] = 1e-18
+        return spacings
+
+
+def test_gk_kernel_keeps_both_tails_at_full_precision():
+    from scipy.special import ndtri
+
+    model = GkModel()
+    a, b, g, k = model.constrain(model.sample_truth(None))
+    summaries = model.simulate(model.sample_truth(None), _TinyEndSpacings())
+    tail = 1e-18 / 99.0
+    assert np.isfinite(summaries).all()
+    assert summaries[0] == _gk_values(ndtri(tail), a, b, g, k, model.c)
+    assert summaries[-1] == _gk_values(-ndtri(tail), a, b, g, k, model.c)
+    # the top rank read as S_r / S rounds to 1, and its probit to inf
+    assert 99.0 / (99.0 + 1e-18) == 1.0 and ndtri(1.0) == np.inf
 
 
 def test_gk_summary_median_tracks_location():
@@ -238,7 +286,7 @@ def test_gk_model_rejects_nan_params_and_simulates_saturated_edges():
             model.simulate(np.array(theta), rng)
         # the batch path rejects a NaN row too
         with pytest.raises(ValueError, match="finite"):
-            model.simulate_batch(np.array([[0.0, 0.0, 0.0, 0.0], theta]), [rng, rng])
+            model.simulate_batch(np.array([[0.0, 0.0, 0.0, 0.0], theta]), rng)
     # the probit map saturates at B = k = 0 for working coordinates of -40;
     # with c = 0 every summary is then A = 10 * ndtr(0) = 5 exactly
     flat = model.simulate(np.array([0.0, -40.0, -1.0, -40.0]), rng)
