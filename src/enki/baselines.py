@@ -260,7 +260,7 @@ def run_abc_smc(
     ensemble = Ensemble(params, sims=sims)
     return RunResult(
         ensemble=ensemble,
-        schedule=None,
+        final_temp=float(kappa),
         sim_count=sim_count,
         termination_reason=reason,
         diagnostics={
@@ -342,11 +342,10 @@ def run_abc_mcmc(
     ensemble = Ensemble(tail[sel])
     return RunResult(
         ensemble=ensemble,
-        schedule=None,
+        final_temp=kappa,
         sim_count=sim_count,
         termination_reason="completed",
         diagnostics={
-            "final_kappa": kappa,
             "kappa_trace": kappa_trace,
             "acceptance_rate": float(accepted[burn:].mean()),
             "acceptance_rate_overall": float(accepted.mean()),

@@ -13,13 +13,13 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import AbcMcmcConfig, AbcSmcConfig, run_abc_mcmc, run_abc_smc
-from .inversion import EkiConfig, RunResult, eki_min_particles, run_eki
+from .inversion import EkiConfig, eki_min_particles, run_eki
 from .models import available_models, build_model
 from .rng import ALGO, DATA, as_seed_sequence, derive, substream
 
@@ -97,42 +97,29 @@ class ExperimentConfig:
     def from_mapping(cls, raw: dict) -> "ExperimentConfig":
         """Build and validate from a parsed config mapping.
 
-        Accepts the spellings algorithm/algorithms (the first wins) and out,
-        and wraps a single scalar in a list; validate() then checks every
-        value. Raises ConfigError naming the field on any schema violation.
+        Keys are the field names, with `out` for out_dir and `algorithm` as
+        a second spelling of `algorithms` (a config gives one of the two).
+        A single grid scalar is wrapped in a list; validate() then checks
+        every value. Raises ConfigError naming the field on any schema
+        violation.
         """
         if not isinstance(raw, dict):
             raise ConfigError("config: expected a mapping of fields")
-        known = {
-            "model",
-            "model_overrides",
-            "algorithm",
-            "algorithms",
-            "n_particles",
-            "seeds",
-            "algo_params",
-            "out",
-            "snapshots",
-            "label",
-        }
-        unknown = set(raw) - known
+        values = dict(raw)
+        names = {f.name for f in fields(cls)} - {"out_dir"} | {"algorithm", "out"}
+        unknown = set(values) - names
         if unknown:
             raise ConfigError(f"unknown field(s): {', '.join(sorted(unknown))}")
-
-        def listed(value):
-            return value if value is None or isinstance(value, list) else [value]
-
-        config = cls(
-            model=raw.get("model"),
-            algorithms=listed(raw.get("algorithm", raw.get("algorithms"))),
-            n_particles=listed(raw.get("n_particles")),
-            seeds=listed(raw.get("seeds")),
-            model_overrides=raw.get("model_overrides") or {},
-            algo_params=raw.get("algo_params") or {},
-            out_dir=raw.get("out"),
-            snapshots=raw.get("snapshots", False),
-            label=raw.get("label", "experiment"),
-        )
+        if "algorithm" in values and "algorithms" in values:
+            raise ConfigError("algorithm, algorithms: give one of the two spellings, not both")
+        values["algorithms"] = values.pop("algorithm", values.get("algorithms"))
+        values["out_dir"] = values.pop("out", None)
+        for name in ("algorithms", "n_particles", "seeds"):
+            value = values.get(name)
+            values[name] = value if value is None or isinstance(value, list) else [value]
+        for name in ("model_overrides", "algo_params"):
+            values[name] = values.get(name) or {}
+        config = cls(model=values.pop("model", None), **values)
         config.validate()
         return config
 
@@ -184,6 +171,8 @@ class ExperimentConfig:
             raise ConfigError(f"snapshots: must be true or false, got {self.snapshots!r}")
         if not isinstance(self.label, str) or not self.label:
             raise ConfigError(f"label: must be a nonempty string, got {self.label!r}")
+        if self.out_dir is not None and (not isinstance(self.out_dir, str) or not self.out_dir):
+            raise ConfigError(f"out: must be a nonempty path string, got {self.out_dir!r}")
         # fail before any simulation if the overrides are malformed
         try:
             model = build_model(self.model, self.model_overrides)
@@ -202,14 +191,6 @@ class ExperimentConfig:
                     _algo_config(algo, n, self.algo_params.get(algo), self.snapshots)
                 except (TypeError, ValueError) as err:
                     raise ConfigError(f"algo_params: {algo} at N={n}: {err}") from err
-
-
-def _final_temp(algorithm: str, result: RunResult) -> float:
-    if algorithm.startswith("eki"):
-        return float(result.schedule.final_lambda)
-    if algorithm == "abc-smc":
-        return float(result.diagnostics["kappas"][-1])
-    return float(result.diagnostics["final_kappa"])
 
 
 def _algo_config(algorithm: str, n: int, params: dict, snapshots: bool) -> tuple:
@@ -255,7 +236,7 @@ def _execute_cell(config: ExperimentConfig, out_path: Path, cell: tuple) -> dict
             "rmse": rmse(ensemble, truth),
             "wall_time_s": wall,
             "termination": result.termination_reason,
-            "final_temp": _final_temp(algorithm, result),
+            "final_temp": result.final_temp,
         }
         schedule = result.schedule.to_records() if result.schedule else None
         snapshots = [model.constrain(s.params) for s in result.snapshots or ()]

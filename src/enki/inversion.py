@@ -107,9 +107,15 @@ class EkiConfig:
 
 @dataclass
 class RunResult:
-    """Final ensemble plus the bookkeeping the experiment harness reports."""
+    """Final ensemble plus the bookkeeping the experiment harness reports.
+
+    final_temp is the temperature the sampler ended at: the last inverse
+    temperature lambda for EKI, the last ABC tolerance kappa for ABC-SMC and
+    ABC-MCMC.
+    """
 
     ensemble: Ensemble
+    final_temp: float
     schedule: TemperSchedule = None
     sim_count: int = 0
     snapshots: list = None
@@ -391,6 +397,7 @@ def run_eki(
 
     return RunResult(
         ensemble=ensemble,
+        final_temp=schedule.final_lambda,
         schedule=schedule,
         # every exit from the loop follows that iteration's simulation round
         sim_count=config.n_particles * iteration,

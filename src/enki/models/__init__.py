@@ -1,6 +1,9 @@
 """Benchmark models and the name-keyed registry the harness builds from."""
 from __future__ import annotations
 
+import inspect
+from dataclasses import fields
+
 import numpy as np
 
 from ..ensembles import GaussPair
@@ -19,8 +22,8 @@ __all__ = [
 ]
 
 
-def _check_overrides(name: str, overrides: dict, allowed: set):
-    unknown = set(overrides) - allowed
+def _check_overrides(name: str, overrides: dict, allowed) -> None:
+    unknown = set(overrides).difference(allowed)
     if unknown:
         raise ValueError(
             f"unknown override(s) for model '{name}': {', '.join(sorted(unknown))}"
@@ -28,22 +31,12 @@ def _check_overrides(name: str, overrides: dict, allowed: set):
 
 
 def _build_gk(overrides: dict) -> GkModel:
-    _check_overrides("gk", overrides, {"n_raw", "n_stats", "c", "upper"})
+    _check_overrides("gk", overrides, inspect.signature(GkModel).parameters)
     return GkModel(**overrides)
 
 
 def _build_l96(overrides: dict) -> L96Model:
-    allowed = {
-        "d_x",
-        "forcing",
-        "dt",
-        "obs_times",
-        "obs_noise_var",
-        "observed_dims",
-        "diffusion",
-        "prior_var",
-    }
-    _check_overrides("l96", overrides, allowed)
+    _check_overrides("l96", overrides, {f.name for f in fields(L96Config)} | {"prior_var"})
     prior_var = overrides.pop("prior_var", 5.0)
     return L96Model(L96Config(**overrides), prior_var=prior_var)
 

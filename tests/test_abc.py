@@ -305,7 +305,7 @@ def test_mcmc_keeps_thinned_tail(mcmc_run):
     assert res.ensemble.n >= cfg.n_keep - 1
     trace = res.diagnostics["kappa_trace"]
     assert len(trace) == cfg.n_steps + 1
-    assert res.diagnostics["final_kappa"] == trace[-1]
+    assert res.final_temp == trace[-1]
 
 
 def test_mcmc_kappa_recursion_settles(mcmc_run):
@@ -325,7 +325,7 @@ def test_mcmc_bitwise_reproducible():
     a = run_abc_mcmc(model, y, cfg, 31)
     b = run_abc_mcmc(model, y, cfg, 31)
     assert np.array_equal(a.ensemble.params, b.ensemble.params)
-    assert a.diagnostics["final_kappa"] == b.diagnostics["final_kappa"]
+    assert a.final_temp == b.final_temp
 
 
 def _reference_mcmc(model, observed, n_steps, seed):
@@ -404,7 +404,7 @@ def test_mcmc_matches_the_plain_reference_loop(name, caplog):
             res = run_abc_mcmc(model, y, AbcMcmcConfig(n_steps=n_steps), seed)
         assert np.array_equal(res.ensemble.params, chain[n_steps // 2 + 1 :])
         assert np.array_equal(res.diagnostics["kappa_trace"], kappa_trace)
-        assert res.diagnostics["final_kappa"] == kappa_trace[-1]
+        assert res.final_temp == kappa_trace[-1]
         assert res.diagnostics["acceptance_rate_overall"] == float(accepted.mean())
         assert res.diagnostics["acceptance_rate"] == float(accepted[n_steps // 2 :].mean())
         assert res.sim_count == sim_count == n_steps + 1

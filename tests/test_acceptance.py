@@ -456,7 +456,7 @@ def test_08_abc_baselines_self_consistent(capsys):
 
     # both posteriors against brute-force rejection at the matched threshold
     th_chain = model.constrain(chain.ensemble.params)[:, 0]
-    om, osd, on = _rejection_oracle(y[0], chain.diagnostics["final_kappa"])
+    om, osd, on = _rejection_oracle(y[0], chain.final_temp)
     n_eff = _acf_effective_size(th_chain)
     se_chain = np.hypot(osd / np.sqrt(on), th_chain.std(ddof=1) / np.sqrt(n_eff))
     chain_gap = abs(th_chain.mean() - om) / se_chain

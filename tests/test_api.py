@@ -76,9 +76,19 @@ def test_bench_tracer_finds_every_name_it_wraps(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     tracer = importlib.import_module("tracing").Tracer(tmp_path)
     original = enki.inversion.eki_step
+    # the tracer skips a class attribute it does not find, so a renamed
+    # method would go unmeasured without this check
+    wrapped = [(cls, attr) for cls in (enki.models.GkModel, enki.models.L96Model,
+                                       enki.models.LinearGaussianModel)
+               for attr in ("simulate_batch", "prior_sample", "prior_logpdf")]
+    wrapped += [(enki.models.SimulatorModel, "simulate"), (enki.rng.ParticleStreams, "shared"),
+                (enki.ensembles.Ensemble, "__post_init__"),
+                (enki.ensembles.GaussPair, "__post_init__")]
     try:
         tracer.install()
         assert enki.inversion.eki_step is not original
+        for cls, attr in wrapped:
+            assert hasattr(vars(cls).get(attr), "__wrapped__"), f"{cls.__name__}.{attr}"
     finally:
         tracer.uninstall()
     assert enki.inversion.eki_step is original

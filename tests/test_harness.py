@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from enki.baselines import AbcMcmcConfig, AbcSmcConfig, run_abc_mcmc, run_abc_smc
 from enki.cli import main as cli_main
 from enki.harness import (
     ALGORITHMS,
@@ -21,6 +22,8 @@ from enki.harness import (
     write_metrics_csv,
     write_summary_csv,
 )
+from enki.inversion import EkiConfig, run_eki
+from enki.models import build_model
 
 HEADER = "algorithm,model,N,seed,sim_count,rmse,wall_time_s,termination,final_temp"
 
@@ -62,9 +65,18 @@ def test_config_scalar_coercions():
 
 
 def test_config_unknown_field_named():
-    for name in ("particles_n", "N"):
+    # out_dir is spelled `out` in a config file
+    for name in ("particles_n", "N", "out_dir"):
         with pytest.raises(ConfigError, match=rf"unknown field\(s\): {name}$"):
             ExperimentConfig.from_mapping(small_mapping(**{name: 10}))
+
+
+def test_config_takes_one_algorithm_spelling():
+    raw = small_mapping(algorithms="abc-smc")
+    del raw["algorithm"]
+    assert ExperimentConfig.from_mapping(raw).algorithms == ["abc-smc"]
+    with pytest.raises(ConfigError, match="algorithm, algorithms"):
+        ExperimentConfig.from_mapping(small_mapping(algorithms=["abc-smc", "abc-mcmc"]))
 
 
 def test_config_missing_required_fields():
@@ -277,7 +289,7 @@ def test_sweep_metrics_round_trip(sweep):
 
 
 def test_sweep_artifacts_layout(sweep):
-    _, _, out_path = sweep
+    _, rows, out_path = sweep
     run_dir = out_path / "runs" / "eki-sampling_lingauss_N40_seed0"
     header = (run_dir / "ensemble.csv").read_text().splitlines()[0]
     assert header == "x1,x2,x3"
@@ -294,6 +306,30 @@ def test_sweep_artifacts_layout(sweep):
     mcmc_dir = out_path / "runs" / "abc-mcmc_lingauss_N40_seed0"
     assert (mcmc_dir / "meta.json").exists()
     assert not (mcmc_dir / "schedule.json").exists()
+    # each meta.json holds its row's final temperature, once
+    for row in rows:
+        run_dir = out_path / "runs" / f"{row['algorithm']}_lingauss_N40_seed{row['seed']}"
+        meta = json.loads((run_dir / "meta.json").read_text())
+        assert meta["final_temp"] == row["final_temp"]
+        assert "final_kappa" not in meta["diagnostics"]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_run_result_reports_the_final_temperature(algorithm):
+    model = build_model("lingauss")
+    rng = np.random.default_rng(5)
+    observed = model.simulate(model.sample_truth(rng), rng)
+    if algorithm.startswith("eki-"):
+        config = EkiConfig(n_particles=40, stop_mode=algorithm.removeprefix("eki-"))
+        res = run_eki(model, observed, config, 1)
+        expected = res.schedule.final_lambda
+    elif algorithm == "abc-smc":
+        res = run_abc_smc(model, observed, AbcSmcConfig(n_particles=40), 1)
+        expected = res.diagnostics["kappas"][-1]
+    else:
+        res = run_abc_mcmc(model, observed, AbcMcmcConfig(n_steps=400, n_keep=40), 1)
+        expected = res.diagnostics["kappa_trace"][-1]
+    assert res.final_temp == expected > 0.0
 
 
 def _without_wall_time(path):
@@ -455,7 +491,7 @@ def test_cli_list_models(capsys):
         assert name in out
 
 
-def test_cli_bad_inputs_exit_2(tmp_path, capsys):
+def test_cli_bad_inputs_exit_2(tmp_path, capsys, monkeypatch):
     missing = tmp_path / "nothere.yaml"
     assert cli_main(["validate", str(missing)]) == 2
     assert "error:" in capsys.readouterr().err
@@ -498,6 +534,18 @@ def test_cli_bad_inputs_exit_2(tmp_path, capsys):
     assert "algo_params" in capsys.readouterr().err
     assert cli_main(["run", str(floats), "--out", str(tmp_path / "unused")]) == 2
     assert "algo_params" in capsys.readouterr().err
+
+    # a bad out path fails validation before any directory is made
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setenv("ENKI_OUT_ROOT", str(work / "root"))
+    for out in (5, ["a", "b"], ""):
+        bad_out = write_config(tmp_path, out=out)
+        for command in ("validate", "run"):
+            assert cli_main([command, str(bad_out)]) == 2
+            assert "out:" in capsys.readouterr().err
+    assert not any(work.iterdir())
 
     cfg_path = write_config(tmp_path)
     for threads in ("0", "-5"):
