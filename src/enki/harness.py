@@ -117,8 +117,8 @@ class ExperimentConfig:
         for name in ("algorithms", "n_particles", "seeds"):
             value = values.get(name)
             values[name] = value if value is None or isinstance(value, list) else [value]
-        for name in ("model_overrides", "algo_params"):
-            values[name] = values.get(name) or {}
+        for name in ("model_overrides", "algo_params"):  # only null means none
+            values[name] = {} if values.get(name) is None else values[name]
         config = cls(model=values.pop("model", None), **values)
         config.validate()
         return config

@@ -123,31 +123,6 @@ class RunResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _perturbed_innovations(
-    ensemble: Ensemble,
-    observed: np.ndarray,
-    moments: MomentSet,
-    noise_cov: np.ndarray,
-    noise_chol: np.ndarray | None,
-    rng: np.random.Generator,
-) -> tuple:
-    """Factor and innovations shared by both update steps.
-
-    Returns (low, innov): low is the lower `chol_psd` factor of C^yy + G,
-    with moments = compute_moments(ensemble) and G = noise_cov, and row i of
-    innov is y - f_i - eta_i, with f_i the particle's row of ensemble.sims
-    and eta_i ~ N(0, G). The caller passes a lower factor L of G as
-    noise_chol, and the draw is ``rng.standard_normal((N, d_y)) @ L.T``,
-    `mvn_sample`'s layout; noise_chol None draws nothing. Each step applies
-    the gain C^xy (C^yy + G)^-1 to the rows of innov in its own order.
-    """
-    low, _ = chol_psd(moments.cov_yy + noise_cov)
-    innov = observed - ensemble.sims
-    if noise_chol is not None:
-        innov = innov - rng.standard_normal(innov.shape) @ noise_chol.T
-    return low, innov
-
-
 def eki_step(
     ensemble: Ensemble,
     observed: np.ndarray,
@@ -158,14 +133,20 @@ def eki_step(
     """One perturbed-observation update with simulator-estimated noise.
 
     Moves each particle by K (y - y_i - eta_i) with the gain
-    K = C^xy (C^yy + (1/h - 1) C^{y|x})^-1 and
-    eta_i ~ N(0, (1/h - 1) C^{y|x}), drawn from sqrt(1/h - 1) times
-    moments.chol_y_given_x, the factor `select_next_lambda` was given; C^{y|x}
-    is exactly symmetric already (`compute_moments`). The (1/h - 1) factor is
-    floored at 0, so h = 1 draws no noise at all and h > 1 (optimisation-mode
-    steps) degenerates to the plain C^yy bracket. One solve per step forms
-    K^T, d_x right-hand sides, and every particle's move is its innovation
-    row times K^T. observed must have length d_y.
+    K = C^xy (C^yy + c C^{y|x})^-1, c = max(1/h - 1, 0), and
+    eta_i ~ N(0, c C^{y|x}) drawn as sqrt(c) Z L^T, with Z one
+    rng.standard_normal((N, d_y)) draw and L = moments.chol_y_given_x, the
+    factor `select_next_lambda` was given. The floor makes h = 1 draw no
+    noise at all, and h > 1 (optimisation-mode steps) the plain C^yy bracket.
+
+    The move is computed in L's whitened coordinates. With
+    G = L^-1 C^yx and C^yy = C^{y|x} + C^yx (C^xx)^-1 C^xy (`compute_moments`),
+    the push-through identity gives K^T = L^-T W and eta K^T = sqrt(c) Z W,
+    where W = G ((1 + c) C^xx + G^T G)^-1 C^xx. So no d_y x d_y matrix is
+    factored or multiplied beyond L itself: per step two triangular solves
+    and one d_x x d_x factor, O(d_y^2 d_x + N d_y d_x + d_x^3). L is needed
+    at every h. Where `chol_psd` jittered C^{y|x}, the gain is that of
+    C^{y|x} + jitter I inside C^yy. observed must have length d_y.
     """
     if ensemble.sims is None:
         raise ValueError("ensemble has no simulated data")
@@ -173,10 +154,14 @@ def eki_step(
         raise ValueError("stepsize h must be positive")
     observed = _observed_vector(observed, ensemble.sims.shape[1])
     coeff = max(1.0 / h - 1.0, 0.0)
-    noise_cov = coeff * moments.cov_y_given_x
-    noise_chol = np.sqrt(coeff) * moments.chol_y_given_x if noise_cov.any() else None
-    low, innov = _perturbed_innovations(ensemble, observed, moments, noise_cov, noise_chol, rng)
-    return Ensemble(ensemble.params + innov @ cho_solve((low, True), moments.cov_xy.T))
+    chol = moments.chol_y_given_x
+    white = solve_triangular(chol, moments.cov_xy.T, lower=True)
+    low, _ = chol_psd((1.0 + coeff) * moments.cov_xx + white.T @ white)
+    w = white @ cho_solve((low, True), moments.cov_xx)
+    moves = (observed - ensemble.sims) @ solve_triangular(chol, w, lower=True, trans="T")
+    if coeff > 0.0:
+        moves -= rng.standard_normal(ensemble.sims.shape) @ (np.sqrt(coeff) * w)
+    return Ensemble(ensemble.params + moves)
 
 
 def gaussian_eki_step(
@@ -204,9 +189,11 @@ def gaussian_eki_step(
         raise ValueError("forward_evals rows must match particle count")
     ensemble = ensemble.with_sims(forward)
     noise_cov = r / h
-    noise_chol = chol_psd(noise_cov)[0] if noise_cov.any() else None
     moments = compute_moments(ensemble)
-    low, innov = _perturbed_innovations(ensemble, observed, moments, noise_cov, noise_chol, rng)
+    low, _ = chol_psd(moments.cov_yy + noise_cov)
+    innov = observed - ensemble.sims
+    if noise_cov.any():
+        innov = innov - rng.standard_normal(innov.shape) @ chol_psd(noise_cov)[0].T
     return Ensemble(ensemble.params + (moments.cov_xy @ cho_solve((low, True), innov.T)).T)
 
 
@@ -335,7 +322,8 @@ def run_eki(
     reproducible bit-for-bit from (model, observed, config, seed) whatever
     the caller's BLAS thread count. Needs n_particles >=
     eki_min_particles(model). A non-finite simulation raises ValueError
-    naming the iteration.
+    naming the iteration, and a covariance that will not factor, in the
+    search or the move, raises LinAlgError naming it.
     """
     observed = _check_observed(model, observed)
     n_min = eki_min_particles(model)
@@ -372,10 +360,10 @@ def run_eki(
         else:
             # no terminal temperature in optimisation mode: grow the bracket
             lambda_hi = lambda_prev * 10.0 + 1.0
-        lam, weights = select_next_lambda(
-            sims, observed, moments.chol_y_given_x, lambda_prev, lambda_hi
-        )
         try:
+            lam, weights = select_next_lambda(
+                sims, observed, moments.chol_y_given_x, lambda_prev, lambda_hi
+            )
             moved = eki_step(
                 ensemble, observed, lam - lambda_prev, moments,
                 substream(root, PERTURB, iteration),

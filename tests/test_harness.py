@@ -127,6 +127,19 @@ def test_config_checks_algo_params_of_unswept_algorithms(tmp_path, capsys):
     ExperimentConfig.from_mapping(small_mapping(algo_params=valid))
 
 
+@pytest.mark.parametrize("name", ["model_overrides", "algo_params"])
+def test_config_override_mappings_take_only_null_as_none(name, tmp_path, capsys):
+    for value in (None, {}):
+        assert getattr(ExperimentConfig.from_mapping(small_mapping(**{name: value})), name) == {}
+    assert getattr(ExperimentConfig.from_mapping(small_mapping()), name) == {}
+    # a falsy non-mapping is refused like any other, not read as "no overrides"
+    for value in (0, [], "", False, [1], "n_stats"):
+        with pytest.raises(ConfigError, match=f"^{name}: must be a mapping"):
+            ExperimentConfig.from_mapping(small_mapping(**{name: value}))
+        assert cli_main(["validate", str(write_config(tmp_path, **{name: value}))]) == 2
+        assert f"{name}: must be a mapping" in capsys.readouterr().err
+
+
 def test_config_validates_grid_entries():
     with pytest.raises(ConfigError, match="n_particles"):
         ExperimentConfig.from_mapping(small_mapping(n_particles=[1]))
