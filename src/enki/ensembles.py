@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .linalg import chol_psd, solve_psd, symmetrize
 
@@ -77,18 +78,21 @@ class Ensemble:
 class MomentSet:
     """Empirical second moments of a simulated ensemble.
 
-    ``cov_y_given_x`` estimates the likelihood's noise covariance,
-    ``cov_yy - cov_yx (cov_xx)^-1 cov_xy``; it is symmetrized but not
-    forced positive semi-definite (finite-N estimates can be indefinite).
-    ``chol_y_given_x`` is its lower factor under `chol_psd`'s jitter policy,
-    computed on first use and then kept, so one factor serves every
-    consumer of the estimate.
+    ``cov_y_given_x`` estimates the likelihood's noise covariance: the
+    residual covariance ``cov_yy - cov_yx (cov_xx)^-1 cov_xy`` with its
+    correlations shrunk toward zero by the factor ``1 - shrinkage`` (see
+    `compute_moments`). It is symmetrized but not forced positive
+    semi-definite (finite-N estimates can be indefinite). ``cov_yy`` stays
+    the raw ensemble covariance. ``chol_y_given_x`` is the lower factor of
+    ``cov_y_given_x`` under `chol_psd`'s jitter policy, computed on first use
+    and then kept, so one factor serves every consumer of the estimate.
     """
 
     cov_xx: np.ndarray
     cov_xy: np.ndarray
     cov_yy: np.ndarray
     cov_y_given_x: np.ndarray
+    shrinkage: float
 
     @cached_property
     def chol_y_given_x(self) -> np.ndarray:
@@ -123,11 +127,27 @@ class GaussPair:
 
 
 def compute_moments(ensemble: Ensemble) -> MomentSet:
-    """Empirical covariances of (params, sims).
+    """Empirical covariances of (params, sims), with a shrunk noise estimate.
 
-    Covariances use 1/(N-1); the conditional covariance is computed via a
-    linear solve against cov_xx (jitter fallback on failure), never an
-    explicit inverse. All square outputs are exactly symmetrized.
+    Covariances use 1/(N-1); the residual covariance
+    C = C^yy - C^yx (C^xx)^-1 C^xy is computed via a linear solve against
+    cov_xx (jitter fallback on failure), never an explicit inverse. All
+    square outputs are exactly symmetrized.
+
+    From d_y summaries and N particles C is noisy, so its correlations are
+    shrunk toward zero (Schaefer & Strimmer 2005, target D; Ledoit & Wolf
+    2004): cov_y_given_x keeps C's diagonal and scales its off-diagonal
+    entries by 1 - s, with the intensity
+
+        s = sum_{i!=j} Var(r_ij) / sum_{i!=j} r_ij^2,  clipped to [0, 1],
+
+    where r_ij are C's correlations and
+    Var(r_ij) = n/(n-1)^3 sum_k (z_ki z_kj - mean_k z_ki z_kj)^2 over the
+    regression residuals E = yc - xc (C^xx)^-1 C^xy standardized by C's
+    diagonal, z = E / sqrt(diag C). It costs O(N d_y) plus elementwise
+    O(d_y^2) work. s = 0, and C is returned as it is, when d_y = 1 (no
+    correlations; likewise when every r_ij is 0) or some residual column
+    has zero variance.
     """
     if ensemble.sims is None:
         raise ValueError("ensemble has no simulated data; run the simulator first")
@@ -139,9 +159,39 @@ def compute_moments(ensemble: Ensemble) -> MomentSet:
     cov_xx = symmetrize(xc.T @ xc / (n - 1))
     cov_xy = xc.T @ yc / (n - 1)
     cov_yy = symmetrize(yc.T @ yc / (n - 1))
-    # C^yy - C^yx (C^xx)^-1 C^xy, the estimate of the likelihood noise.
-    cov_y_given_x = symmetrize(cov_yy - cov_xy.T @ solve_psd(cov_xx, cov_xy))
-    return MomentSet(cov_xx, cov_xy, cov_yy, cov_y_given_x)
+    beta = solve_psd(cov_xx, cov_xy)
+    noise = symmetrize(cov_yy - cov_xy.T @ beta)
+    # E = yc - xc beta, written over yc: gemm updates its output in place
+    resid = dgemm(-1.0, beta.T, xc.T, 1.0, yc.T, overwrite_c=True).T
+    shrinkage = _correlation_shrinkage(resid, noise)
+    var = np.diag(noise).copy()
+    noise *= 1.0 - shrinkage
+    np.fill_diagonal(noise, var)
+    return MomentSet(cov_xx, cov_xy, cov_yy, noise, shrinkage)
+
+
+def _correlation_shrinkage(resid: np.ndarray, cov: np.ndarray) -> float:
+    """The intensity s of `compute_moments`; overwrites resid, the (N, d_y) E.
+
+    With z_ki^2 = E_ki^2 / C_ii, it uses
+    sum_{i!=j} sum_k z_ki^2 z_kj^2 = sum_k (sum_i z_ki^2)^2 - sum z^4, and
+    takes r_ij from cov itself, so no d_y x d_y product is formed.
+    """
+    n = resid.shape[0]
+    var = np.diag(cov)
+    if not (var > 0.0).all():
+        return 0.0
+    inv = 1.0 / var
+    sq = np.square(cov)
+    np.fill_diagonal(sq, 0.0)
+    r2 = inv @ sq @ inv  # sum_{i!=j} r_ij^2
+    if r2 == 0.0:  # nothing to shrink, as when d_y = 1
+        return 0.0
+    np.square(resid, out=resid)
+    row = resid @ inv
+    cross = row @ row - np.einsum("ki,ki->i", resid, resid) @ np.square(inv)
+    var_r = n / (n - 1) ** 3 * (cross - (n - 1) ** 2 / n * r2)
+    return float(np.clip(var_r / r2, 0.0, 1.0))
 
 
 def ess(weights: np.ndarray) -> float:

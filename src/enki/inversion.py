@@ -45,21 +45,26 @@ class TemperSchedule:
     lambdas starts at 0; steps[i] = lambdas[i+1] - lambdas[i]. ess_values
     holds the pseudo-weight ESS at each accepted temperature; clamped marks
     steps where the bracket edge was returned without a search, flagged
-    marks steps whose ESS missed the target beyond tolerance.
+    marks steps whose ESS missed the target beyond tolerance, and shrinkage
+    holds each step's `MomentSet.shrinkage`, the intensity by which its
+    noise estimate's correlations were shrunk.
     """
 
     lambdas: list = field(default_factory=lambda: [0.0])
     ess_values: list = field(default_factory=list)
     clamped: list = field(default_factory=list)
     flagged: list = field(default_factory=list)
+    shrinkage: list = field(default_factory=list)
 
-    def record(self, lam: float, ess_value: float, clamped: bool, flagged: bool):
+    def record(self, lam: float, ess_value: float, clamped: bool, flagged: bool,
+               shrinkage: float):
         if lam <= self.lambdas[-1]:
             raise ValueError("temperatures must be strictly increasing")
         self.lambdas.append(lam)
         self.ess_values.append(ess_value)
         self.clamped.append(clamped)
         self.flagged.append(flagged)
+        self.shrinkage.append(shrinkage)
 
     @property
     def steps(self) -> list:
@@ -74,11 +79,13 @@ class TemperSchedule:
         return len(self.lambdas) - 1
 
     def to_records(self) -> list:
-        """Rows of {iteration, lambda, h, ess, clamped, flagged} for serialization."""
-        rows = zip(self.lambdas[1:], self.steps, self.ess_values, self.clamped, self.flagged)
+        """Rows of {iteration, lambda, h, ess, clamped, flagged, shrinkage} for serialization."""
+        rows = zip(self.lambdas[1:], self.steps, self.ess_values, self.clamped, self.flagged,
+                   self.shrinkage)
         return [
-            {"iteration": i, "lambda": lam, "h": h, "ess": e, "clamped": c, "flagged": f}
-            for i, (lam, h, e, c, f) in enumerate(rows, start=1)
+            {"iteration": i, "lambda": lam, "h": h, "ess": e, "clamped": c, "flagged": f,
+             "shrinkage": s}
+            for i, (lam, h, e, c, f, s) in enumerate(rows, start=1)
         ]
 
 
@@ -136,12 +143,16 @@ def eki_step(
     K = C^xy (C^yy + c C^{y|x})^-1, c = max(1/h - 1, 0), and
     eta_i ~ N(0, c C^{y|x}) drawn as sqrt(c) Z L^T, with Z one
     rng.standard_normal((N, d_y)) draw and L = moments.chol_y_given_x, the
-    factor `select_next_lambda` was given. The floor makes h = 1 draw no
-    noise at all, and h > 1 (optimisation-mode steps) the plain C^yy bracket.
+    factor `select_next_lambda` was given. C^{y|x} is the shrunk noise
+    estimate moments.cov_y_given_x, and the gain's C^yy is the signal
+    C^yx (C^xx)^-1 C^xy plus that estimate, which differs from the raw
+    moments.cov_yy by the shrunk-away noise correlations (`compute_moments`).
+    The floor makes h = 1 draw no noise at all, and h > 1
+    (optimisation-mode steps) the plain C^yy bracket.
 
     The move is computed in L's whitened coordinates. With
-    G = L^-1 C^yx and C^yy = C^{y|x} + C^yx (C^xx)^-1 C^xy (`compute_moments`),
-    the push-through identity gives K^T = L^-T W and eta K^T = sqrt(c) Z W,
+    G = L^-1 C^yx and C^yy = C^{y|x} + C^yx (C^xx)^-1 C^xy, the
+    push-through identity gives K^T = L^-T W and eta K^T = sqrt(c) Z W,
     where W = G ((1 + c) C^xx + G^T G)^-1 C^xx. So no d_y x d_y matrix is
     factored or multiplied beyond L itself: per step two triangular solves
     and one d_x x d_x factor, O(d_y^2 d_x + N d_y d_x + d_x^3). L is needed
@@ -212,7 +223,8 @@ def select_next_lambda(
     Pseudo-weights w_i are proportional to exp(-(lambda - lambda_prev) d_i / 2)
     with d_i = |L^-1 (y - y_i)|^2 the squared Mahalanobis distance of particle
     i's simulation from the observations, L = chol_y_given_x the lower factor
-    of the noise covariance (one triangular solve serves all particles, and
+    of the noise covariance, in `run_eki` the shrunk estimate
+    `MomentSet.chol_y_given_x` (one triangular solve serves all particles, and
     gives the same bits for C- and F-ordered sims). Weights are computed in
     log space with max-subtraction. Returns (lambda_next, normalized weights)
     where lambda_next has ESS within bisect_tol * N of rho * N, or lambda_max
@@ -375,7 +387,7 @@ def run_eki(
         flagged = (not clamped) and abs(ess_value - _RHO * ensemble.n) > (
             _BISECT_TOL * ensemble.n
         )
-        schedule.record(lam, ess_value, clamped, flagged)
+        schedule.record(lam, ess_value, clamped, flagged, moments.shrinkage)
         ensemble = moved
         if config.snapshots:
             snapshots.append(ensemble)

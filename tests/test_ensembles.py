@@ -81,6 +81,73 @@ def test_moments_permutation_invariant(perm_seed):
         assert np.allclose(getattr(a, field), getattr(b, field))
 
 
+def _raw_noise(x, y) -> np.ndarray:
+    """C^yy - C^yx (C^xx)^-1 C^xy from np.cov, before any shrinkage."""
+    d_x = x.shape[1]
+    joint = np.cov(np.hstack([x, y]).T, ddof=1)
+    cxx, cxy, cyy = joint[:d_x, :d_x], joint[:d_x, d_x:], joint[d_x:, d_x:]
+    return cyy - cxy.T @ np.linalg.solve(cxx, cxy)
+
+
+def _brute_force_shrinkage(x, y) -> float:
+    """Schaefer-Strimmer target-D intensity by an explicit loop over i != j."""
+    n = len(x)
+    noise = _raw_noise(x, y)
+    xc, yc = x - x.mean(axis=0), y - y.mean(axis=0)
+    resid = yc - xc @ np.linalg.solve(xc.T @ xc, xc.T @ yc)
+    z = resid / np.sqrt(np.diag(noise))
+    num = den = 0.0
+    for i in range(y.shape[1]):
+        for j in range(y.shape[1]):
+            if i != j:
+                w = z[:, i] * z[:, j]
+                num += n / (n - 1) ** 3 * np.sum((w - w.mean()) ** 2)
+                den += (n / (n - 1) * w.mean()) ** 2
+    return min(max(num / den, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_noise_shrinkage_matches_a_brute_force_pair_loop(seed):
+    # correlated noise, so the intensity lands inside (0, 1); the estimate
+    # keeps the raw diagonal and scales the raw off-diagonal by 1 - s
+    rng = np.random.default_rng(seed)
+    n, d_x, d_y = 80, 2, 5
+    corr = 0.6 * np.ones((d_y, d_y)) + 0.4 * np.eye(d_y)
+    x = rng.normal(size=(n, d_x))
+    y = x @ rng.normal(size=(d_x, d_y)) + rng.normal(size=(n, d_y)) @ np.linalg.cholesky(corr).T
+    mom = compute_moments(Ensemble(x, sims=y))
+    expected = _brute_force_shrinkage(x, y)
+    assert 0.0 < expected < 1.0
+    assert mom.shrinkage == pytest.approx(expected, rel=1e-12)
+    raw = _raw_noise(x, y)
+    off = ~np.eye(d_y, dtype=bool)
+    assert np.allclose(np.diag(mom.cov_y_given_x), np.diag(raw), rtol=1e-12, atol=0)
+    assert np.allclose(mom.cov_y_given_x[off], (1 - mom.shrinkage) * raw[off],
+                       rtol=1e-10, atol=0)
+
+
+def test_noise_shrinkage_is_zero_for_one_summary():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(40, 2))
+    y = x @ rng.normal(size=(2, 1)) + 0.5 * rng.normal(size=(40, 1))
+    mom = compute_moments(Ensemble(x, sims=y))
+    assert mom.shrinkage == 0.0
+    assert np.allclose(mom.cov_y_given_x, _raw_noise(x, y), rtol=1e-12, atol=0)
+
+
+def test_noise_shrinkage_is_zero_when_a_residual_column_has_zero_variance():
+    # a constant summary statistic: the estimate is returned unshrunk, so it
+    # stays singular (and chol_psd jitters it)
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(40, 2))
+    y = x @ rng.normal(size=(2, 3)) + 0.5 * rng.normal(size=(40, 3))
+    y[:, 1] = 0.0
+    mom = compute_moments(Ensemble(x, sims=y))
+    assert mom.shrinkage == 0.0
+    assert not mom.cov_y_given_x[1].any()
+    assert np.allclose(mom.cov_y_given_x, _raw_noise(x, y), rtol=1e-10, atol=1e-15)
+
+
 def test_moments_require_sims():
     with pytest.raises(ValueError):
         compute_moments(Ensemble(np.zeros((3, 1))))

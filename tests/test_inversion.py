@@ -31,24 +31,26 @@ from _helpers import draw_observation, random_lingauss, random_spd
 
 def test_schedule_records_and_serializes():
     sched = TemperSchedule()
-    sched.record(0.25, 100.0, clamped=False, flagged=False)
-    sched.record(1.0, 99.0, clamped=True, flagged=False)
+    sched.record(0.25, 100.0, clamped=False, flagged=False, shrinkage=0.3)
+    sched.record(1.0, 99.0, clamped=True, flagged=False, shrinkage=0.0)
     assert sched.final_lambda == 1.0
     assert sched.n_steps == 2
     assert sched.steps == [0.25, 0.75]
+    assert sched.shrinkage == [0.3, 0.0]
     recs = sched.to_records()
     assert recs[0] == {
         "iteration": 1, "lambda": 0.25, "h": 0.25, "ess": 100.0,
-        "clamped": False, "flagged": False,
+        "clamped": False, "flagged": False, "shrinkage": 0.3,
     }
     assert recs[1]["iteration"] == 2
+    assert recs[1]["shrinkage"] == 0.0
 
 
 def test_schedule_requires_strict_increase():
     sched = TemperSchedule()
-    sched.record(0.5, 10.0, False, False)
+    sched.record(0.5, 10.0, False, False, 0.0)
     with pytest.raises(ValueError):
-        sched.record(0.5, 10.0, False, False)
+        sched.record(0.5, 10.0, False, False, 0.0)
 
 
 # ------------------------------------------------------------------- eki_step
@@ -58,6 +60,11 @@ def _make_simulated(seed: int, n: int = 200, d_x: int = 2, d_y: int = 2):
     params = rng.normal(size=(n, d_x))
     sims = params @ rng.normal(size=(d_x, d_y)) + 0.3 * rng.normal(size=(n, d_y))
     return Ensemble(params, sims=sims)
+
+
+def _signal(mom) -> np.ndarray:
+    """C^yx (C^xx)^-1 C^xy: the gain's C^yy less the noise estimate."""
+    return mom.cov_xy.T @ np.linalg.solve(mom.cov_xx, mom.cov_xy)
 
 
 def test_eki_step_h1_draws_no_noise():
@@ -130,7 +137,8 @@ def test_eki_step_input_contract():
 @pytest.mark.parametrize("d_x, d_y", [(2, 3), (5, 2)])
 def test_eki_step_draws_eta_from_the_noise_factor(h, d_x, d_y):
     # the move is the written-out filter step with eta = sqrt(c) Z L^T,
-    # c = max(1/h - 1, 0) and L the Cholesky factor of C^{y|x}
+    # c = max(1/h - 1, 0) and L the Cholesky factor of the shrunk C^{y|x};
+    # the gain's C^yy is the signal plus that estimate
     ens = _make_simulated(4, n=300, d_x=d_x, d_y=d_y)
     mom = compute_moments(ens)
     y = np.array([0.3, -0.2, 0.1])[:d_y]
@@ -138,7 +146,7 @@ def test_eki_step_draws_eta_from_the_noise_factor(h, d_x, d_y):
     coeff = max(1.0 / h - 1.0, 0.0)
     z = np.random.default_rng(5).standard_normal((ens.n, d_y))
     eta = np.sqrt(coeff) * z @ np.linalg.cholesky(mom.cov_y_given_x).T
-    bracket = mom.cov_yy + coeff * mom.cov_y_given_x
+    bracket = _signal(mom) + (1.0 + coeff) * mom.cov_y_given_x
     moves = (mom.cov_xy @ np.linalg.solve(bracket, (y - ens.sims - eta).T)).T
     assert np.allclose(out.params, ens.params + moves, rtol=1e-10, atol=1e-12)
 
@@ -243,11 +251,12 @@ def _exact_solve(a: list, b: list) -> list:
     return [row[n:] for row in rows]
 
 
-def _exact_textbook_move(params, sims, observed, chol, z, coeff) -> np.ndarray:
+def _exact_textbook_move(params, sims, observed, noise, chol, z, coeff) -> np.ndarray:
     """The textbook move K (y - y_i - eta_i), in exact arithmetic.
 
-    Moments and the bracket C^yy + c C^{y|x} are exact functions of the
-    float data; eta = sqrt(c) Z L^T with the float factor L, for c in {0, 1}
+    The moments are exact functions of the float data, and the bracket is
+    the signal C^yx (C^xx)^-1 C^xy plus (1 + c) times the float noise
+    estimate; eta = sqrt(c) Z L^T with the float factor L, for c in {0, 1}
     (so sqrt(c) = c). Returns the (N, d_x) moves, rounded once to floats.
     """
     n = len(params)
@@ -261,10 +270,10 @@ def _exact_textbook_move(params, sims, observed, chol, z, coeff) -> np.ndarray:
         return [[v / (n - 1) for v in row] for row in _exact_matmul(_exact_transpose(a), b)]
 
     xc, yc = centred(params), centred(sims)
-    cov_xx, cov_xy, cov_yy = cov(xc, xc), cov(xc, yc), cov(yc, yc)
+    cov_xx, cov_xy = cov(xc, xc), cov(xc, yc)
     signal = _exact_matmul(_exact_transpose(cov_xy), _exact_solve(cov_xx, cov_xy))
-    bracket = [[yy + coeff * (yy - s) for yy, s in zip(r1, r2)]
-               for r1, r2 in zip(cov_yy, signal)]
+    bracket = [[s + (1 + coeff) * v for s, v in zip(r1, r2)]
+               for r1, r2 in zip(signal, _exact(noise))]
     eta = _exact_matmul(_exact(z), _exact_transpose(_exact(chol)))
     y = _exact(observed)[0]
     innov = [[y[j] - f - coeff * e for j, (f, e) in enumerate(zip(frow, erow))]
@@ -288,32 +297,59 @@ def test_eki_step_matches_the_exact_textbook_move(seed, h):
     out = eki_step(ens, observed, h, mom, np.random.default_rng(5))
     z = np.random.default_rng(5).standard_normal((8, 3))
     coeff = max(1.0 / h - 1.0, 0.0)
-    moves = _exact_textbook_move(params, sims, observed, mom.chol_y_given_x, z, coeff)
+    moves = _exact_textbook_move(
+        params, sims, observed, mom.cov_y_given_x, mom.chol_y_given_x, z, coeff
+    )
     err = np.abs(out.params - (params + moves)).max() / np.abs(moves).max()
     assert err < 3e-14
 
 
 @pytest.mark.parametrize("h", [0.4, 1.0])
 def test_eki_step_gain_carries_the_noise_factors_jitter(h):
-    # a repeated summary statistic makes C^{y|x} singular, so chol_psd adds
-    # jitter j: the move is the textbook one with C^{y|x} + j I in place of
-    # C^{y|x}, inside C^yy too, and eta drawn from the jittered factor
+    # a constant summary statistic leaves C^{y|x} unshrunk and singular, so
+    # chol_psd adds jitter j: the move is the textbook one with C^{y|x} + j I
+    # in place of C^{y|x}, inside C^yy too, and eta drawn from the jittered
+    # factor
     rng = np.random.default_rng(1)
+    params = rng.normal(size=(60, 2))
+    sims = params @ rng.normal(size=(2, 3)) + 0.5 * rng.normal(size=(60, 3))
+    sims[:, 2] = 0.0
+    ens = Ensemble(params, sims=sims)
+    mom = compute_moments(ens)
+    assert mom.shrinkage == 0.0
+    low, jitter = chol_psd(mom.cov_y_given_x)
+    assert jitter > 0
+    y = np.array([0.3, -0.2, 0.0])
+    out = eki_step(ens, y, h, mom, np.random.default_rng(5))
+    coeff = max(1.0 / h - 1.0, 0.0)
+    eta = np.sqrt(coeff) * np.random.default_rng(5).standard_normal((60, 3)) @ low.T
+    noise = mom.cov_y_given_x + jitter * np.eye(3)
+    bracket = _signal(mom) + (1.0 + coeff) * noise
+    moves = (mom.cov_xy @ np.linalg.solve(bracket, (y - sims - eta).T)).T
+    assert np.abs(out.params - params - moves).max() <= 1e-10 * np.abs(moves).max()
+
+
+@pytest.mark.parametrize("h", [1.0, 0.4])
+@pytest.mark.parametrize("seed", range(5))
+def test_eki_step_is_accurate_on_a_repeated_summary(seed, h):
+    # two equal summary columns make the raw C^{y|x} singular in a direction
+    # that C^yx reaches; the shrunk estimate factors without jitter, and the
+    # whitened move matches the textbook one built from it
+    rng = np.random.default_rng(seed)
     params = rng.normal(size=(60, 2))
     sims = params @ rng.normal(size=(2, 3)) + 0.5 * rng.normal(size=(60, 3))
     sims[:, 2] = sims[:, 1]
     ens = Ensemble(params, sims=sims)
     mom = compute_moments(ens)
     low, jitter = chol_psd(mom.cov_y_given_x)
-    assert jitter > 0
+    assert jitter == 0.0
     y = np.array([0.3, -0.2, -0.2])
     out = eki_step(ens, y, h, mom, np.random.default_rng(5))
     coeff = max(1.0 / h - 1.0, 0.0)
     eta = np.sqrt(coeff) * np.random.default_rng(5).standard_normal((60, 3)) @ low.T
-    noise = mom.cov_y_given_x + jitter * np.eye(3)
-    bracket = mom.cov_yy + jitter * np.eye(3) + coeff * noise
+    bracket = _signal(mom) + (1.0 + coeff) * mom.cov_y_given_x
     moves = (mom.cov_xy @ np.linalg.solve(bracket, (y - sims - eta).T)).T
-    assert np.abs(out.params - params - moves).max() <= 1e-10 * np.abs(moves).max()
+    assert np.abs(out.params - params - moves).max() <= 1e-12 * np.abs(moves).max()
 
 
 def test_eki_step_single_update_matches_scalar_posterior():
@@ -514,6 +550,26 @@ def test_run_eki_temper_contract():
         if not clamped:
             assert abs(ess_val - 0.5 * 300) <= 1e-2 * 300
             assert not flagged
+
+
+def test_run_eki_records_each_iterations_noise_shrinkage(monkeypatch):
+    rng = np.random.default_rng(16)
+    model = random_lingauss(rng, 2, 6)
+    _, _, y = draw_observation(model, 11)
+    seen = []
+
+    def recording(ensemble):
+        mom = compute_moments(ensemble)
+        seen.append(mom.shrinkage)
+        return mom
+
+    monkeypatch.setattr(enki.inversion, "compute_moments", recording)
+    res = run_eki(model, y, EkiConfig(n_particles=60), 11)
+    rows = res.schedule.to_records()
+    assert res.schedule.n_steps > 1
+    assert [row["shrinkage"] for row in rows] == res.schedule.shrinkage == seen
+    assert all(0.0 <= value <= 1.0 for value in seen)
+    assert any(value > 0.0 for value in seen)
 
 
 def test_run_eki_bitwise_reproducible():
