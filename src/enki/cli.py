@@ -24,13 +24,7 @@ from .harness import (
     summarize_rows,
     write_summary_csv,
 )
-from .models import available_models, build_model
-
-_MODEL_NOTES = {
-    "gk": "g-and-k order-statistic summaries; 4 parameters in (0, 10)",
-    "l96": "stochastic cyclic lattice SDE; initial-state inference",
-    "lingauss": "linear-Gaussian model with analytic posterior",
-}
+from .models import available_models, build_model, model_note
 
 
 def _load_config(path: str) -> ExperimentConfig:
@@ -81,8 +75,7 @@ def _cmd_validate(args) -> int:
 def _cmd_list_models(_args) -> int:
     for name in available_models():
         model = build_model(name)
-        note = _MODEL_NOTES.get(name, "")
-        print(f"{name:<10} d_x={model.d_x:<4} d_y={model.d_y:<5} {note}")
+        print(f"{name:<10} d_x={model.d_x:<4} d_y={model.d_y:<5} {model_note(name)}")
     return 0
 
 

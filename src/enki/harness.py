@@ -319,8 +319,13 @@ def _write_json(value, path: Path) -> None:
 
 
 def resolve_out_dir(config: ExperimentConfig, override=None) -> Path:
-    """Output directory: CLI override, config `out`, then $ENKI_OUT_ROOT/<label>."""
-    if override:
+    """Output directory: CLI override, config `out`, then $ENKI_OUT_ROOT/<label>.
+
+    Raises ConfigError for an empty override, as validate() does for `out`.
+    """
+    if override == "":
+        raise ConfigError("out: must be a nonempty path string, got ''")
+    if override is not None:
         return Path(override)
     if config.out_dir:
         return Path(config.out_dir)

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import inspect
-from dataclasses import fields
 
 import numpy as np
 
@@ -10,7 +9,7 @@ from ..ensembles import GaussPair
 from .base import SimulatorModel, _require_int
 from .gk import GkModel
 from .lingauss import LinearGaussianModel
-from .lorenz96 import L96Config, L96Model
+from .lorenz96 import L96Model
 
 __all__ = [
     "SimulatorModel",
@@ -19,52 +18,32 @@ __all__ = [
     "LinearGaussianModel",
     "available_models",
     "build_model",
+    "model_note",
 ]
 
 
-def _check_overrides(name: str, overrides: dict, allowed) -> None:
-    unknown = set(overrides).difference(allowed)
-    if unknown:
-        raise ValueError(
-            f"unknown override(s) for model '{name}': {', '.join(sorted(unknown))}"
-        )
+def _lingauss(d_x=3, prior_mean=None, prior_cov=None, obs_matrix=None, noise_cov=None):
+    """Linear-Gaussian model with analytic posterior.
 
-
-def _build_gk(overrides: dict) -> GkModel:
-    _check_overrides("gk", overrides, inspect.signature(GkModel).parameters)
-    return GkModel(**overrides)
-
-
-def _build_l96(overrides: dict) -> L96Model:
-    _check_overrides("l96", overrides, {f.name for f in fields(L96Config)} | {"prior_var"})
-    prior_var = overrides.pop("prior_var", 5.0)
-    return L96Model(L96Config(**overrides), prior_var=prior_var)
-
-
-def _build_lingauss(overrides: dict) -> LinearGaussianModel:
-    allowed = {"d_x", "prior_mean", "prior_cov", "obs_matrix", "noise_cov"}
-    _check_overrides("lingauss", overrides, allowed)
-    d_x = overrides.get("d_x", 3)
+    Defaults: prior N(0, I_{d_x}), obs_matrix I and noise_cov 0.5 I.
+    """
     _require_int("d_x", d_x, 1)
-    mean = np.asarray(overrides.get("prior_mean", np.zeros(d_x)), dtype=float)
-    cov = np.asarray(overrides.get("prior_cov", np.eye(d_x)), dtype=float)
+    mean = np.asarray(np.zeros(d_x) if prior_mean is None else prior_mean, dtype=float)
+    cov = np.asarray(np.eye(d_x) if prior_cov is None else prior_cov, dtype=float)
     for name, value in (("prior_mean", mean), ("prior_cov", cov)):
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite")
     prior = GaussPair(mean, cov)
-    obs_matrix = np.asarray(overrides.get("obs_matrix", np.eye(prior.dim)), dtype=float)
-    obs_matrix = np.atleast_2d(obs_matrix)
-    noise_cov = np.asarray(
-        overrides.get("noise_cov", 0.5 * np.eye(obs_matrix.shape[0])), dtype=float
-    )
+    if obs_matrix is None:
+        obs_matrix = np.eye(prior.dim)
+    obs_matrix = np.atleast_2d(np.asarray(obs_matrix, dtype=float))
+    if noise_cov is None:
+        noise_cov = 0.5 * np.eye(obs_matrix.shape[0])
     return LinearGaussianModel(prior, obs_matrix, noise_cov)
 
 
-_REGISTRY = {
-    "gk": _build_gk,
-    "l96": _build_l96,
-    "lingauss": _build_lingauss,
-}
+# each factory's keyword parameters are the model's overrides
+_REGISTRY = {"gk": GkModel, "l96": L96Model, "lingauss": _lingauss}
 
 
 def available_models() -> list:
@@ -72,10 +51,26 @@ def available_models() -> list:
     return sorted(_REGISTRY)
 
 
+def model_note(name: str) -> str:
+    """One-line description of a registered model: its factory's docstring summary."""
+    return inspect.getdoc(_REGISTRY[name]).partition("\n")[0]
+
+
 def build_model(name: str, overrides: dict = None) -> SimulatorModel:
-    """Instantiate a registered model with optional parameter overrides."""
+    """Instantiate a registered model with optional parameter overrides.
+
+    The overrides are keyword arguments of the model's factory; any other
+    name raises ValueError before the model is built.
+    """
     if name not in _REGISTRY:
         raise ValueError(
             f"unknown model '{name}'; available: {', '.join(available_models())}"
         )
-    return _REGISTRY[name](dict(overrides or {}))
+    factory = _REGISTRY[name]
+    overrides = overrides or {}
+    unknown = set(map(str, overrides)).difference(inspect.signature(factory).parameters)
+    if unknown:
+        raise ValueError(
+            f"unknown override(s) for model '{name}': {', '.join(sorted(unknown))}"
+        )
+    return factory(**overrides)

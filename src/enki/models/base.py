@@ -8,7 +8,8 @@ natural space for reporting.
 """
 from __future__ import annotations
 
-from numbers import Integral
+from collections.abc import Iterable
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -23,6 +24,23 @@ def _require_int(name: str, value, minimum: int) -> None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
+
+
+def _require_real(name: str, value) -> float:
+    """Return value as a float; TypeError unless it is a real number.
+
+    Python and numpy reals pass; bools, strings and None raise.
+    """
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _require_sequence(name: str, value) -> tuple:
+    """Return value as a tuple; TypeError for a string or a scalar."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+        raise TypeError(f"{name} must be a sequence, got {value!r}")
+    return tuple(value)
 
 
 class SimulatorModel:

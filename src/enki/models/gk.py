@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .base import SimulatorModel, _require_int
+from .base import SimulatorModel, _require_int, _require_real
 from .transforms import inverse_transform, transform_to_unconstrained
 
 __all__ = ["GkParams", "gk_quantile", "GkModel"]
@@ -77,9 +77,10 @@ class GkModel(SimulatorModel):
     Uniform(0, 10)^4 on the natural scale is exactly N(0, I) here. The
     conventional ground truth is (3, 1, 2, 1/2).
 
-    Raises TypeError unless n_raw and n_stats are integers, and ValueError
-    unless 1 <= n_stats <= n_raw, c lies in [0, 0.8], and upper is finite
-    and positive. The probit map keeps every B and k in [0, upper].
+    Raises TypeError unless n_raw and n_stats are integers and c and upper
+    real numbers, and ValueError unless 1 <= n_stats <= n_raw, c lies in
+    [0, 0.8], and upper is finite and positive. The probit map keeps every
+    B and k in [0, upper].
     """
 
     d_x = 4
@@ -91,10 +92,10 @@ class GkModel(SimulatorModel):
         self.n_raw = int(n_raw)
         self.n_stats = int(n_stats)
         self.d_y = self.n_stats
-        self.c = float(c)
+        self.c = _require_real("c", c)
         if not 0.0 <= self.c <= 0.8:
             raise ValueError(f"c must lie in [0, 0.8] for a monotone quantile, got {c}")
-        self.upper = float(upper)
+        self.upper = _require_real("upper", upper)
         if not (math.isfinite(self.upper) and self.upper > 0.0):
             raise ValueError(f"upper must be finite and positive, got {upper}")
         # Gamma shapes of the spacings: up to the first kept rank, between

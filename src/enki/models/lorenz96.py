@@ -10,78 +10,12 @@ particles in lockstep, and a single path is a batch of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .base import SimulatorModel, _require_int
+from .base import SimulatorModel, _require_int, _require_real, _require_sequence
 
-__all__ = ["L96Config", "l96_drift", "L96Model"]
-
-
-@dataclass(frozen=True)
-class L96Config:
-    """Integration grid and observation design.
-
-    observed_dims default to every other dimension starting from the first
-    (0-based even indices = 1-based odd dimensions); they must be integers
-    and not empty. diffusion (nonnegative) scales the sqrt(dt) path noise and
-    exists mainly as a test hook (0 disables it). forcing, obs_noise_var,
-    diffusion, dt and every obs_times entry must be finite.
-    """
-
-    d_x: int = 40
-    forcing: float = 8.0
-    dt: float = 0.001
-    obs_times: tuple = (1.0, 2.0, 3.0, 4.0, 5.0)
-    obs_noise_var: float = 0.1
-    observed_dims: tuple = None
-    diffusion: float = 1.0
-
-    def __post_init__(self):
-        _require_int("d_x", self.d_x, 4)
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be finite and positive, got {self.dt}")
-        if not math.isfinite(self.forcing):
-            raise ValueError(f"forcing must be finite, got {self.forcing}")
-        for name in ("obs_noise_var", "diffusion"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-        times = tuple(float(t) for t in self.obs_times)
-        if not times or not all(math.isfinite(t) and t > 0 for t in times):
-            raise ValueError(f"obs_times must be finite and positive, got {times}")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("obs_times must be strictly increasing")
-        # observation times must land exactly on the integration grid
-        for t in times:
-            step = round(t / self.dt)
-            if step < 1 or abs(step * self.dt - t) > 1e-9 * max(1.0, t):
-                raise ValueError(f"obs_time {t} does not lie on the dt={self.dt} grid")
-        object.__setattr__(self, "obs_times", times)
-        dims = self.observed_dims
-        if dims is None:
-            dims = tuple(range(0, self.d_x, 2))
-        for m in dims:
-            _require_int("observed_dims entry", m, 0)
-        dims = tuple(int(m) for m in dims)
-        if not dims:
-            raise ValueError("observed_dims must name at least one dimension")
-        if len(set(dims)) != len(dims) or any(m < 0 or m >= self.d_x for m in dims):
-            raise ValueError("observed_dims must be distinct indices in [0, d_x)")
-        object.__setattr__(self, "observed_dims", dims)
-
-    @property
-    def d_y(self) -> int:
-        return len(self.obs_times) * len(self.observed_dims)
-
-    @property
-    def obs_steps(self) -> tuple:
-        return tuple(round(t / self.dt) for t in self.obs_times)
-
-    @property
-    def n_steps(self) -> int:
-        return self.obs_steps[-1]
+__all__ = ["l96_drift", "L96Model"]
 
 
 def l96_drift(x: np.ndarray, forcing: float, out: np.ndarray = None) -> np.ndarray:
@@ -111,25 +45,70 @@ class L96Model(SimulatorModel):
     """Initial-state inference for the stochastic Lorenz 96 system.
 
     Prior is N(forcing * 1, prior_var * I) on the initial state; the
-    parameter space is unconstrained so `constrain` is the identity.
+    parameter space is unconstrained so `constrain` is the identity. The
+    other settings are the integration grid and the observation design.
+    observed_dims default to every other dimension starting from the first
+    (0-based even indices = 1-based odd dimensions); they must be integers
+    and not empty. diffusion (nonnegative) scales the sqrt(dt) path noise and
+    exists mainly as a test hook (0 disables it). forcing, obs_noise_var,
+    diffusion, dt, prior_var and every obs_times entry must be finite real
+    numbers, and obs_times and observed_dims sequences; a wrong type raises
+    TypeError naming the setting and a bad value ValueError.
     """
 
-    def __init__(self, config: L96Config = None, prior_var: float = 5.0):
-        self.config = config if config is not None else L96Config()
-        if not (math.isfinite(prior_var) and prior_var > 0):
+    def __init__(self, d_x: int = 40, forcing: float = 8.0, dt: float = 0.001,
+                 obs_times=(1.0, 2.0, 3.0, 4.0, 5.0), obs_noise_var: float = 0.1,
+                 observed_dims=None, diffusion: float = 1.0, prior_var: float = 5.0):
+        _require_int("d_x", d_x, 4)
+        self.d_x = int(d_x)
+        self.forcing = _require_real("forcing", forcing)
+        self.dt = _require_real("dt", dt)
+        self.obs_noise_var = _require_real("obs_noise_var", obs_noise_var)
+        self.diffusion = _require_real("diffusion", diffusion)
+        self.prior_var = _require_real("prior_var", prior_var)
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not math.isfinite(self.forcing):
+            raise ValueError(f"forcing must be finite, got {self.forcing}")
+        for name in ("obs_noise_var", "diffusion"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        times = _require_sequence("obs_times", obs_times)
+        times = tuple(_require_real("obs_times entry", t) for t in times)
+        if not times or not all(math.isfinite(t) and t > 0 for t in times):
+            raise ValueError(f"obs_times must be finite and positive, got {times}")
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise ValueError("obs_times must be strictly increasing")
+        # observation times must land exactly on the integration grid
+        self.obs_steps = tuple(round(t / self.dt) for t in times)
+        for t, step in zip(times, self.obs_steps):
+            if step < 1 or abs(step * self.dt - t) > 1e-9 * max(1.0, t):
+                raise ValueError(f"obs_time {t} does not lie on the dt={self.dt} grid")
+        self.obs_times = times
+        if observed_dims is None:
+            observed_dims = range(0, self.d_x, 2)
+        dims = _require_sequence("observed_dims", observed_dims)
+        for m in dims:
+            _require_int("observed_dims entry", m, 0)
+        dims = tuple(int(m) for m in dims)
+        if not dims:
+            raise ValueError("observed_dims must name at least one dimension")
+        if len(set(dims)) != len(dims) or any(m < 0 or m >= self.d_x for m in dims):
+            raise ValueError("observed_dims must be distinct indices in [0, d_x)")
+        self.observed_dims = dims
+        if not (math.isfinite(self.prior_var) and self.prior_var > 0):
             raise ValueError(f"prior_var must be finite and positive, got {prior_var}")
-        self.prior_var = float(prior_var)
-        self.d_x = self.config.d_x
-        self.d_y = self.config.d_y
+        self.d_y = len(times) * len(dims)
 
     def prior_sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return self.config.forcing + np.sqrt(self.prior_var) * rng.standard_normal(
+        return self.forcing + np.sqrt(self.prior_var) * rng.standard_normal(
             (count, self.d_x)
         )
 
     def prior_logpdf(self, params: np.ndarray) -> np.ndarray:
         params = np.atleast_2d(np.asarray(params, dtype=float))
-        resid = params - self.config.forcing
+        resid = params - self.forcing
         return -0.5 * np.sum(resid**2, axis=1) / self.prior_var - 0.5 * self.d_x * np.log(
             2 * np.pi * self.prior_var
         )
@@ -147,15 +126,15 @@ class L96Model(SimulatorModel):
         the time reached if any state blows up.
         """
         x = np.atleast_2d(np.asarray(params, dtype=float))
-        config = self.config
-        if x.shape[1] != config.d_x:
-            raise ValueError(f"params must have {config.d_x} columns")
+        if x.shape[1] != self.d_x:
+            raise ValueError(f"params must have {self.d_x} columns")
         if not np.all(np.isfinite(x)):
             raise ValueError("initial state must be finite")
         n, d = x.shape
-        dims = list(config.observed_dims)
-        obs_steps = config.obs_steps
-        scale = np.sqrt(config.dt) * config.diffusion
+        dims = list(self.observed_dims)
+        obs_steps = self.obs_steps
+        n_steps = obs_steps[-1]
+        scale = np.sqrt(self.dt) * self.diffusion
         blocks = np.empty((n, len(obs_steps), len(dims)))
         # state and drift are (n, d) views of (d, n) buffers, so every slice
         # l96_drift takes along d is one contiguous block
@@ -166,23 +145,23 @@ class L96Model(SimulatorModel):
         # overflow is detected explicitly at observation reads and reported with
         # the time reached, so the intermediate warnings are silenced
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, config.n_steps, _CHUNK):
-                width = min(_CHUNK, config.n_steps - start)
+            for start in range(0, n_steps, _CHUNK):
+                width = min(_CHUNK, n_steps - start)
                 rng.standard_normal(out=noise[:width])
                 noise[:width] *= scale
                 for t in range(width):
                     step = start + t + 1
                     # x + (drift * dt + scale * noise), one operation at a time
-                    l96_drift(state, config.forcing, out=drift)
-                    drift *= config.dt
+                    l96_drift(state, self.forcing, out=drift)
+                    drift *= self.dt
                     drift += noise[t]
                     state += drift
                     if step == obs_steps[next_obs]:
                         if not np.all(np.isfinite(state)):
                             raise FloatingPointError(
-                                f"state became non-finite by t={step * config.dt:g}"
+                                f"state became non-finite by t={step * self.dt:g}"
                             )
                         blocks[:, next_obs, :] = state[:, dims]
                         next_obs += 1
         eps = rng.standard_normal(blocks.shape)
-        return (blocks + np.sqrt(config.obs_noise_var) * eps).reshape(n, config.d_y)
+        return (blocks + np.sqrt(self.obs_noise_var) * eps).reshape(n, self.d_y)

@@ -316,7 +316,7 @@ REDUCED_MARGIN_NOTE = (
 def test_07_reduced_lattice_spread_margin(capsys):
     start = time.perf_counter()
     model = build_model("l96", {"d_x": 8, "obs_times": [1.0, 2.0]})
-    observed = list(model.config.observed_dims)
+    observed = list(model.observed_dims)
     unobserved = [m for m in range(model.d_x) if m not in observed]
     obs_spread, unobs_spread = [], []
     for seed in (0, 1, 2):
@@ -372,7 +372,7 @@ def test_07_early_observations_inform_the_update(capsys):
     # y = a + B x + N(0, R): the best one-shot linear update.
     start = time.perf_counter()
     model = build_model("l96", {"d_x": 8, "obs_times": [0.1, 0.2]})
-    observed = list(model.config.observed_dims)
+    observed = list(model.observed_dims)
     unobserved = [m for m in range(model.d_x) if m not in observed]
     rng = np.random.default_rng(as_seed_sequence(7))
     x = model.prior_sample(20_000, rng)
@@ -383,7 +383,7 @@ def test_07_early_observations_inform_the_update(capsys):
     resid = y - design @ coef
     noise_cov = resid.T @ resid / (len(x) - design.shape[1])
     prior = GaussPair(
-        np.full(model.d_x, model.config.forcing), model.prior_var * np.eye(model.d_x)
+        np.full(model.d_x, model.forcing), model.prior_var * np.eye(model.d_x)
     )
 
     errs, bounds, obs_spread, unobs_spread = [], [], [], []

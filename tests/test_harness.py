@@ -23,7 +23,7 @@ from enki.harness import (
     write_summary_csv,
 )
 from enki.inversion import EkiConfig, run_eki
-from enki.models import build_model
+from enki.models import available_models, build_model
 
 HEADER = "algorithm,model,N,seed,sim_count,rmse,wall_time_s,termination,final_temp"
 
@@ -189,6 +189,22 @@ def test_config_checks_model_overrides_early():
         ("observed_dims", [0.5, 2]),
         ("observed_dims", [2.7]),
         ("observed_dims", [True]),
+        # a wrong type names the field instead of being coerced or failing inside
+        ("obs_times", "12"),
+        ("obs_times", 2.0),
+        ("obs_times", ["1.0", "2.0"]),
+        ("obs_times", [True]),
+        ("observed_dims", 3),
+        ("prior_var", "5"),
+        ("prior_var", None),
+        ("forcing", "8"),
+        ("forcing", None),
+        ("dt", "0.001"),
+        ("dt", None),
+        ("obs_noise_var", "0.1"),
+        ("obs_noise_var", None),
+        ("diffusion", True),
+        ("diffusion", None),
     ):
         with pytest.raises(ConfigError, match=f"model_overrides.*{field}"):
             ExperimentConfig.from_mapping(
@@ -224,6 +240,12 @@ def test_config_checks_model_overrides_early():
         with pytest.raises(ConfigError, match="model_overrides"):
             ExperimentConfig.from_mapping(
                 small_mapping(model="gk", model_overrides=overrides)
+            )
+    for field, value in (("upper", None), ("upper", "10"), ("c", "0.5"), ("c", None),
+                         ("c", False)):
+        with pytest.raises(ConfigError, match=f"model_overrides.*{field}"):
+            ExperimentConfig.from_mapping(
+                small_mapping(model="gk", model_overrides={field: value})
             )
 
 
@@ -499,9 +521,10 @@ def test_cli_summarize(tmp_path, capsys):
 
 def test_cli_list_models(capsys):
     assert cli_main(["list-models"]) == 0
-    out = capsys.readouterr().out
-    for name in ("gk", "l96", "lingauss"):
-        assert name in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == available_models() == ["gk", "l96", "lingauss"]
+    for line in lines:  # name, d_x=, d_y= and a non-empty note
+        assert len(line.split(maxsplit=3)) == 4, line
 
 
 def test_cli_bad_inputs_exit_2(tmp_path, capsys, monkeypatch):
@@ -558,6 +581,10 @@ def test_cli_bad_inputs_exit_2(tmp_path, capsys, monkeypatch):
         for command in ("validate", "run"):
             assert cli_main([command, str(bad_out)]) == 2
             assert "out:" in capsys.readouterr().err
+    good = write_config(tmp_path)
+    for command in ("validate", "run"):
+        assert cli_main([command, str(good), "--out", ""]) == 2
+        assert "out:" in capsys.readouterr().err
     assert not any(work.iterdir())
 
     cfg_path = write_config(tmp_path)

@@ -1,11 +1,13 @@
 """Benchmark models: transforms, g-and-k, Lorenz 96, linear-Gaussian, registry."""
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enki.ensembles import GaussPair
-from enki.models import available_models, build_model
+from enki.models import _REGISTRY, available_models, build_model
 from enki.models.gk import (
     GkModel,
     GkParams,
@@ -19,7 +21,7 @@ from enki.models.lingauss import (
     linear_gaussian_tempered,
     tempered_recursion_step,
 )
-from enki.models.lorenz96 import L96Config, L96Model, l96_drift
+from enki.models.lorenz96 import L96Model, l96_drift
 from enki.models.transforms import inverse_transform, transform_to_unconstrained
 from enki.rng import as_seed_sequence, substream
 
@@ -324,59 +326,59 @@ def test_l96_drift_batched_rows():
 
 
 def test_l96_config_layout_and_validation():
-    cfg = L96Config()
-    assert cfg.d_y == 100  # 20 observed dims x 5 times
-    assert cfg.observed_dims == tuple(range(0, 40, 2))
-    assert cfg.obs_steps == (1000, 2000, 3000, 4000, 5000)
-    assert cfg.n_steps == 5000
+    model = L96Model()
+    assert model.d_y == 100  # 20 observed dims x 5 times
+    assert model.observed_dims == tuple(range(0, 40, 2))
+    assert model.obs_steps == (1000, 2000, 3000, 4000, 5000)
+    assert model.obs_steps[-1] == 5000
     with pytest.raises(ValueError):
-        L96Config(obs_times=(0.00151,), dt=0.001)  # off the step grid
+        L96Model(obs_times=(0.00151,), dt=0.001)  # off the step grid
     with pytest.raises(ValueError):
-        L96Config(obs_times=(2.0, 1.0))
+        L96Model(obs_times=(2.0, 1.0))
     with pytest.raises(ValueError):
-        L96Config(d_x=3)
+        L96Model(d_x=3)
     with pytest.raises(TypeError, match="d_x"):
-        L96Config(d_x=6.0, observed_dims=(0, 2))
+        L96Model(d_x=6.0, observed_dims=(0, 2))
     with pytest.raises(ValueError):
-        L96Config(observed_dims=(0, 0))
+        L96Model(observed_dims=(0, 0))
     with pytest.raises(ValueError, match="observed_dims"):
-        L96Config(observed_dims=())
+        L96Model(observed_dims=())
     with pytest.raises(ValueError, match="diffusion"):
-        L96Config(diffusion=-1.0)
+        L96Model(diffusion=-1.0)
     nan, inf = float("nan"), float("inf")
     for name, value in (("forcing", nan), ("forcing", inf), ("obs_noise_var", nan),
                         ("obs_noise_var", inf), ("diffusion", nan), ("dt", nan),
                         ("dt", inf), ("obs_times", (inf,)), ("obs_times", (1.0, nan))):
         with pytest.raises(ValueError, match=name):
-            L96Config(**{name: value})
+            L96Model(**{name: value})
     for dims in ((0.5, 2), (2.7,), (True,)):
         with pytest.raises(TypeError, match="observed_dims"):
-            L96Config(observed_dims=dims)
+            L96Model(observed_dims=dims)
     for prior_var in (nan, inf, 0.0):
         with pytest.raises(ValueError, match="prior_var"):
-            L96Model(L96Config(d_x=4, obs_times=(0.01,), dt=0.01), prior_var=prior_var)
+            L96Model(d_x=4, obs_times=(0.01,), dt=0.01, prior_var=prior_var)
 
 
 def test_l96_simulate_deterministic_given_stream():
-    cfg = L96Config(d_x=6, obs_times=(0.05, 0.1), dt=0.01)
+    model = L96Model(d_x=6, obs_times=(0.05, 0.1), dt=0.01)
     x0 = np.full(6, 8.0)
-    a = L96Model(cfg).simulate(x0, np.random.default_rng(3))
-    b = L96Model(cfg).simulate(x0, np.random.default_rng(3))
+    a = model.simulate(x0, np.random.default_rng(3))
+    b = model.simulate(x0, np.random.default_rng(3))
     assert a.shape == (6,)  # 3 observed dims x 2 times, time-major
     assert np.array_equal(a, b)
 
 
 def test_l96_simulate_noiseless_matches_manual_euler():
-    cfg = L96Config(
+    model = L96Model(
         d_x=5, obs_times=(0.02, 0.03), dt=0.01, obs_noise_var=0.0, diffusion=0.0,
         observed_dims=(0, 2),
     )
     x0 = np.array([1.0, 0.5, -0.5, 2.0, 8.0])
-    out = L96Model(cfg).simulate(x0, np.random.default_rng(0))
+    out = model.simulate(x0, np.random.default_rng(0))
     x = x0.copy()
     expected = []
     for step in range(1, 4):
-        x = x + l96_drift(x, cfg.forcing) * cfg.dt
+        x = x + l96_drift(x, model.forcing) * model.dt
         if step in (2, 3):
             expected.extend(x[[0, 2]])
     assert np.allclose(out, expected, atol=1e-14)
@@ -385,11 +387,11 @@ def test_l96_simulate_noiseless_matches_manual_euler():
 def test_l96_simulate_blowup_names_time():
     # a uniform state would decay (the advection differences cancel), so use
     # an uneven huge start whose quadratic term overflows within a few steps
-    cfg = L96Config(d_x=4, obs_times=(1.0,), dt=0.01, diffusion=0.0)
+    model = L96Model(d_x=4, obs_times=(1.0,), dt=0.01, diffusion=0.0)
     rng = np.random.default_rng(0)
     with pytest.raises(FloatingPointError, match="t="):
         with np.errstate(all="ignore"):
-            L96Model(cfg).simulate(np.array([1e80, 1e80, 0.0, 0.0]), rng)
+            model.simulate(np.array([1e80, 1e80, 0.0, 0.0]), rng)
 
 
 def test_l96_non_finite_start_fails_before_any_step(monkeypatch):
@@ -400,18 +402,18 @@ def test_l96_non_finite_start_fails_before_any_step(monkeypatch):
         raise AssertionError("integrated a non-finite start")
 
     monkeypatch.setattr(l96, "l96_drift", no_step)
-    cfg = L96Config(d_x=4, obs_times=(1.0,), dt=0.01)
+    model = L96Model(d_x=4, obs_times=(1.0,), dt=0.01)
     start = np.array([8.0, np.nan, 8.0, 8.0])
     with pytest.raises(ValueError, match="initial state must be finite"):
-        L96Model(cfg).simulate(start, np.random.default_rng(0))
+        model.simulate(start, np.random.default_rng(0))
     params = np.array([[8.0, 8.5, 7.5, 8.0], start])
     with pytest.raises(ValueError, match="initial state must be finite"):
-        L96Model(cfg).simulate_batch(params, np.random.default_rng(0))
+        model.simulate_batch(params, np.random.default_rng(0))
 
 
 def test_l96_model_batch_blowup_names_time():
     # one diverging row aborts the whole batch, as in the single-path case
-    model = L96Model(L96Config(d_x=4, obs_times=(1.0,), dt=0.01, diffusion=0.0))
+    model = L96Model(d_x=4, obs_times=(1.0,), dt=0.01, diffusion=0.0)
     params = np.array([
         [8.0, 8.5, 7.5, 8.0],
         [1e80, 1e80, 0.0, 0.0],
@@ -422,21 +424,21 @@ def test_l96_model_batch_blowup_names_time():
             model.simulate_batch(params, np.random.default_rng(0))
 
 
-def _reference_l96(params, config, rng):
+def _reference_l96(params, model, rng):
     """All particles in lockstep: one (n, d_x) path-noise draw per step, then
     the observation noise."""
-    dims = list(config.observed_dims)
-    scale = np.sqrt(config.dt) * config.diffusion
+    dims = list(model.observed_dims)
+    scale = np.sqrt(model.dt) * model.diffusion
     x = params
     blocks = []
-    for step in range(1, config.n_steps + 1):
-        x = x + (l96_drift(x, config.forcing) * config.dt
+    for step in range(1, model.obs_steps[-1] + 1):
+        x = x + (l96_drift(x, model.forcing) * model.dt
                  + scale * rng.standard_normal(x.shape))
-        if step in config.obs_steps:
+        if step in model.obs_steps:
             blocks.append(x[:, dims])
     blocks = np.stack(blocks, axis=1)
     eps = rng.standard_normal(blocks.shape)
-    return (blocks + np.sqrt(config.obs_noise_var) * eps).reshape(len(x), -1)
+    return (blocks + np.sqrt(model.obs_noise_var) * eps).reshape(len(x), -1)
 
 
 @pytest.mark.parametrize("diffusion", [0.0, 1.0])
@@ -446,14 +448,13 @@ def test_l96_batch_matches_reference_euler_loop(d_x, diffusion):
     # sit just before, on and after multiples of 64 and of 1000, and the
     # last one (1090) is a multiple of neither
     steps = (63, 64, 65, 999, 1000, 1001, 1090)
-    cfg = L96Config(d_x=d_x, dt=0.001, obs_times=tuple(s * 0.001 for s in steps),
-                    diffusion=diffusion)
-    assert cfg.obs_steps == steps
-    model = L96Model(cfg)
+    model = L96Model(d_x=d_x, dt=0.001, obs_times=tuple(s * 0.001 for s in steps),
+                     diffusion=diffusion)
+    assert model.obs_steps == steps
     root = as_seed_sequence(d_x)
     params = model.prior_sample(3, substream(root, 0))
     batch = model.simulate_batch(params, substream(root, 1, 2))
-    reference = _reference_l96(params, cfg, substream(root, 1, 2))
+    reference = _reference_l96(params, model, substream(root, 1, 2))
     assert np.array_equal(batch, reference)
 
 
@@ -479,14 +480,14 @@ def test_l96_batch_calls_drift_once_per_step(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(l96, "l96_drift", counting)
-    cfg = L96Config(d_x=6, dt=0.01, obs_times=(0.5, 1.3))
-    params = L96Model(cfg).prior_sample(4, np.random.default_rng(0))
-    L96Model(cfg).simulate_batch(params, np.random.default_rng(1))
-    assert len(calls) == cfg.n_steps == 130
+    model = L96Model(d_x=6, dt=0.01, obs_times=(0.5, 1.3))
+    params = model.prior_sample(4, np.random.default_rng(0))
+    model.simulate_batch(params, np.random.default_rng(1))
+    assert len(calls) == model.obs_steps[-1] == 130
 
 
 def test_l96_model_prior_moments():
-    model = L96Model(L96Config(d_x=8, obs_times=(0.1,), dt=0.01), prior_var=5.0)
+    model = L96Model(d_x=8, obs_times=(0.1,), dt=0.01, prior_var=5.0)
     draws = model.prior_sample(100_000, np.random.default_rng(0))
     assert abs(draws.mean() - 8.0) < 0.02
     assert abs(draws.var() - 5.0) < 0.05
@@ -627,3 +628,27 @@ def test_registry_rejects_unknown():
         build_model("gk", {"bogus": 1})
     with pytest.raises(ValueError, match="unknown override"):
         build_model("l96", {"n_raw": 10})
+    with pytest.raises(ValueError, match="unknown override.*: 1"):  # a YAML int key
+        build_model("lingauss", {1: 2})
+
+
+_OVERRIDES = {
+    "gk": ["n_raw", "n_stats", "c", "upper"],
+    "l96": ["d_x", "forcing", "dt", "obs_times", "obs_noise_var", "observed_dims",
+            "diffusion", "prior_var"],
+    "lingauss": ["d_x", "prior_mean", "prior_cov", "obs_matrix", "noise_cov"],
+}
+
+
+@pytest.mark.parametrize("name", available_models())
+def test_registry_overrides_are_the_factory_keywords(name):
+    # one check for every model: a name outside the factory's keywords is
+    # rejected, and each keyword at its default builds the default model
+    with pytest.raises(ValueError, match=f"unknown override\\(s\\) for model '{name}': bogus"):
+        build_model(name, {"bogus": 1})
+    parameters = inspect.signature(_REGISTRY[name]).parameters.values()
+    assert [p.name for p in parameters] == _OVERRIDES[name]
+    defaults = {p.name: p.default for p in parameters}
+    assert inspect.Parameter.empty not in defaults.values()
+    default, model = build_model(name), build_model(name, defaults)
+    assert (model.d_x, model.d_y) == (default.d_x, default.d_y)
