@@ -65,10 +65,6 @@ class Ensemble:
     def n(self) -> int:
         return self.params.shape[0]
 
-    @property
-    def d_x(self) -> int:
-        return self.params.shape[1]
-
     def with_sims(self, sims: np.ndarray) -> "Ensemble":
         """Same particles with a fresh simulation round attached."""
         return Ensemble(self.params, sims=sims)
@@ -82,15 +78,14 @@ class MomentSet:
     residual covariance ``cov_yy - cov_yx (cov_xx)^-1 cov_xy`` with its
     correlations shrunk toward zero by the factor ``1 - shrinkage`` (see
     `compute_moments`). It is symmetrized but not forced positive
-    semi-definite (finite-N estimates can be indefinite). ``cov_yy`` stays
-    the raw ensemble covariance. ``chol_y_given_x`` is the lower factor of
-    ``cov_y_given_x`` under `chol_psd`'s jitter policy, computed on first use
-    and then kept, so one factor serves every consumer of the estimate.
+    semi-definite (finite-N estimates can be indefinite). ``chol_y_given_x``
+    is the lower factor of ``cov_y_given_x`` under `chol_psd`'s jitter
+    policy, computed on first use and then kept, so one factor serves every
+    consumer of the estimate.
     """
 
     cov_xx: np.ndarray
     cov_xy: np.ndarray
-    cov_yy: np.ndarray
     cov_y_given_x: np.ndarray
     shrinkage: float
 
@@ -145,9 +140,11 @@ def compute_moments(ensemble: Ensemble) -> MomentSet:
     Var(r_ij) = n/(n-1)^3 sum_k (z_ki z_kj - mean_k z_ki z_kj)^2 over the
     regression residuals E = yc - xc (C^xx)^-1 C^xy standardized by C's
     diagonal, z = E / sqrt(diag C). It costs O(N d_y) plus elementwise
-    O(d_y^2) work. s = 0, and C is returned as it is, when d_y = 1 (no
-    correlations; likewise when every r_ij is 0) or some residual column
-    has zero variance.
+    O(d_y^2) work. A residual column without positive variance (a constant
+    summary) has no correlations and is left out of s, so its row of C stays
+    zero while the other columns are shrunk. s = 0, and C is returned as it
+    is, when fewer than two columns remain (no correlations; likewise when
+    every r_ij is 0).
     """
     if ensemble.sims is None:
         raise ValueError("ensemble has no simulated data; run the simulator first")
@@ -167,7 +164,7 @@ def compute_moments(ensemble: Ensemble) -> MomentSet:
     var = np.diag(noise).copy()
     noise *= 1.0 - shrinkage
     np.fill_diagonal(noise, var)
-    return MomentSet(cov_xx, cov_xy, cov_yy, noise, shrinkage)
+    return MomentSet(cov_xx, cov_xy, noise, shrinkage)
 
 
 def _correlation_shrinkage(resid: np.ndarray, cov: np.ndarray) -> float:
@@ -179,9 +176,8 @@ def _correlation_shrinkage(resid: np.ndarray, cov: np.ndarray) -> float:
     """
     n = resid.shape[0]
     var = np.diag(cov)
-    if not (var > 0.0).all():
-        return 0.0
-    inv = 1.0 / var
+    # a column without positive variance gets weight 0: left out of every sum
+    inv = np.divide(1.0, var, out=np.zeros_like(var), where=var > 0.0)
     sq = np.square(cov)
     np.fill_diagonal(sq, 0.0)
     r2 = inv @ sq @ inv  # sum_{i!=j} r_ij^2

@@ -145,8 +145,7 @@ def eki_step(
     rng.standard_normal((N, d_y)) draw and L = moments.chol_y_given_x, the
     factor `select_next_lambda` was given. C^{y|x} is the shrunk noise
     estimate moments.cov_y_given_x, and the gain's C^yy is the signal
-    C^yx (C^xx)^-1 C^xy plus that estimate, which differs from the raw
-    moments.cov_yy by the shrunk-away noise correlations (`compute_moments`).
+    C^yx (C^xx)^-1 C^xy plus that estimate (`compute_moments`).
     The floor makes h = 1 draw no noise at all, and h > 1
     (optimisation-mode steps) the plain C^yy bracket.
 
@@ -186,10 +185,12 @@ def gaussian_eki_step(
     """Classic additive-Gaussian iterate, for models y = H(x) + N(0, R).
 
     Gain C^xH (C^HH + R/h)^-1, perturbations eta ~ N(0, R/h); h = 1 is the
-    single perturbed-observation Kalman filter update step. Unlike
-    `eki_step`, it solves against all N innovations and then multiplies by
-    C^xH, the written-out filter's association, which it reproduces bit for
-    bit. observed must have length d_y, the column count of forward_evals.
+    single perturbed-observation Kalman filter update step. C^xH and C^HH
+    are the ensemble covariances of the particles and forward_evals; no
+    noise covariance is estimated. Unlike `eki_step`, it solves against all
+    N innovations and then multiplies by C^xH, the written-out filter's
+    association, which it reproduces bit for bit. observed must have length
+    d_y, the column count of forward_evals.
     """
     if h <= 0:
         raise ValueError("stepsize h must be positive")
@@ -200,12 +201,15 @@ def gaussian_eki_step(
         raise ValueError("forward_evals rows must match particle count")
     ensemble = ensemble.with_sims(forward)
     noise_cov = r / h
-    moments = compute_moments(ensemble)
-    low, _ = chol_psd(moments.cov_yy + noise_cov)
+    n = ensemble.n
+    xc = ensemble.params - ensemble.params.mean(axis=0)
+    fc = ensemble.sims - ensemble.sims.mean(axis=0)
+    cov_xh = xc.T @ fc / (n - 1)
+    low, _ = chol_psd(symmetrize(fc.T @ fc / (n - 1)) + noise_cov)
     innov = observed - ensemble.sims
     if noise_cov.any():
         innov = innov - rng.standard_normal(innov.shape) @ chol_psd(noise_cov)[0].T
-    return Ensemble(ensemble.params + (moments.cov_xy @ cho_solve((low, True), innov.T)).T)
+    return Ensemble(ensemble.params + (cov_xh @ cho_solve((low, True), innov.T)).T)
 
 
 def select_next_lambda(

@@ -6,7 +6,7 @@ import inspect
 import numpy as np
 
 from ..ensembles import GaussPair
-from .base import SimulatorModel, _require_int
+from .base import SimulatorModel, _require_int, _require_reals
 from .gk import GkModel
 from .lingauss import LinearGaussianModel
 from .lorenz96 import L96Model
@@ -25,21 +25,17 @@ __all__ = [
 def _lingauss(d_x=3, prior_mean=None, prior_cov=None, obs_matrix=None, noise_cov=None):
     """Linear-Gaussian model with analytic posterior.
 
-    Defaults: prior N(0, I_{d_x}), obs_matrix I and noise_cov 0.5 I.
+    Defaults: prior N(0, I_{d_x}), obs_matrix I and noise_cov 0.5 I. A matrix
+    or vector given must be a (nested) sequence of finite real numbers.
     """
     _require_int("d_x", d_x, 1)
-    mean = np.asarray(np.zeros(d_x) if prior_mean is None else prior_mean, dtype=float)
-    cov = np.asarray(np.eye(d_x) if prior_cov is None else prior_cov, dtype=float)
-    for name, value in (("prior_mean", mean), ("prior_cov", cov)):
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} must be finite")
+    mean = np.zeros(d_x) if prior_mean is None else _require_reals("prior_mean", prior_mean)
+    cov = np.eye(d_x) if prior_cov is None else _require_reals("prior_cov", prior_cov)
     prior = GaussPair(mean, cov)
-    if obs_matrix is None:
-        obs_matrix = np.eye(prior.dim)
-    obs_matrix = np.atleast_2d(np.asarray(obs_matrix, dtype=float))
-    if noise_cov is None:
-        noise_cov = 0.5 * np.eye(obs_matrix.shape[0])
-    return LinearGaussianModel(prior, obs_matrix, noise_cov)
+    h = np.eye(prior.dim) if obs_matrix is None else _require_reals("obs_matrix", obs_matrix)
+    h = np.atleast_2d(h)
+    r = 0.5 * np.eye(h.shape[0]) if noise_cov is None else _require_reals("noise_cov", noise_cov)
+    return LinearGaussianModel(prior, h, r)
 
 
 # each factory's keyword parameters are the model's overrides

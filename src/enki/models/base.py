@@ -43,6 +43,32 @@ def _require_sequence(name: str, value) -> tuple:
     return tuple(value)
 
 
+def _require_reals(name: str, value) -> np.ndarray:
+    """Return value as a finite float array; TypeError unless a (nested) sequence of reals.
+
+    A numpy array counts as its nested list. A value that is not a sequence,
+    or a bool, string or None entry, raises TypeError naming name; ragged
+    nesting or a non-finite entry raises ValueError naming it.
+    """
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    value = _require_sequence(name, value)
+    pending = [value]
+    while pending:
+        for item in pending.pop():
+            if isinstance(item, (list, tuple)):
+                pending.append(item)
+            else:
+                _require_real(f"{name} entry", item)
+    try:
+        array = np.asarray(value, dtype=float)
+    except ValueError as err:
+        raise ValueError(f"{name} must not be ragged") from err
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite")
+    return array
+
+
 class SimulatorModel:
     """Prior sampler + likelihood simulator pair.
 
@@ -79,10 +105,6 @@ class SimulatorModel:
     def constrain(self, params: np.ndarray) -> np.ndarray:
         """Map working-space particles to the natural parameter space."""
         return np.asarray(params, dtype=float)
-
-    def unconstrain(self, values: np.ndarray) -> np.ndarray:
-        """Inverse of `constrain`."""
-        return np.asarray(values, dtype=float)
 
     def sample_truth(self, rng: np.random.Generator) -> np.ndarray:
         """Working-space parameter used as ground truth in experiments.

@@ -26,10 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from .base import SimulatorModel, _require_int, _require_real
-from .transforms import inverse_transform, transform_to_unconstrained
 
 __all__ = ["GkParams", "gk_quantile", "GkModel"]
 
@@ -126,7 +125,7 @@ class GkModel(SimulatorModel):
         params = np.atleast_2d(np.asarray(params, dtype=float))
         if params.shape[1] != self.d_x:
             raise ValueError(f"params must have {self.d_x} columns")
-        natural = inverse_transform(params, self.upper)
+        natural = self.upper * ndtr(params)
         if not np.isfinite(natural).all():
             raise ValueError("params must be finite")
         spacings = rng.standard_gamma(self._gaps, (params.shape[0], self.n_stats + 1))
@@ -141,10 +140,14 @@ class GkModel(SimulatorModel):
         return _gk_values(z, a, b, g, k, self.c)
 
     def constrain(self, params: np.ndarray) -> np.ndarray:
-        return inverse_transform(params, self.upper)
+        return self.upper * ndtr(params)
 
     def unconstrain(self, values: np.ndarray) -> np.ndarray:
-        return transform_to_unconstrained(values, self.upper)
+        """ndtri(values / upper); ValueError unless inside (0, upper) componentwise."""
+        values = np.asarray(values, dtype=float)
+        if np.any(values <= 0.0) or np.any(values >= self.upper):
+            raise ValueError(f"components must lie strictly inside (0, {self.upper})")
+        return ndtri(values / self.upper)
 
     def sample_truth(self, rng: np.random.Generator) -> np.ndarray:
         """Fixed conventional truth (3, 1, 2, 0.5), in working space."""

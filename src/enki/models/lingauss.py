@@ -14,24 +14,28 @@ from ..ensembles import GaussPair, mvn_sample
 from ..linalg import chol_psd, solve_psd, symmetrize
 from .base import SimulatorModel
 
-__all__ = [
-    "linear_gaussian_posterior",
-    "linear_gaussian_tempered",
-    "tempered_recursion_step",
-    "LinearGaussianModel",
-]
+__all__ = ["linear_gaussian_posterior", "LinearGaussianModel"]
 
 
 def linear_gaussian_posterior(
-    prior: GaussPair, obs_matrix: np.ndarray, noise_cov: np.ndarray, y: np.ndarray
+    prior: GaussPair, obs_matrix: np.ndarray, noise_cov: np.ndarray, y: np.ndarray,
+    lam: float = 1.0,
 ) -> GaussPair:
-    """Exact posterior for y = H x + N(0, R) with x ~ N(m, Q).
+    """Exact posterior for y = H x + N(0, R / lam) with x ~ N(m, Q).
 
-    m_post = m + Q H^T (H Q H^T + R)^-1 (y - H m),
-    Q_post = Q - Q H^T (H Q H^T + R)^-1 H Q.
+    With R' = R / lam, the likelihood raised to lam:
+    m_post = m + Q H^T (H Q H^T + R')^-1 (y - H m),
+    Q_post = Q - Q H^T (H Q H^T + R')^-1 H Q.
+    lam = 1 is the full posterior; lam = 0 returns a copy of the prior (the
+    defined limit), and lam < 0 raises ValueError. Conditioning the tempered
+    posterior at a with lam = h gives the one at a + h.
     """
+    if lam < 0:
+        raise ValueError("lambda must be nonnegative")
+    if lam == 0:
+        return GaussPair(prior.mean.copy(), prior.cov.copy())
     h = np.atleast_2d(np.asarray(obs_matrix, dtype=float))
-    r = np.atleast_2d(np.asarray(noise_cov, dtype=float))
+    r = np.atleast_2d(np.asarray(noise_cov, dtype=float)) / lam
     y = np.atleast_1d(np.asarray(y, dtype=float))
     q = prior.cov
     if h.shape != (y.size, prior.dim):
@@ -44,30 +48,6 @@ def linear_gaussian_posterior(
     mean = prior.mean + gain @ (y - h @ prior.mean)
     cov = symmetrize(q - gain @ hq)
     return GaussPair(mean, cov)
-
-
-def linear_gaussian_tempered(
-    prior: GaussPair, obs_matrix, noise_cov, y, lam: float
-) -> GaussPair:
-    """Tempered posterior: likelihood raised to lam, i.e. noise R / lam.
-
-    lam = 0 returns the prior (the defined limit)."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    if lam == 0:
-        return GaussPair(prior.mean.copy(), prior.cov.copy())
-    r = np.atleast_2d(np.asarray(noise_cov, dtype=float))
-    return linear_gaussian_posterior(prior, obs_matrix, r / lam, y)
-
-
-def tempered_recursion_step(
-    current: GaussPair, obs_matrix, noise_cov, y, h: float
-) -> GaussPair:
-    """One incremental tempering update of size h: condition on noise R / h."""
-    if h <= 0:
-        raise ValueError("stepsize h must be positive")
-    r = np.atleast_2d(np.asarray(noise_cov, dtype=float))
-    return linear_gaussian_posterior(current, obs_matrix, r / h, y)
 
 
 def _factor(name: str, cov: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from enki.ensembles import GaussPair
 from enki.inversion import EkiConfig, run_eki
 from enki.models.base import SimulatorModel
 from enki.models.lingauss import LinearGaussianModel
-from enki.models.transforms import inverse_transform
+from enki.models.gk import GkModel
 from enki.rng import DATA, as_seed_sequence, substream
 
 
@@ -20,11 +20,15 @@ SAMPLERS = {
 }
 
 
+# its probit map to (0, 10) is the toy model's too
+_PROBIT = GkModel()
+
+
 class ToyModel(SimulatorModel):
     """Scalar location model y = theta + N(0, noise_sd^2), theta ~ U(0, 10).
 
-    Worked on the probit-unconstrained scale, where the prior is exactly
-    standard normal. Cheap enough for brute-force rejection sampling.
+    Worked on g-and-k's probit-unconstrained scale, where the prior is
+    exactly standard normal. Cheap enough for brute-force rejection sampling.
     """
 
     d_x = 1
@@ -41,11 +45,11 @@ class ToyModel(SimulatorModel):
         return -0.5 * np.sum(params**2, axis=1) - 0.5 * np.log(2 * np.pi)
 
     def simulate_batch(self, params, rng):
-        theta = inverse_transform(np.atleast_2d(params))[:, 0]
+        theta = _PROBIT.constrain(np.atleast_2d(params))[:, 0]
         return (theta + self.noise_sd * rng.standard_normal(len(theta)))[:, None]
 
     def constrain(self, params):
-        return inverse_transform(params)
+        return _PROBIT.constrain(params)
 
 
 class CountingToyModel(ToyModel):

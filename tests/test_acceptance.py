@@ -39,12 +39,7 @@ from enki.inversion import EkiConfig, eki_step, gaussian_eki_step, run_eki
 from enki.linalg import chol_psd, symmetrize
 from enki.models import build_model
 from enki.models.gk import GkParams, gk_quantile
-from enki.models.lingauss import (
-    LinearGaussianModel,
-    linear_gaussian_posterior,
-    linear_gaussian_tempered,
-    tempered_recursion_step,
-)
+from enki.models.lingauss import LinearGaussianModel, linear_gaussian_posterior
 from enki.models.lorenz96 import l96_drift
 from enki.rng import ALGO, DATA, PERTURB, PRIOR, as_seed_sequence, derive, substream
 
@@ -75,8 +70,8 @@ def test_01_tempered_recursion_is_exact(capsys):
         cur = GaussPair(prior.mean.copy(), prior.cov.copy())
         prev = 0.0
         for lam in lams:
-            cur = tempered_recursion_step(cur, h, r, y, lam - prev)
-            direct = linear_gaussian_tempered(prior, h, r, y, lam)
+            cur = linear_gaussian_posterior(cur, h, r, y, lam=lam - prev)
+            direct = linear_gaussian_posterior(prior, h, r, y, lam=lam)
             worst = max(
                 worst,
                 np.abs(cur.mean - direct.mean).max(),

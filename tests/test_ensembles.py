@@ -15,7 +15,7 @@ def test_ensemble_validation():
     with pytest.raises(ValueError):
         Ensemble(np.array([[0.0, np.nan], [1.0, 2.0]]))
     ens = Ensemble(np.zeros((3, 2)))
-    assert ens.n == 3 and ens.d_x == 2 and ens.sims is None
+    assert ens.n == 3 and ens.sims is None
 
 
 def test_with_sims_attaches_and_validates():
@@ -27,13 +27,12 @@ def test_with_sims_attaches_and_validates():
 
 
 def test_three_point_moments_hand_oracle():
-    # x = (0, 1, 2), y = 2x: with 1/(N-1), cov_xx = 1, cov_xy = 2,
-    # cov_yy = 4, and the conditional covariance vanishes.
+    # x = (0, 1, 2), y = 2x: with 1/(N-1), cov_xx = 1, cov_xy = 2, and the
+    # conditional covariance vanishes.
     ens = Ensemble(np.array([[0.0], [1.0], [2.0]]), sims=np.array([[0.0], [2.0], [4.0]]))
     mom = compute_moments(ens)
     assert np.allclose(mom.cov_xx, [[1.0]])
     assert np.allclose(mom.cov_xy, [[2.0]])
-    assert np.allclose(mom.cov_yy, [[4.0]])
     assert np.allclose(mom.cov_y_given_x, [[0.0]], atol=1e-12)
 
 
@@ -45,7 +44,6 @@ def test_moments_match_numpy_cov():
     joint = np.cov(np.hstack([x, y]).T, ddof=1)
     assert np.allclose(mom.cov_xx, joint[:3, :3])
     assert np.allclose(mom.cov_xy, joint[:3, 3:])
-    assert np.allclose(mom.cov_yy, joint[3:, 3:])
 
 
 def test_conditional_covariance_zero_for_linear_map():
@@ -77,7 +75,7 @@ def test_moments_permutation_invariant(perm_seed):
     idx = np.random.default_rng(perm_seed).permutation(25)
     a = compute_moments(Ensemble(x, sims=y))
     b = compute_moments(Ensemble(x[idx], sims=y[idx]))
-    for field in ("cov_xx", "cov_xy", "cov_yy", "cov_y_given_x"):
+    for field in ("cov_xx", "cov_xy", "cov_y_given_x"):
         assert np.allclose(getattr(a, field), getattr(b, field))
 
 
@@ -136,16 +134,20 @@ def test_noise_shrinkage_is_zero_for_one_summary():
 
 
 def test_noise_shrinkage_is_zero_when_a_residual_column_has_zero_variance():
-    # a constant summary statistic: the estimate is returned unshrunk, so it
-    # stays singular (and chol_psd jitters it)
+    # a constant summary statistic has no correlations: the intensity is that
+    # of the other columns, and the constant's row of the estimate stays zero
+    # (chol_psd jitters it)
     rng = np.random.default_rng(9)
     x = rng.normal(size=(40, 2))
     y = x @ rng.normal(size=(2, 3)) + 0.5 * rng.normal(size=(40, 3))
     y[:, 1] = 0.0
     mom = compute_moments(Ensemble(x, sims=y))
-    assert mom.shrinkage == 0.0
+    rest = compute_moments(Ensemble(x, sims=y[:, [0, 2]]))
+    assert 0.0 < rest.shrinkage < 1.0
+    assert mom.shrinkage == pytest.approx(rest.shrinkage, rel=1e-12)
     assert not mom.cov_y_given_x[1].any()
-    assert np.allclose(mom.cov_y_given_x, _raw_noise(x, y), rtol=1e-10, atol=1e-15)
+    kept = np.ix_([0, 2], [0, 2])
+    assert np.allclose(mom.cov_y_given_x[kept], rest.cov_y_given_x, rtol=1e-12, atol=0)
 
 
 def test_moments_require_sims():

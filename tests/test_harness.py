@@ -224,6 +224,12 @@ def test_config_checks_model_overrides_early():
         ("prior_cov", indefinite),
         ("prior_cov", nan_matrix),
         ("prior_mean", [0.0, float("inf"), 0.0]),
+        # a wrong type names the field instead of being coerced or failing inside
+        ("prior_mean", [True, False, True]),
+        ("obs_matrix", [[1, 0, 0], [0, True, 0]]),
+        ("prior_mean", "abc"),
+        ("noise_cov", "0.5"),
+        ("prior_cov", [[1, 0], [0]]),
     ):
         with pytest.raises(ConfigError, match=f"model_overrides.*{field}"):
             ExperimentConfig.from_mapping(

@@ -1,4 +1,5 @@
 """Kalman inversion: single steps, temperature selection, stop rules, driver."""
+import logging
 from fractions import Fraction
 
 import numpy as np
@@ -189,15 +190,29 @@ def test_noise_factor_is_computed_once_and_only_when_needed(monkeypatch):
     assert calls == [(2, 2)]
     assert np.allclose(first @ first.T, mom.cov_y_given_x)
 
-    # the known-noise step scales its own R / h, never the estimate
-    def refuse(self):
-        raise AssertionError("gaussian_eki_step factored cov_y_given_x")
+    # the known-noise step forms its own filter moments and scales its own
+    # R / h: it neither estimates the noise nor factors that estimate
+    def refuse(*args):
+        raise AssertionError("gaussian_eki_step estimated the noise")
 
     monkeypatch.setattr(MomentSet, "chol_y_given_x", property(refuse))
+    monkeypatch.setattr(enki.inversion, "compute_moments", refuse)
     rng = np.random.default_rng(6)
     params = rng.normal(size=(50, 2))
     gaussian_eki_step(Ensemble(params), params @ rng.normal(size=(2, 3)),
                       np.zeros(3), np.eye(3), 0.5, rng)
+
+
+def test_gaussian_step_factors_nothing_singular_when_n_is_at_most_d_x(caplog):
+    # N=4 particles in d_x=6 make C^xx singular; the known-noise step never
+    # forms it, so chol_psd jitters nothing and logs no line
+    rng = np.random.default_rng(8)
+    params = rng.normal(size=(4, 6))
+    forward = params @ rng.normal(size=(6, 2))
+    with caplog.at_level(logging.DEBUG, logger="enki.linalg"):
+        out = gaussian_eki_step(Ensemble(params), forward, np.zeros(2), np.eye(2), 0.5, rng)
+    assert np.isfinite(out.params).all()
+    assert not [rec for rec in caplog.records if "jitter" in rec.getMessage()]
 
 
 def test_run_eki_factors_each_dy_matrix_once_per_iteration(monkeypatch):
@@ -306,17 +321,17 @@ def test_eki_step_matches_the_exact_textbook_move(seed, h):
 
 @pytest.mark.parametrize("h", [0.4, 1.0])
 def test_eki_step_gain_carries_the_noise_factors_jitter(h):
-    # a constant summary statistic leaves C^{y|x} unshrunk and singular, so
-    # chol_psd adds jitter j: the move is the textbook one with C^{y|x} + j I
-    # in place of C^{y|x}, inside C^yy too, and eta drawn from the jittered
-    # factor
+    # a constant summary statistic leaves a zero row in C^{y|x} (the other
+    # columns are shrunk), so chol_psd adds jitter j: the move is the textbook
+    # one with C^{y|x} + j I in place of C^{y|x}, inside C^yy too, and eta
+    # drawn from the jittered factor
     rng = np.random.default_rng(1)
     params = rng.normal(size=(60, 2))
     sims = params @ rng.normal(size=(2, 3)) + 0.5 * rng.normal(size=(60, 3))
     sims[:, 2] = 0.0
     ens = Ensemble(params, sims=sims)
     mom = compute_moments(ens)
-    assert mom.shrinkage == 0.0
+    assert mom.shrinkage > 0.0
     low, jitter = chol_psd(mom.cov_y_given_x)
     assert jitter > 0
     y = np.array([0.3, -0.2, 0.0])

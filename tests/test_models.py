@@ -1,4 +1,4 @@
-"""Benchmark models: transforms, g-and-k, Lorenz 96, linear-Gaussian, registry."""
+"""Benchmark models: g-and-k and its probit map, Lorenz 96, linear-Gaussian, registry."""
 import inspect
 
 import numpy as np
@@ -15,14 +15,8 @@ from enki.models.gk import (
     _order_stat_indices,
     gk_quantile,
 )
-from enki.models.lingauss import (
-    LinearGaussianModel,
-    linear_gaussian_posterior,
-    linear_gaussian_tempered,
-    tempered_recursion_step,
-)
+from enki.models.lingauss import LinearGaussianModel, linear_gaussian_posterior
 from enki.models.lorenz96 import L96Model, l96_drift
-from enki.models.transforms import inverse_transform, transform_to_unconstrained
 from enki.rng import as_seed_sequence, substream
 
 from _helpers import ToyModel, random_lingauss, random_spd
@@ -34,27 +28,36 @@ GK_TRUTH_U090 = 6.511290090395887057146
 GK_TRUTH_U025 = 2.569082407113303879111
 
 
-# ---------------------------------------------------------------- transforms
+# ------------------------------------------------------------ g-and-k probit map
+
+# the default upper bound and one other, so no test reads a hard-coded 10
+UPPERS = (10.0, 5.0)
+
 
 def test_transform_round_trip_fixed_points():
-    x = np.array([0.1, 2.5, 5.0, 7.7, 9.9])
-    z = transform_to_unconstrained(x)
-    assert np.allclose(inverse_transform(z), x, atol=1e-12)
-    assert z[2] == 0.0  # midpoint of (0, 10) maps to the origin
-    assert abs(z[3] - NDTRI_077) < 1e-9
+    for upper in UPPERS:
+        model = GkModel(upper=upper)
+        x = upper * np.array([0.01, 0.25, 0.5, 0.77, 0.99])
+        z = model.unconstrain(x)
+        assert np.allclose(model.constrain(z), x, atol=1e-12)
+        assert z[2] == 0.0  # midpoint of (0, upper) maps to the origin
+        assert abs(z[3] - NDTRI_077) < 1e-9
 
 
 def test_transform_rejects_boundary():
-    for bad in (0.0, 10.0, -1.0, 11.0):
-        with pytest.raises(ValueError):
-            transform_to_unconstrained(np.array([bad]))
+    for upper in UPPERS:
+        model = GkModel(upper=upper)
+        for bad in (0.0, upper, -1.0, upper + 1.0):
+            with pytest.raises(ValueError, match=f"inside \\(0, {upper}\\)"):
+                model.unconstrain(np.array([bad]))
 
 
 def test_inverse_transform_range():
     z = np.linspace(-6, 6, 101)
-    x = inverse_transform(z)
-    assert np.all(x > 0.0) and np.all(x < 10.0)
-    assert np.all(np.diff(x) > 0)
+    for upper in UPPERS:
+        x = GkModel(upper=upper).constrain(z)
+        assert np.all(x > 0.0) and np.all(x < upper)
+        assert np.all(np.diff(x) > 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -62,9 +65,10 @@ def test_inverse_transform_range():
 def test_transform_round_trip_property(z):
     # the probit pair is float-exact to ~1e-8 inside +/- 5.5; beyond that the
     # bounded side saturates and precision decays (covered by the range test)
-    x = inverse_transform(np.array([z]))
-    back = transform_to_unconstrained(x)
-    assert abs(back[0] - z) < 1e-7
+    for upper in UPPERS:
+        model = GkModel(upper=upper)
+        back = model.unconstrain(model.constrain(np.array([z])))
+        assert abs(back[0] - z) < 1e-7
 
 
 # ---------------------------------------------------------------------- g-and-k
@@ -524,15 +528,15 @@ def test_tempered_limits():
     h = rng.normal(size=(2, 2))
     r = random_spd(rng, 2)
     y = rng.normal(size=2)
-    at_zero = linear_gaussian_tempered(prior, h, r, y, 0.0)
+    at_zero = linear_gaussian_posterior(prior, h, r, y, lam=0.0)
     assert np.allclose(at_zero.mean, prior.mean)
     assert np.allclose(at_zero.cov, prior.cov)
-    at_one = linear_gaussian_tempered(prior, h, r, y, 1.0)
+    at_one = linear_gaussian_posterior(prior, h, r, y, lam=1.0)
     post = linear_gaussian_posterior(prior, h, r, y)
     assert np.allclose(at_one.mean, post.mean)
     assert np.allclose(at_one.cov, post.cov)
     with pytest.raises(ValueError):
-        linear_gaussian_tempered(prior, h, r, y, -0.1)
+        linear_gaussian_posterior(prior, h, r, y, lam=-0.1)
 
 
 def test_tempered_recursion_matches_direct_on_fixed_partition():
@@ -544,13 +548,11 @@ def test_tempered_recursion_matches_direct_on_fixed_partition():
     cur = GaussPair(prior.mean.copy(), prior.cov.copy())
     prev = 0.0
     for lam in (0.125, 0.5, 0.625, 1.0):
-        cur = tempered_recursion_step(cur, h, r, y, lam - prev)
-        direct = linear_gaussian_tempered(prior, h, r, y, lam)
+        cur = linear_gaussian_posterior(cur, h, r, y, lam=lam - prev)
+        direct = linear_gaussian_posterior(prior, h, r, y, lam=lam)
         assert np.allclose(cur.mean, direct.mean, atol=1e-10)
         assert np.allclose(cur.cov, direct.cov, atol=1e-10)
         prev = lam
-    with pytest.raises(ValueError):
-        tempered_recursion_step(cur, h, r, y, 0.0)
 
 
 def test_lingauss_model_simulate_and_logpdf():
