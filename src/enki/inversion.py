@@ -141,22 +141,26 @@ def eki_step(
 
     Moves each particle by K (y - y_i - eta_i) with the gain
     K = C^xy (C^yy + c C^{y|x})^-1, c = max(1/h - 1, 0), and
-    eta_i ~ N(0, c C^{y|x}) drawn as sqrt(c) Z L^T, with Z one
-    rng.standard_normal((N, d_y)) draw and L = moments.chol_y_given_x, the
-    factor `select_next_lambda` was given. C^{y|x} is the shrunk noise
-    estimate moments.cov_y_given_x, and the gain's C^yy is the signal
-    C^yx (C^xx)^-1 C^xy plus that estimate (`compute_moments`).
+    eta_i ~ N(0, c C^{y|x}), where C^{y|x} is the shrunk noise estimate
+    moments.cov_y_given_x, and the gain's C^yy is the signal
+    C^yx (C^xx)^-1 C^xy plus that estimate (`compute_moments`). Only the
+    gain's image of eta reaches the particles, each row of eta K^T being
+    N(0, c K C^{y|x} K^T), so it is drawn as sqrt(c) Z R: Z one
+    rng.standard_normal((N, min(d_x, d_y))) draw and R the triangular
+    factor of a QR of W below, R^T R = W^T W = K C^{y|x} K^T.
     The floor makes h = 1 draw no noise at all, and h > 1
     (optimisation-mode steps) the plain C^yy bracket.
 
-    The move is computed in L's whitened coordinates. With
-    G = L^-1 C^yx and C^yy = C^{y|x} + C^yx (C^xx)^-1 C^xy, the
-    push-through identity gives K^T = L^-T W and eta K^T = sqrt(c) Z W,
-    where W = G ((1 + c) C^xx + G^T G)^-1 C^xx. So no d_y x d_y matrix is
-    factored or multiplied beyond L itself: per step two triangular solves
-    and one d_x x d_x factor, O(d_y^2 d_x + N d_y d_x + d_x^3). L is needed
-    at every h. Where `chol_psd` jittered C^{y|x}, the gain is that of
-    C^{y|x} + jitter I inside C^yy. observed must have length d_y.
+    The move is computed in the whitened coordinates of
+    L = moments.chol_y_given_x, the factor `select_next_lambda` was given.
+    With G = L^-1 C^yx and C^yy = C^{y|x} + C^yx (C^xx)^-1 C^xy, the
+    push-through identity gives K^T = L^-T W, where
+    W = G ((1 + c) C^xx + G^T G)^-1 C^xx. So no d_y x d_y matrix is
+    factored or multiplied beyond L itself: per step two triangular solves,
+    one d_x x d_x factor and one QR of the d_y x d_x W,
+    O(d_y^2 d_x + N d_y d_x + d_x^3). L is needed at every h. Where
+    `chol_psd` jittered C^{y|x}, the gain is that of C^{y|x} + jitter I, in
+    C^yy and in the law of eta. observed must have length d_y.
     """
     if ensemble.sims is None:
         raise ValueError("ensemble has no simulated data")
@@ -170,7 +174,8 @@ def eki_step(
     w = white @ cho_solve((low, True), moments.cov_xx)
     moves = (observed - ensemble.sims) @ solve_triangular(chol, w, lower=True, trans="T")
     if coeff > 0.0:
-        moves -= rng.standard_normal(ensemble.sims.shape) @ (np.sqrt(coeff) * w)
+        r = np.linalg.qr(w, mode="r")
+        moves -= rng.standard_normal((ensemble.n, r.shape[0])) @ (np.sqrt(coeff) * r)
     return Ensemble(ensemble.params + moves)
 
 

@@ -22,17 +22,32 @@ __all__ = [
 ]
 
 
-def _lingauss(d_x=3, prior_mean=None, prior_cov=None, obs_matrix=None, noise_cov=None):
+def _lingauss(d_x=None, prior_mean=None, prior_cov=None, obs_matrix=None, noise_cov=None):
     """Linear-Gaussian model with analytic posterior.
 
-    Defaults: prior N(0, I_{d_x}), obs_matrix I and noise_cov 0.5 I. A matrix
-    or vector given must be a (nested) sequence of finite real numbers.
+    Defaults: prior N(0, I_{d_x}), obs_matrix I and noise_cov 0.5 I, with
+    d_x taken from d_x, prior_mean or prior_cov, whichever is given, and 3
+    when none is. Sizes that disagree raise ValueError naming both fields. A
+    matrix or vector given must be a (nested) sequence of finite real numbers.
     """
-    _require_int("d_x", d_x, 1)
-    mean = np.zeros(d_x) if prior_mean is None else _require_reals("prior_mean", prior_mean)
-    cov = np.eye(d_x) if prior_cov is None else _require_reals("prior_cov", prior_cov)
+    sizes = []
+    if d_x is not None:
+        _require_int("d_x", d_x, 1)
+        sizes.append(("d_x", d_x))
+    if prior_mean is not None:
+        prior_mean = np.atleast_1d(_require_reals("prior_mean", prior_mean))
+        sizes.append(("prior_mean length", len(prior_mean)))
+    if prior_cov is not None:
+        prior_cov = np.atleast_2d(_require_reals("prior_cov", prior_cov))
+        sizes.append(("prior_cov size", len(prior_cov)))
+    dim = sizes[0][1] if sizes else 3
+    for name, size in sizes[1:]:
+        if size != dim:
+            raise ValueError(f"{name} {size} does not match {sizes[0][0]} {dim}")
+    mean = np.zeros(dim) if prior_mean is None else prior_mean
+    cov = np.eye(dim) if prior_cov is None else prior_cov
     prior = GaussPair(mean, cov)
-    h = np.eye(prior.dim) if obs_matrix is None else _require_reals("obs_matrix", obs_matrix)
+    h = np.eye(dim) if obs_matrix is None else _require_reals("obs_matrix", obs_matrix)
     h = np.atleast_2d(h)
     r = 0.5 * np.eye(h.shape[0]) if noise_cov is None else _require_reals("noise_cov", noise_cov)
     return LinearGaussianModel(prior, h, r)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrmm
 
 from ..ensembles import GaussPair, mvn_sample
 from ..linalg import chol_psd, solve_psd, symmetrize
@@ -62,9 +63,11 @@ class LinearGaussianModel(SimulatorModel):
     """Simulator wrapper around the analytic model, for end-to-end runs.
 
     simulate_batch returns params @ H^T plus, when the noise is nonzero, one
-    rng.standard_normal((n, d_y)) draw through the noise factor L^T. Rows
-    equal a serial loop on one generator up to the rounding of a matrix
-    product against matrix-vector products.
+    rng.standard_normal((n, d_y)) draw Z times L^T, L the lower noise
+    factor, formed in place in Z by a triangular multiply (BLAS trmm). With
+    a diagonal L this is bit for bit the dense Z @ L^T; rows equal a serial
+    loop on one generator up to the rounding of a matrix product against
+    matrix-vector products.
     """
 
     def __init__(self, prior: GaussPair, obs_matrix: np.ndarray, noise_cov: np.ndarray):
@@ -101,7 +104,9 @@ class LinearGaussianModel(SimulatorModel):
             raise ValueError(f"params must have {self.d_x} columns")
         out = params @ self.obs_matrix.T
         if self._noise_chol is not None:
-            out += rng.standard_normal((params.shape[0], self.d_y)) @ self._noise_chol.T
+            noise = rng.standard_normal((params.shape[0], self.d_y))
+            # trmm on the Fortran views Z^T and L^T: op(L^T) Z^T = L Z^T = (Z L^T)^T
+            out += dtrmm(1.0, self._noise_chol.T, noise.T, lower=0, trans_a=1, overwrite_b=1).T
         return out
 
     def posterior(self, y: np.ndarray) -> GaussPair:

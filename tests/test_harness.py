@@ -210,7 +210,8 @@ def test_config_checks_model_overrides_early():
             ExperimentConfig.from_mapping(
                 small_mapping(model="l96", model_overrides={field: value})
             )
-    for overrides in ({"d_x": 0}, {"d_x": 2.7}, {"d_x": True}):
+    for overrides in ({"d_x": 0}, {"d_x": 2.7}, {"d_x": True},
+                      {"d_x": 3, "prior_mean": [0.0] * 5}, {"d_x": 3, "prior_cov": [[1.0]]}):
         with pytest.raises(ConfigError, match="model_overrides.*d_x"):
             ExperimentConfig.from_mapping(
                 small_mapping(model="lingauss", model_overrides=overrides)

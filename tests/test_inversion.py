@@ -68,6 +68,28 @@ def _signal(mom) -> np.ndarray:
     return mom.cov_xy.T @ np.linalg.solve(mom.cov_xx, mom.cov_xy)
 
 
+def _perturbation_factor(gain, noise, chol) -> np.ndarray:
+    """R from a QR of L^T K^T, checked against the textbook law of eta K^T.
+
+    The move draws eta K^T as sqrt(c) Z R, Z with min(d_x, d_y) columns; its
+    rows are N(0, c R^T R), and c R^T R must be the textbook c K C^{y|x} K^T
+    of eta ~ N(0, c C^{y|x}), for L the factor of C^{y|x}.
+    """
+    r = np.linalg.qr(chol.T @ gain.T, mode="r")
+    law = gain @ noise @ gain.T
+    assert r.shape == (min(gain.shape), gain.shape[0])
+    assert np.abs(r.T @ r - law).max() <= 1e-12 * np.abs(law).max()
+    return r
+
+
+def _drawn_image(n, cov_xy, bracket, noise, chol, coeff) -> np.ndarray:
+    """sqrt(c) Z R for the textbook gain K = C^xy bracket^-1, Z the move's draw
+    from default_rng(5) for n particles."""
+    gain = np.linalg.solve(bracket, cov_xy.T).T
+    r = _perturbation_factor(gain, noise, chol)
+    return np.sqrt(coeff) * np.random.default_rng(5).standard_normal((n, r.shape[0])) @ r
+
+
 def test_eki_step_h1_draws_no_noise():
     # h = 1 must not touch the generator at all
     ens = _make_simulated(0)
@@ -137,19 +159,44 @@ def test_eki_step_input_contract():
 @pytest.mark.parametrize("h", [0.4, 1.0, 4.0])
 @pytest.mark.parametrize("d_x, d_y", [(2, 3), (5, 2)])
 def test_eki_step_draws_eta_from_the_noise_factor(h, d_x, d_y):
-    # the move is the written-out filter step with eta = sqrt(c) Z L^T,
-    # c = max(1/h - 1, 0) and L the Cholesky factor of the shrunk C^{y|x};
-    # the gain's C^yy is the signal plus that estimate
+    # the move is the written-out filter step with eta ~ N(0, c C^{y|x}),
+    # c = max(1/h - 1, 0) and C^{y|x} the shrunk estimate, whose image
+    # eta K^T is drawn as sqrt(c) Z R (`_perturbation_factor`); the gain's
+    # C^yy is the signal plus that estimate
     ens = _make_simulated(4, n=300, d_x=d_x, d_y=d_y)
     mom = compute_moments(ens)
     y = np.array([0.3, -0.2, 0.1])[:d_y]
     out = eki_step(ens, y, h, mom, np.random.default_rng(5))
     coeff = max(1.0 / h - 1.0, 0.0)
-    z = np.random.default_rng(5).standard_normal((ens.n, d_y))
-    eta = np.sqrt(coeff) * z @ np.linalg.cholesky(mom.cov_y_given_x).T
     bracket = _signal(mom) + (1.0 + coeff) * mom.cov_y_given_x
-    moves = (mom.cov_xy @ np.linalg.solve(bracket, (y - ens.sims - eta).T)).T
+    image = _drawn_image(ens.n, mom.cov_xy, bracket, mom.cov_y_given_x,
+                         np.linalg.cholesky(mom.cov_y_given_x), coeff)
+    moves = (mom.cov_xy @ np.linalg.solve(bracket, (y - ens.sims).T)).T - image
     assert np.allclose(out.params, ens.params + moves, rtol=1e-10, atol=1e-12)
+
+
+class _RecordingGenerator:
+    """A generator that records the shape of every standard_normal draw."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.shapes = []
+
+    def standard_normal(self, size):
+        self.shapes.append(size)
+        return self._rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("d_x, d_y", [(2, 3), (5, 2)])
+def test_eki_step_draws_n_by_min_dx_dy_normals(d_x, d_y):
+    # only the gain's image of eta is drawn: one N x min(d_x, d_y) block,
+    # never N x d_y, and nothing at h = 1
+    ens = _make_simulated(9, n=50, d_x=d_x, d_y=d_y)
+    mom = compute_moments(ens)
+    for h, shapes in ((0.5, [(50, min(d_x, d_y))]), (1.0, [])):
+        gen = _RecordingGenerator(0)
+        eki_step(ens, np.zeros(d_y), h, mom, gen)
+        assert gen.shapes == shapes
 
 
 def test_each_step_solves_in_its_own_order(monkeypatch):
@@ -267,12 +314,13 @@ def _exact_solve(a: list, b: list) -> list:
 
 
 def _exact_textbook_move(params, sims, observed, noise, chol, z, coeff) -> np.ndarray:
-    """The textbook move K (y - y_i - eta_i), in exact arithmetic.
+    """The textbook move K (y - y_i) - eta_i K^T, in exact arithmetic.
 
     The moments are exact functions of the float data, and the bracket is
     the signal C^yx (C^xx)^-1 C^xy plus (1 + c) times the float noise
-    estimate; eta = sqrt(c) Z L^T with the float factor L, for c in {0, 1}
-    (so sqrt(c) = c). Returns the (N, d_x) moves, rounded once to floats.
+    estimate. eta K^T = sqrt(c) Z R for c in {0, 1} (so sqrt(c) = c), with
+    R the `_perturbation_factor` of the exact gain K rounded to floats and
+    the float factor L. Returns the (N, d_x) moves, rounded once to floats.
     """
     n = len(params)
 
@@ -289,11 +337,14 @@ def _exact_textbook_move(params, sims, observed, noise, chol, z, coeff) -> np.nd
     signal = _exact_matmul(_exact_transpose(cov_xy), _exact_solve(cov_xx, cov_xy))
     bracket = [[s + (1 + coeff) * v for s, v in zip(r1, r2)]
                for r1, r2 in zip(signal, _exact(noise))]
-    eta = _exact_matmul(_exact(z), _exact_transpose(_exact(chol)))
+    gain_t = _exact_solve(bracket, _exact_transpose(cov_xy))
+    gain = np.array([[float(v) for v in row] for row in _exact_transpose(gain_t)])
+    r = _perturbation_factor(gain, noise, chol)
+    image = _exact_matmul(_exact(z), _exact(r))
     y = _exact(observed)[0]
-    innov = [[y[j] - f - coeff * e for j, (f, e) in enumerate(zip(frow, erow))]
-             for frow, erow in zip(_exact(sims), eta)]
-    moves = _exact_matmul(innov, _exact_solve(bracket, _exact_transpose(cov_xy)))
+    innov = [[y[j] - f for j, f in enumerate(frow)] for frow in _exact(sims)]
+    moves = [[m - coeff * e for m, e in zip(mrow, erow)]
+             for mrow, erow in zip(_exact_matmul(innov, gain_t), image)]
     return np.array([[float(v) for v in row] for row in moves])
 
 
@@ -310,7 +361,7 @@ def test_eki_step_matches_the_exact_textbook_move(seed, h):
     ens = Ensemble(params, sims=sims)
     mom = compute_moments(ens)
     out = eki_step(ens, observed, h, mom, np.random.default_rng(5))
-    z = np.random.default_rng(5).standard_normal((8, 3))
+    z = np.random.default_rng(5).standard_normal((8, 2))  # min(d_x, d_y) columns
     coeff = max(1.0 / h - 1.0, 0.0)
     moves = _exact_textbook_move(
         params, sims, observed, mom.cov_y_given_x, mom.chol_y_given_x, z, coeff
@@ -323,8 +374,8 @@ def test_eki_step_matches_the_exact_textbook_move(seed, h):
 def test_eki_step_gain_carries_the_noise_factors_jitter(h):
     # a constant summary statistic leaves a zero row in C^{y|x} (the other
     # columns are shrunk), so chol_psd adds jitter j: the move is the textbook
-    # one with C^{y|x} + j I in place of C^{y|x}, inside C^yy too, and eta
-    # drawn from the jittered factor
+    # one with C^{y|x} + j I in place of C^{y|x}, inside C^yy too, and eta's
+    # image drawn from the jittered law
     rng = np.random.default_rng(1)
     params = rng.normal(size=(60, 2))
     sims = params @ rng.normal(size=(2, 3)) + 0.5 * rng.normal(size=(60, 3))
@@ -337,10 +388,10 @@ def test_eki_step_gain_carries_the_noise_factors_jitter(h):
     y = np.array([0.3, -0.2, 0.0])
     out = eki_step(ens, y, h, mom, np.random.default_rng(5))
     coeff = max(1.0 / h - 1.0, 0.0)
-    eta = np.sqrt(coeff) * np.random.default_rng(5).standard_normal((60, 3)) @ low.T
     noise = mom.cov_y_given_x + jitter * np.eye(3)
     bracket = _signal(mom) + (1.0 + coeff) * noise
-    moves = (mom.cov_xy @ np.linalg.solve(bracket, (y - sims - eta).T)).T
+    image = _drawn_image(60, mom.cov_xy, bracket, noise, low, coeff)
+    moves = (mom.cov_xy @ np.linalg.solve(bracket, (y - sims).T)).T - image
     assert np.abs(out.params - params - moves).max() <= 1e-10 * np.abs(moves).max()
 
 
@@ -361,9 +412,9 @@ def test_eki_step_is_accurate_on_a_repeated_summary(seed, h):
     y = np.array([0.3, -0.2, -0.2])
     out = eki_step(ens, y, h, mom, np.random.default_rng(5))
     coeff = max(1.0 / h - 1.0, 0.0)
-    eta = np.sqrt(coeff) * np.random.default_rng(5).standard_normal((60, 3)) @ low.T
     bracket = _signal(mom) + (1.0 + coeff) * mom.cov_y_given_x
-    moves = (mom.cov_xy @ np.linalg.solve(bracket, (y - sims - eta).T)).T
+    image = _drawn_image(60, mom.cov_xy, bracket, mom.cov_y_given_x, low, coeff)
+    moves = (mom.cov_xy @ np.linalg.solve(bracket, (y - sims).T)).T - image
     assert np.abs(out.params - params - moves).max() <= 1e-12 * np.abs(moves).max()
 
 

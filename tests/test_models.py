@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enki.ensembles import GaussPair
+from enki.linalg import chol_psd
 from enki.models import _REGISTRY, available_models, build_model
 from enki.models.gk import (
     GkModel,
@@ -577,6 +578,30 @@ def test_lingauss_model_simulate_and_logpdf():
     assert np.allclose(model.prior_logpdf(pts), ref)
 
 
+@pytest.mark.parametrize("d_y", [1, 4, 40])
+def test_lingauss_noise_is_the_draw_times_the_factor(d_y):
+    # the triangular multiply gives the dense Z @ L^T bit for bit for a
+    # diagonal factor (0.5 I is lingauss-hd's and the factory's default),
+    # in a batch and in simulate, a batch of one
+    rng = np.random.default_rng(21)
+    base = random_lingauss(rng, 3, d_y)
+    params = base.prior_sample(7, rng)
+    for noise in (0.5 * np.eye(d_y), np.diag(rng.uniform(0.1, 3.0, d_y))):
+        model = LinearGaussianModel(base.prior, base.obs_matrix, noise)
+        low = chol_psd(noise)[0]
+        dense = params @ base.obs_matrix.T + (
+            np.random.default_rng(3).standard_normal((7, d_y)) @ low.T)
+        assert np.array_equal(model.simulate_batch(params, np.random.default_rng(3)), dense)
+        dense = params[:1] @ base.obs_matrix.T + (
+            np.random.default_rng(3).standard_normal((1, d_y)) @ low.T)
+        assert np.array_equal(model.simulate(params[0], np.random.default_rng(3)), dense[0])
+    # a dense factor: batch rows are the serial loop on one generator, to rounding
+    batch = base.simulate_batch(params, np.random.default_rng(4))
+    gen = np.random.default_rng(4)
+    serial = np.stack([base.simulate(p, gen) for p in params])
+    assert np.abs(batch - serial).max() <= 1e-13 * np.abs(serial).max()
+
+
 # ------------------------------------------------------ simulate = batch of one
 
 _CONTRACT_MODELS = {
@@ -632,6 +657,29 @@ def test_registry_rejects_unknown():
         build_model("l96", {"n_raw": 10})
     with pytest.raises(ValueError, match="unknown override.*: 1"):  # a YAML int key
         build_model("lingauss", {1: 2})
+
+
+def test_lingauss_sizes_its_defaults_from_the_given_prior():
+    # d_x comes from d_x, prior_mean or prior_cov, whichever is given; the
+    # default prior_cov, obs_matrix and noise_cov take that size
+    for overrides, dim in (
+        ({"prior_mean": [0.0] * 5}, 5),
+        ({"prior_cov": [[1.0]]}, 1),
+        ({"d_x": 4}, 4),
+        ({"d_x": 2, "prior_mean": [1.0, 2.0], "prior_cov": [[2.0, 0.0], [0.0, 1.0]]}, 2),
+    ):
+        model = build_model("lingauss", overrides)
+        assert (model.d_x, model.d_y) == (dim, dim)
+        assert model.prior.cov.shape == model.obs_matrix.shape == (dim, dim)
+    # sizes that disagree name both fields
+    for overrides, message in (
+        ({"d_x": 3, "prior_mean": [0.0] * 5}, "prior_mean length 5 does not match d_x 3"),
+        ({"d_x": 3, "prior_cov": [[1.0]]}, "prior_cov size 1 does not match d_x 3"),
+        ({"prior_mean": [0.0] * 2, "prior_cov": [[1.0]]},
+         "prior_cov size 1 does not match prior_mean length 2"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build_model("lingauss", overrides)
 
 
 _OVERRIDES = {
