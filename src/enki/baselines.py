@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import Ensemble, GaussPair, mvn_sample
-from .inversion import RunResult, _check_observed, _require_finite
+from .inversion import RunResult, _observed_vector, _require_finite
 from .linalg import _one_blas_thread, chol_psd, symmetrize
 from .models.base import SimulatorModel, _require_int
 from .rng import (
@@ -173,7 +173,7 @@ def run_abc_smc(
     keeps any (every alive distance equal, as with discrete data that all
     match exactly). Every simulate call is counted.
     """
-    observed = _check_observed(model, observed)
+    observed = _observed_vector(observed, model.d_y)
     root = as_seed_sequence(seed)
     n = config.n_particles
     rw_scale = 2.38**2 / model.d_x
@@ -286,7 +286,7 @@ def run_abc_mcmc(
     (accepted - 0.10), so kappa shrinks on acceptance and
     equilibrates where the long-run rate matches the target.
     """
-    observed = _check_observed(model, observed)
+    observed = _observed_vector(observed, model.d_y)
     root = as_seed_sequence(seed)
     rng = substream(root, CHAIN)
     d_x = model.d_x

@@ -160,7 +160,7 @@ def eki_step(
     one d_x x d_x factor and one QR of the d_y x d_x W,
     O(d_y^2 d_x + N d_y d_x + d_x^3). L is needed at every h. Where
     `chol_psd` jittered C^{y|x}, the gain is that of C^{y|x} + jitter I, in
-    C^yy and in the law of eta. observed must have length d_y.
+    C^yy and in the law of eta. observed must be finite and of length d_y.
     """
     if ensemble.sims is None:
         raise ValueError("ensemble has no simulated data")
@@ -194,14 +194,18 @@ def gaussian_eki_step(
     are the ensemble covariances of the particles and forward_evals; no
     noise covariance is estimated. Unlike `eki_step`, it solves against all
     N innovations and then multiplies by C^xH, the written-out filter's
-    association, which it reproduces bit for bit. observed must have length
-    d_y, the column count of forward_evals.
+    association, which it reproduces bit for bit. observed must be finite
+    and of length d_y, the column count of forward_evals, and noise_cov
+    d_y x d_y.
     """
     if h <= 0:
         raise ValueError("stepsize h must be positive")
     forward = np.atleast_2d(np.asarray(forward_evals, dtype=float))
     observed = _observed_vector(observed, forward.shape[1])
-    r = symmetrize(np.atleast_2d(np.asarray(noise_cov, dtype=float)))
+    r = np.atleast_2d(np.asarray(noise_cov, dtype=float))
+    if r.shape != (observed.size, observed.size):
+        raise ValueError(f"noise_cov must be {observed.size} x {observed.size}, got {r.shape}")
+    r = symmetrize(r)
     if forward.shape[0] != ensemble.n:
         raise ValueError("forward_evals rows must match particle count")
     ensemble = ensemble.with_sims(forward)
@@ -238,8 +242,8 @@ def select_next_lambda(
     log space with max-subtraction. Returns (lambda_next, normalized weights)
     where lambda_next has ESS within bisect_tol * N of rho * N, or lambda_max
     when even the full step keeps ESS at or above target (clamp, no search).
-    Raises ValueError on any non-finite simulation, or unless observed has
-    length d_y, the column count of sims.
+    Raises ValueError on any non-finite simulation, or unless observed is
+    finite and of length d_y, the column count of sims.
     """
     if lambda_prev >= lambda_max:
         raise ValueError("lambda_prev must be below lambda_max")
@@ -307,16 +311,10 @@ def eki_min_particles(model: SimulatorModel) -> int:
 
 
 def _observed_vector(observed, d_y: int) -> np.ndarray:
-    """observed as a float vector; ValueError unless it has length d_y."""
+    """observed as a float vector; ValueError unless finite and of length d_y."""
     observed = np.atleast_1d(np.asarray(observed, dtype=float))
     if observed.shape != (d_y,):
         raise ValueError(f"observed must have length {d_y}, got {observed.shape}")
-    return observed
-
-
-def _check_observed(model: SimulatorModel, observed) -> np.ndarray:
-    """observed as a float vector; ValueError unless finite and of length d_y."""
-    observed = _observed_vector(observed, model.d_y)
     if not np.all(np.isfinite(observed)):
         raise ValueError("observed must be finite")
     return observed
@@ -346,7 +344,7 @@ def run_eki(
     naming the iteration, and a covariance that will not factor, in the
     search or the move, raises LinAlgError naming it.
     """
-    observed = _check_observed(model, observed)
+    observed = _observed_vector(observed, model.d_y)
     n_min = eki_min_particles(model)
     if config.n_particles < n_min:
         raise ValueError(

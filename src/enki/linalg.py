@@ -2,8 +2,8 @@
 
 Empirical covariances from small or collapsed ensembles are routinely
 rank-deficient, so every Cholesky in the package goes through `chol_psd`:
-check the shape, symmetrize, reject non-finite entries, and attempt to
-factor. Only on failure does it compute the trace and add diagonal jitter,
+symmetrize (which checks the shape), reject non-finite entries, and attempt
+to factor. Only on failure does it compute the trace and add diagonal jitter,
 starting at ``1e-10 * trace/d`` and escalating tenfold up to
 ``1e-4 * trace/d`` before giving up. A jittered factor logs one DEBUG line
 through this module's `logging` logger, which is silent unless the caller
@@ -36,8 +36,14 @@ JITTER_REL_MAX = 1e-4
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
-    """(C + C.T)/2, the exact-symmetry normalization used everywhere."""
+    """(C + C.T)/2, the exact-symmetry normalization used everywhere.
+
+    Raises ValueError ``expected square matrix ...`` unless `mat` is a square
+    2-D array, so a row or column is never broadcast to a full matrix.
+    """
     mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected square matrix, got shape {mat.shape}")
     return (mat + mat.T) / 2.0
 
 
@@ -45,25 +51,23 @@ def chol_psd(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of a (near-)PSD matrix under the jitter policy.
 
     Returns (L, jitter) with ``L @ L.T == symmetrize(mat) + jitter * I``.
-    The checks run in this order: shape, finiteness, then one factorization
-    of ``symmetrize(mat)``, which returns jitter 0.0 when it succeeds. Only
-    after it fails is the trace computed and the jitter ladder climbed from
-    trace/d; for a matrix with nonpositive trace (e.g. exactly zero) that
-    relative scale degenerates, so the ladder falls back to absolute
-    units. A factor found on the ladder logs one DEBUG line with the matrix
-    size, the jitter and its level relative to that scale.
+    The checks run in this order: shape (`symmetrize`'s check), finiteness,
+    then one factorization of ``symmetrize(mat)``, which returns jitter 0.0
+    when it succeeds. Only after it fails is the trace computed and the
+    jitter ladder climbed from trace/d; for a matrix with nonpositive trace
+    (e.g. exactly zero) that relative scale degenerates, so the ladder falls
+    back to absolute units. A factor found on the ladder logs one DEBUG line
+    with the matrix size, the jitter and its level relative to that scale.
 
     Raises
     ------
     ValueError
-        ``expected square matrix ...`` unless `mat` is a square 2-D array.
+        ``expected square matrix ...`` from `symmetrize`, unless `mat` is a
+        square 2-D array.
     numpy.linalg.LinAlgError
         If the matrix contains non-finite entries (numpy's cholesky does
         not reject NaN), or stays non-factorizable at the largest jitter.
     """
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected square matrix, got shape {mat.shape}")
     a = symmetrize(mat)
     if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("matrix has non-finite entries")

@@ -35,10 +35,14 @@ def _lingauss(d_x=None, prior_mean=None, prior_cov=None, obs_matrix=None, noise_
         _require_int("d_x", d_x, 1)
         sizes.append(("d_x", d_x))
     if prior_mean is not None:
-        prior_mean = np.atleast_1d(_require_reals("prior_mean", prior_mean))
+        prior_mean = _require_reals("prior_mean", prior_mean)
+        if prior_mean.ndim != 1:
+            raise ValueError(f"prior_mean must be a vector, got shape {prior_mean.shape}")
         sizes.append(("prior_mean length", len(prior_mean)))
     if prior_cov is not None:
         prior_cov = np.atleast_2d(_require_reals("prior_cov", prior_cov))
+        if prior_cov.ndim != 2 or prior_cov.shape[0] != prior_cov.shape[1]:
+            raise ValueError(f"prior_cov must be a square matrix, got shape {prior_cov.shape}")
         sizes.append(("prior_cov size", len(prior_cov)))
     dim = sizes[0][1] if sizes else 3
     for name, size in sizes[1:]:

@@ -95,6 +95,13 @@ class SimulatorModel:
         """Log prior density at each row of `params`, shape (n,)."""
         raise NotImplementedError
 
+    def _batch(self, params) -> np.ndarray:
+        """params as a float (n, d_x) batch, one row a batch of one; else ValueError."""
+        params = np.atleast_2d(np.asarray(params, dtype=float))
+        if params.ndim != 2 or params.shape[1] != self.d_x:
+            raise ValueError(f"params must have {self.d_x} columns")
+        return params
+
     def simulate(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One dataset, shape (d_y,), for one particle of shape (d_x,): a batch of one."""
         params = np.asarray(params, dtype=float)

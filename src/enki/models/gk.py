@@ -23,43 +23,23 @@ a c outside [0, 0.8] is rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .base import SimulatorModel, _require_int, _require_real
 
-__all__ = ["GkParams", "gk_quantile", "GkModel"]
-
-
-@dataclass(frozen=True)
-class GkParams:
-    """Location A, scale B, skewness g, kurtosis k, and the fixed constant c."""
-
-    A: float
-    B: float
-    g: float
-    k: float
-    c: float = 0.8
+__all__ = ["GkModel"]
 
 
 def _gk_values(z, a, b, g, k, c):
+    """Quantile Q(z) = a + b (1 + c tanh(gz/2)) (1 + z^2)^k z at normal deviates z.
+
+    Q(ndtri(u)) is the g-and-k quantile at u in (0, 1); broadcasts.
+    """
     # (1 - e^{-gz}) / (1 + e^{-gz}) written as tanh(gz/2) to avoid overflow.
     skew = 1.0 + c * np.tanh(g * z / 2.0)
     return a + b * skew * (1.0 + z**2) ** k * z
-
-
-def gk_quantile(u, params: GkParams):
-    """Quantile function A + B(1 + c tanh(gz/2))(1+z^2)^k z, z = ndtri(u).
-
-    Vectorized over `u`; every component must lie strictly inside (0, 1).
-    """
-    u = np.asarray(u, dtype=float)
-    if not np.all((u > 0.0) & (u < 1.0)):
-        raise ValueError("u must lie strictly inside (0, 1)")
-    out = _gk_values(ndtri(u), params.A, params.B, params.g, params.k, params.c)
-    return float(out) if out.ndim == 0 else out
 
 
 def _order_stat_indices(n_raw: int, n_stats: int) -> np.ndarray:
@@ -107,7 +87,7 @@ class GkModel(SimulatorModel):
         return rng.standard_normal((count, self.d_x))
 
     def prior_logpdf(self, params: np.ndarray) -> np.ndarray:
-        params = np.atleast_2d(np.asarray(params, dtype=float))
+        params = self._batch(params)
         return -0.5 * np.sum(params**2, axis=1) - self._log_norm
 
     def simulate_batch(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -122,9 +102,7 @@ class GkModel(SimulatorModel):
         non-decreasing. Raises ValueError unless params has four columns and
         no NaN.
         """
-        params = np.atleast_2d(np.asarray(params, dtype=float))
-        if params.shape[1] != self.d_x:
-            raise ValueError(f"params must have {self.d_x} columns")
+        params = self._batch(params)
         natural = self.upper * ndtr(params)
         if not np.isfinite(natural).all():
             raise ValueError("params must be finite")

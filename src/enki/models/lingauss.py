@@ -73,15 +73,17 @@ class LinearGaussianModel(SimulatorModel):
     def __init__(self, prior: GaussPair, obs_matrix: np.ndarray, noise_cov: np.ndarray):
         self.prior = prior
         self.obs_matrix = np.atleast_2d(np.asarray(obs_matrix, dtype=float))
-        self.noise_cov = symmetrize(np.atleast_2d(np.asarray(noise_cov, dtype=float)))
         self.d_x = prior.dim
         self.d_y = self.obs_matrix.shape[0]
         if self.obs_matrix.shape[1] != self.d_x:
             raise ValueError("obs_matrix columns must match prior dimension")
         if not np.all(np.isfinite(self.obs_matrix)):
             raise ValueError("obs_matrix must be finite")
-        if self.noise_cov.shape != (self.d_y, self.d_y):
-            raise ValueError("noise_cov shape must match obs_matrix rows")
+        noise_cov = np.atleast_2d(np.asarray(noise_cov, dtype=float))
+        if noise_cov.shape != (self.d_y, self.d_y):
+            raise ValueError(f"noise_cov shape {noise_cov.shape} must be ({self.d_y}, "
+                             f"{self.d_y}), the obs_matrix rows")
+        self.noise_cov = symmetrize(noise_cov)
         self._noise_chol = None
         if self.noise_cov.any():
             self._noise_chol = _factor("noise_cov", self.noise_cov)
@@ -91,7 +93,7 @@ class LinearGaussianModel(SimulatorModel):
         return mvn_sample(self.prior, count, rng)
 
     def prior_logpdf(self, params: np.ndarray) -> np.ndarray:
-        params = np.atleast_2d(np.asarray(params, dtype=float))
+        params = self._batch(params)
         white = solve_triangular(
             self._prior_chol, (params - self.prior.mean).T, lower=True
         )
@@ -99,9 +101,7 @@ class LinearGaussianModel(SimulatorModel):
         return -0.5 * np.sum(white**2, axis=0) - logdet - 0.5 * self.d_x * np.log(2 * np.pi)
 
     def simulate_batch(self, params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        params = np.atleast_2d(np.asarray(params, dtype=float))
-        if params.shape[1] != self.d_x:
-            raise ValueError(f"params must have {self.d_x} columns")
+        params = self._batch(params)
         out = params @ self.obs_matrix.T
         if self._noise_chol is not None:
             noise = rng.standard_normal((params.shape[0], self.d_y))

@@ -38,9 +38,6 @@ def l96_drift(x: np.ndarray, forcing: float, out: np.ndarray = None) -> np.ndarr
     return out
 
 
-_CHUNK = 8  # Euler steps of path noise drawn per refill of the noise buffer
-
-
 class L96Model(SimulatorModel):
     """Initial-state inference for the stochastic Lorenz 96 system.
 
@@ -107,7 +104,7 @@ class L96Model(SimulatorModel):
         )
 
     def prior_logpdf(self, params: np.ndarray) -> np.ndarray:
-        params = np.atleast_2d(np.asarray(params, dtype=float))
+        params = self._batch(params)
         resid = params - self.forcing
         return -0.5 * np.sum(resid**2, axis=1) / self.prior_var - 0.5 * self.d_x * np.log(
             2 * np.pi * self.prior_var
@@ -119,49 +116,40 @@ class L96Model(SimulatorModel):
         Euler-Maruyama with stepsize dt; at each observation time the observed
         dimensions are read and perturbed with independent N(0, obs_noise_var)
         noise; blocks are concatenated time-major. All rows step in lockstep,
-        in place. The path noise is one rng.standard_normal((width, n, d_x))
-        draw per chunk of up to 8 steps, which equals one (n, d_x) draw per
-        step; the observation noise is then one (n, n_obs, n_observed) draw.
-        Raises ValueError on a non-finite start, and FloatingPointError naming
-        the time reached if any state blows up.
+        in place, one observation segment at a time. Each step draws its path
+        noise into one (n, d_x) buffer with rng.standard_normal(out=...); the
+        observation noise is then one (n, n_obs, n_observed) draw. Raises
+        ValueError on a non-finite start, and FloatingPointError naming the
+        time reached if any state blows up.
         """
-        x = np.atleast_2d(np.asarray(params, dtype=float))
-        if x.shape[1] != self.d_x:
-            raise ValueError(f"params must have {self.d_x} columns")
+        x = self._batch(params)
         if not np.all(np.isfinite(x)):
             raise ValueError("initial state must be finite")
         n, d = x.shape
         dims = list(self.observed_dims)
-        obs_steps = self.obs_steps
-        n_steps = obs_steps[-1]
         scale = np.sqrt(self.dt) * self.diffusion
-        blocks = np.empty((n, len(obs_steps), len(dims)))
+        blocks = np.empty((n, len(self.obs_steps), len(dims)))
         # state and drift are (n, d) views of (d, n) buffers, so every slice
         # l96_drift takes along d is one contiguous block
         state = np.array(x.T, order="C").T
         drift = np.empty((d, n)).T
-        noise = np.empty((_CHUNK, n, d))
-        next_obs = 0
+        noise = np.empty((n, d))
+        done = 0
         # overflow is detected explicitly at observation reads and reported with
         # the time reached, so the intermediate warnings are silenced
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, n_steps, _CHUNK):
-                width = min(_CHUNK, n_steps - start)
-                rng.standard_normal(out=noise[:width])
-                noise[:width] *= scale
-                for t in range(width):
-                    step = start + t + 1
+            for obs, stop in enumerate(self.obs_steps):
+                for _ in range(stop - done):
+                    rng.standard_normal(out=noise)
+                    noise *= scale
                     # x + (drift * dt + scale * noise), one operation at a time
                     l96_drift(state, self.forcing, out=drift)
                     drift *= self.dt
-                    drift += noise[t]
+                    drift += noise
                     state += drift
-                    if step == obs_steps[next_obs]:
-                        if not np.all(np.isfinite(state)):
-                            raise FloatingPointError(
-                                f"state became non-finite by t={step * self.dt:g}"
-                            )
-                        blocks[:, next_obs, :] = state[:, dims]
-                        next_obs += 1
+                if not np.all(np.isfinite(state)):
+                    raise FloatingPointError(f"state became non-finite by t={stop * self.dt:g}")
+                blocks[:, obs, :] = state[:, dims]
+                done = stop
         eps = rng.standard_normal(blocks.shape)
         return (blocks + np.sqrt(self.obs_noise_var) * eps).reshape(n, self.d_y)

@@ -231,6 +231,10 @@ def test_config_checks_model_overrides_early():
         ("prior_mean", "abc"),
         ("noise_cov", "0.5"),
         ("prior_cov", [[1, 0], [0]]),
+        # a malformed prior names its field, not GaussPair's mean or cov
+        ("prior_cov", [[1, 0, 0], [0, 1, 0]]),
+        ("prior_cov", [1.0, 1.0, 1.0]),
+        ("prior_mean", [[0.0, 0.0]]),
     ):
         with pytest.raises(ConfigError, match=f"model_overrides.*{field}"):
             ExperimentConfig.from_mapping(

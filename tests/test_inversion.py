@@ -456,6 +456,34 @@ def test_gaussian_step_h1_is_single_enkf_update():
     assert np.array_equal(stepped.params, params + gain_applied)
 
 
+def test_gaussian_step_rejects_a_noise_cov_row():
+    # (R + R^T) / 2 of a 1 x 3 row would broadcast to the rank-one 0.5 * ones((3, 3))
+    ens = _make_simulated(4, d_y=3)
+    with pytest.raises(ValueError, match=r"noise_cov must be 3 x 3, got \(1, 3\)"):
+        gaussian_eki_step(Ensemble(ens.params), ens.sims, np.zeros(3), [[0.5, 0.5, 0.5]],
+                          1.0, np.random.default_rng(0))
+
+
+def test_gaussian_step_names_noise_cov_of_the_wrong_size():
+    ens = _make_simulated(4, d_y=3)
+    with pytest.raises(ValueError, match=r"noise_cov must be 3 x 3, got \(1, 2\)"):
+        gaussian_eki_step(Ensemble(ens.params), ens.sims, np.zeros(3), [[0.5, 0.5]],
+                          0.5, np.random.default_rng(0))
+
+
+def test_building_blocks_reject_a_non_finite_observed():
+    ens = _make_simulated(5, d_y=3)
+    mom = compute_moments(ens)
+    observed = np.array([0.0, np.nan, 0.0])
+    with pytest.raises(ValueError, match="observed must be finite"):
+        select_next_lambda(ens.sims, observed, mom.chol_y_given_x, 0.0, 1.0)
+    with pytest.raises(ValueError, match="observed must be finite"):
+        eki_step(ens, observed, 0.5, mom, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="observed must be finite"):
+        gaussian_eki_step(Ensemble(ens.params), ens.sims, observed, np.eye(3), 1.0,
+                          np.random.default_rng(0))
+
+
 def test_gaussian_step_validation():
     params = np.zeros((4, 2))
     with pytest.raises(ValueError):

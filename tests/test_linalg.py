@@ -26,6 +26,13 @@ def test_symmetrize_is_exact():
     assert np.allclose(s, [[1.0, 1.0], [1.0, 3.0]])
 
 
+def test_symmetrize_rejects_nonsquare():
+    # a row plus its transpose would broadcast to a full, rank-one matrix
+    for shape in ((1, 3), (3, 1), (2, 3), (3,), (2, 2, 2)):
+        with pytest.raises(ValueError, match=r"expected square matrix, got shape \("):
+            symmetrize(np.full(shape, 0.5))
+
+
 def test_chol_psd_clean_matrix_no_jitter(caplog):
     a = np.array([[4.0, 1.0], [1.0, 3.0]])
     with caplog.at_level(logging.DEBUG, logger="enki.linalg"):

@@ -5,17 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from enki.ensembles import GaussPair
 from enki.linalg import chol_psd
 from enki.models import _REGISTRY, available_models, build_model
-from enki.models.gk import (
-    GkModel,
-    GkParams,
-    _gk_values,
-    _order_stat_indices,
-    gk_quantile,
-)
+from enki.models.gk import GkModel, _gk_values, _order_stat_indices
 from enki.models.lingauss import LinearGaussianModel, linear_gaussian_posterior
 from enki.models.lorenz96 import L96Model, l96_drift
 from enki.rng import as_seed_sequence, substream
@@ -74,38 +69,27 @@ def test_transform_round_trip_property(z):
 
 # ---------------------------------------------------------------------- g-and-k
 
+# the g-and-k quantile at u is _gk_values(ndtri(u), A, B, g, k, c), c = 0.8
+
 def test_gk_quantile_median_is_location():
-    params = GkParams(A=3.0, B=1.0, g=2.0, k=0.5)
-    assert gk_quantile(0.5, params) == pytest.approx(3.0, abs=1e-14)
+    assert _gk_values(ndtri(0.5), 3.0, 1.0, 2.0, 0.5, 0.8) == pytest.approx(3.0, abs=1e-14)
 
 
 def test_gk_quantile_frozen_reference_values():
-    params = GkParams(A=3.0, B=1.0, g=2.0, k=0.5)
-    assert abs(gk_quantile(0.9, params) - GK_TRUTH_U090) < 1e-12
-    assert abs(gk_quantile(0.25, params) - GK_TRUTH_U025) < 1e-12
+    assert abs(_gk_values(ndtri(0.9), 3.0, 1.0, 2.0, 0.5, 0.8) - GK_TRUTH_U090) < 1e-12
+    assert abs(_gk_values(ndtri(0.25), 3.0, 1.0, 2.0, 0.5, 0.8) - GK_TRUTH_U025) < 1e-12
 
 
 def test_gk_quantile_gaussian_reduction():
     # g = k = 0 collapses the family to N(A, B^2)
-    from scipy.special import ndtri
-
-    params = GkParams(A=2.0, B=1.5, g=0.0, k=0.0)
     u = np.array([0.1, 0.3, 0.77, 0.95])
-    assert np.allclose(gk_quantile(u, params), 2.0 + 1.5 * ndtri(u), atol=1e-12)
+    q = _gk_values(ndtri(u), 2.0, 1.5, 0.0, 0.0, 0.8)
+    assert np.allclose(q, 2.0 + 1.5 * ndtri(u), atol=1e-12)
 
 
 def test_gk_quantile_degenerate_scale():
-    params = GkParams(A=4.0, B=0.0, g=1.0, k=1.0)
-    assert np.allclose(gk_quantile(np.array([0.01, 0.5, 0.99]), params), 4.0)
-
-
-def test_gk_quantile_rejects_closed_interval():
-    params = GkParams(3.0, 1.0, 2.0, 0.5)
-    for bad in (0.0, 1.0, -0.1, 1.1, float("nan")):
-        with pytest.raises(ValueError):
-            gk_quantile(bad, params)
-    with pytest.raises(ValueError):
-        gk_quantile(np.array([0.5, float("nan")]), params)
+    q = _gk_values(ndtri(np.array([0.01, 0.5, 0.99])), 4.0, 0.0, 1.0, 1.0, 0.8)
+    assert np.allclose(q, 4.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -119,8 +103,7 @@ def test_gk_quantile_rejects_closed_interval():
 )
 def test_gk_quantile_monotone(a, b, g, k, u, du):
     # positive scale and kurtosis keep the quantile strictly increasing
-    params = GkParams(a, b, g, k)
-    assert gk_quantile(u, params) < gk_quantile(u + du, params)
+    assert _gk_values(ndtri(u), a, b, g, k, 0.8) < _gk_values(ndtri(u + du), a, b, g, k, 0.8)
 
 
 def test_order_stat_indices_layout():
@@ -216,8 +199,6 @@ class _TinyEndSpacings:
 
 
 def test_gk_kernel_keeps_both_tails_at_full_precision():
-    from scipy.special import ndtri
-
     model = GkModel()
     a, b, g, k = model.constrain(model.sample_truth(None))
     summaries = model.simulate(model.sample_truth(None), _TinyEndSpacings())
@@ -449,10 +430,10 @@ def _reference_l96(params, model, rng):
 @pytest.mark.parametrize("diffusion", [0.0, 1.0])
 @pytest.mark.parametrize("d_x", [4, 5, 40])
 def test_l96_batch_matches_reference_euler_loop(d_x, diffusion):
-    # the kernel draws path noise in chunks of steps: the observation steps
-    # sit just before, on and after multiples of 64 and of 1000, and the
-    # last one (1090) is a multiple of neither
-    steps = (63, 64, 65, 999, 1000, 1001, 1090)
+    # the kernel integrates one observation segment at a time: the first
+    # segment is a single step, then segments of one step and longer ones
+    # follow, and the last observation (1090) ends a segment of 89 steps
+    steps = (1, 63, 64, 65, 999, 1000, 1001, 1090)
     model = L96Model(d_x=d_x, dt=0.001, obs_times=tuple(s * 0.001 for s in steps),
                      diffusion=diffusion)
     assert model.obs_steps == steps
@@ -637,6 +618,28 @@ def test_simulate_is_a_batch_of_one(name):
 
 
 # ---------------------------------------------------------------------- registry
+
+@pytest.mark.parametrize("name", available_models())
+def test_every_model_method_checks_the_parameter_width(name):
+    model = build_model(name)
+    for params in (np.zeros((2, model.d_x - 1)), np.zeros((2, 1, model.d_x))):
+        with pytest.raises(ValueError, match=f"params must have {model.d_x} columns"):
+            model.simulate_batch(params, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=f"params must have {model.d_x} columns"):
+            model.prior_logpdf(params)
+
+
+def test_lingauss_rejects_a_noise_cov_row():
+    # a 1 x 3 row symmetrized would broadcast to 0.5 in every entry: rank-one noise
+    with pytest.raises(ValueError, match=r"noise_cov shape \(1, 3\) must be \(3, 3\)"):
+        build_model("lingauss", {"noise_cov": [0.5, 0.5, 0.5]})
+
+
+def test_lingauss_reports_a_noise_cov_row_as_a_shape_error():
+    # not as "must be finite and positive semi-definite", which the broadcast gave
+    with pytest.raises(ValueError, match=r"noise_cov shape \(1, 3\) must be \(3, 3\)"):
+        build_model("lingauss", {"noise_cov": [0.1, 0.5, 0.9]})
+
 
 def test_registry_lists_and_builds():
     assert available_models() == ["gk", "l96", "lingauss"]
