@@ -2,7 +2,8 @@
 
 The ensemble is the central state of every algorithm here: N parameter
 particles, optionally paired with the data each particle simulated. All
-covariances use the 1/(N-1) normalization and are explicitly symmetrized.
+covariances use the 1/(N-1) normalization, and every square one is exactly
+symmetric.
 """
 from __future__ import annotations
 
@@ -126,8 +127,9 @@ def compute_moments(ensemble: Ensemble) -> MomentSet:
 
     Covariances use 1/(N-1); the residual covariance
     C = C^yy - C^yx (C^xx)^-1 C^xy is computed via a linear solve against
-    cov_xx (jitter fallback on failure), never an explicit inverse. All
-    square outputs are exactly symmetrized.
+    cov_xx (jitter fallback on failure), never an explicit inverse. cov_xx
+    and C are exactly symmetrized; C^yy is the Gram yc^T yc, exactly
+    symmetric as numpy forms it, divided and updated into C in place.
 
     From d_y summaries and N particles C is noisy, so its correlations are
     shrunk toward zero (Schaefer & Strimmer 2005, target D; Ledoit & Wolf
@@ -155,9 +157,13 @@ def compute_moments(ensemble: Ensemble) -> MomentSet:
     yc = y - y.mean(axis=0)
     cov_xx = symmetrize(xc.T @ xc / (n - 1))
     cov_xy = xc.T @ yc / (n - 1)
-    cov_yy = symmetrize(yc.T @ yc / (n - 1))
+    # the Gram yc^T yc is exactly symmetric (numpy forms it by syrk), and
+    # noise is symmetrized below, so C^yy is divided and updated in place
+    noise = yc.T @ yc
+    noise /= n - 1
     beta = solve_psd(cov_xx, cov_xy)
-    noise = symmetrize(cov_yy - cov_xy.T @ beta)
+    noise -= cov_xy.T @ beta
+    noise = symmetrize(noise)
     # E = yc - xc beta, written over yc: gemm updates its output in place
     resid = dgemm(-1.0, beta.T, xc.T, 1.0, yc.T, overwrite_c=True).T
     shrinkage = _correlation_shrinkage(resid, noise)

@@ -252,8 +252,9 @@ def select_next_lambda(
     if not np.all(np.isfinite(sims)):
         raise ValueError("sims must be finite")
     n = sims.shape[0]
+    # a fresh F-ordered temporary, so the solve overwrites it instead of a copy
     resid = (observed - sims).T
-    white = solve_triangular(chol_y_given_x, resid, lower=True)
+    white = solve_triangular(chol_y_given_x, resid, lower=True, overwrite_b=True)
     dist = np.einsum("ij,ij->j", white, white)
     target = rho * n
     tol = bisect_tol * n

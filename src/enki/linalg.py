@@ -38,13 +38,16 @@ JITTER_REL_MAX = 1e-4
 def symmetrize(mat: np.ndarray) -> np.ndarray:
     """(C + C.T)/2, the exact-symmetry normalization used everywhere.
 
+    Returns a new array (the sum, halved in place); `mat` is not modified.
     Raises ValueError ``expected square matrix ...`` unless `mat` is a square
     2-D array, so a row or column is never broadcast to a full matrix.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected square matrix, got shape {mat.shape}")
-    return (mat + mat.T) / 2.0
+    out = mat + mat.T
+    out /= 2.0
+    return out
 
 
 def chol_psd(mat: np.ndarray) -> tuple[np.ndarray, float]:

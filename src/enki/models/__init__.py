@@ -28,7 +28,8 @@ def _lingauss(d_x=None, prior_mean=None, prior_cov=None, obs_matrix=None, noise_
     Defaults: prior N(0, I_{d_x}), obs_matrix I and noise_cov 0.5 I, with
     d_x taken from d_x, prior_mean or prior_cov, whichever is given, and 3
     when none is. Sizes that disagree raise ValueError naming both fields. A
-    matrix or vector given must be a (nested) sequence of finite real numbers.
+    matrix or vector given must be a (nested) sequence of finite real numbers,
+    and a prior_mean must not be empty.
     """
     sizes = []
     if d_x is not None:
@@ -38,6 +39,8 @@ def _lingauss(d_x=None, prior_mean=None, prior_cov=None, obs_matrix=None, noise_
         prior_mean = _require_reals("prior_mean", prior_mean)
         if prior_mean.ndim != 1:
             raise ValueError(f"prior_mean must be a vector, got shape {prior_mean.shape}")
+        if prior_mean.size == 0:
+            raise ValueError("prior_mean must not be empty")
         sizes.append(("prior_mean length", len(prior_mean)))
     if prior_cov is not None:
         prior_cov = np.atleast_2d(_require_reals("prior_cov", prior_cov))

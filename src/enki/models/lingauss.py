@@ -64,10 +64,12 @@ class LinearGaussianModel(SimulatorModel):
 
     simulate_batch returns params @ H^T plus, when the noise is nonzero, one
     rng.standard_normal((n, d_y)) draw Z times L^T, L the lower noise
-    factor, formed in place in Z by a triangular multiply (BLAS trmm). With
-    a diagonal L this is bit for bit the dense Z @ L^T; rows equal a serial
-    loop on one generator up to the rounding of a matrix product against
-    matrix-vector products.
+    factor, formed in place in Z. A factor with no nonzero entry below the
+    diagonal (noted at construction) scales column j of Z by L_jj, at
+    O(n d_y), bit for bit the dense Z @ L^T. Any other factor takes a
+    triangular multiply (BLAS trmm), whose rows equal a serial loop on one
+    generator up to the rounding of a matrix product against matrix-vector
+    products.
     """
 
     def __init__(self, prior: GaussPair, obs_matrix: np.ndarray, noise_cov: np.ndarray):
@@ -85,8 +87,11 @@ class LinearGaussianModel(SimulatorModel):
                              f"{self.d_y}), the obs_matrix rows")
         self.noise_cov = symmetrize(noise_cov)
         self._noise_chol = None
+        self._noise_sd = None
         if self.noise_cov.any():
             self._noise_chol = _factor("noise_cov", self.noise_cov)
+            if not np.tril(self._noise_chol, -1).any():
+                self._noise_sd = np.diag(self._noise_chol).copy()
         self._prior_chol = _factor("prior_cov", prior.cov)
 
     def prior_sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -105,8 +110,13 @@ class LinearGaussianModel(SimulatorModel):
         out = params @ self.obs_matrix.T
         if self._noise_chol is not None:
             noise = rng.standard_normal((params.shape[0], self.d_y))
-            # trmm on the Fortran views Z^T and L^T: op(L^T) Z^T = L Z^T = (Z L^T)^T
-            out += dtrmm(1.0, self._noise_chol.T, noise.T, lower=0, trans_a=1, overwrite_b=1).T
+            if self._noise_sd is not None:
+                noise *= self._noise_sd  # Z L^T scales column j of Z by L_jj
+            else:
+                # trmm on the Fortran views Z^T and L^T: op(L^T) Z^T = L Z^T = (Z L^T)^T
+                noise = dtrmm(1.0, self._noise_chol.T, noise.T, lower=0, trans_a=1,
+                              overwrite_b=1).T
+            out += noise
         return out
 
     def posterior(self, y: np.ndarray) -> GaussPair:

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enki.ensembles import Ensemble, GaussPair, compute_moments, ess, mvn_sample
+from scipy.linalg.blas import dgemm
+
+from enki.ensembles import (
+    Ensemble, GaussPair, _correlation_shrinkage, compute_moments, ess, mvn_sample,
+)
+from enki.linalg import solve_psd, symmetrize
+from enki.models import build_model
 
 from _helpers import random_spd
 
@@ -148,6 +154,52 @@ def test_noise_shrinkage_is_zero_when_a_residual_column_has_zero_variance():
     assert not mom.cov_y_given_x[1].any()
     kept = np.ix_([0, 2], [0, 2])
     assert np.allclose(mom.cov_y_given_x[kept], rest.cov_y_given_x, rtol=1e-12, atol=0)
+
+
+def _written_out_moments(x, y):
+    # compute_moments as a chain of fresh temporaries, each square one symmetrized
+    n = x.shape[0]
+    xc = x - x.mean(axis=0)
+    yc = y - y.mean(axis=0)
+    cov_xx = symmetrize(xc.T @ xc / (n - 1))
+    cov_xy = xc.T @ yc / (n - 1)
+    cov_yy = symmetrize(yc.T @ yc / (n - 1))
+    beta = solve_psd(cov_xx, cov_xy)
+    noise = symmetrize(cov_yy - cov_xy.T @ beta)
+    resid = dgemm(-1.0, beta.T, xc.T, 1.0, yc.T, overwrite_c=True).T
+    shrinkage = _correlation_shrinkage(resid, noise)
+    var = np.diag(noise).copy()
+    noise *= 1.0 - shrinkage
+    np.fill_diagonal(noise, var)
+    return cov_xx, cov_xy, noise, shrinkage
+
+
+@pytest.mark.parametrize("shape", ["lingauss-hd", "gk"])
+def test_moments_are_bit_identical_to_the_written_out_formula(shape):
+    # the in-place Gram, update and symmetrization keep every bit of the
+    # written-out chain, at the ensemble sizes of lingauss-hd and gk-opt
+    rng = np.random.default_rng(17)
+    if shape == "lingauss-hd":
+        n, d_x, d_y = 600, 10, 300
+        h = rng.standard_normal((d_y, d_x)) / np.sqrt(d_x)
+        model = build_model("lingauss", {"d_x": d_x, "obs_matrix": h.tolist()})
+    else:
+        n = 500
+        model = build_model("gk")
+    x = model.prior_sample(n, rng)
+    y = model.simulate_batch(x, rng)
+    assert y.shape == ((n, 300) if shape == "lingauss-hd" else (n, 100))
+    ens = Ensemble(x, sims=y)
+    sims = ens.sims.copy()
+    mom = compute_moments(ens)
+    cov_xx, cov_xy, noise, shrinkage = _written_out_moments(x, y)
+    assert np.array_equal(mom.cov_xx, cov_xx)
+    assert np.array_equal(mom.cov_xy, cov_xy)
+    assert np.array_equal(mom.cov_y_given_x, noise)
+    assert mom.shrinkage == shrinkage and 0.0 < shrinkage < 1.0
+    assert np.array_equal(mom.cov_xx, mom.cov_xx.T)
+    assert np.array_equal(mom.cov_y_given_x, mom.cov_y_given_x.T)
+    assert np.array_equal(ens.sims, sims)
 
 
 def test_moments_require_sims():

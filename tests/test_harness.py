@@ -235,6 +235,7 @@ def test_config_checks_model_overrides_early():
         ("prior_cov", [[1, 0, 0], [0, 1, 0]]),
         ("prior_cov", [1.0, 1.0, 1.0]),
         ("prior_mean", [[0.0, 0.0]]),
+        ("prior_mean", []),
     ):
         with pytest.raises(ConfigError, match=f"model_overrides.*{field}"):
             ExperimentConfig.from_mapping(

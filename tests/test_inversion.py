@@ -576,6 +576,21 @@ def test_select_lambda_ignores_the_memory_layout_of_sims():
     assert np.array_equal(w_f, w_c)
 
 
+def test_search_and_symmetrize_leave_their_inputs_unmodified():
+    # both overwrite temporaries of their own in place, never an argument
+    rng = np.random.default_rng(14)
+    low = np.linalg.cholesky(random_spd(rng, 6))
+    y = rng.normal(size=6)
+    for sims in (rng.normal(size=(300, 6)), np.asfortranarray(rng.normal(size=(300, 6)))):
+        before, y_before = sims.copy(), y.copy()
+        select_next_lambda(sims, y, low, 0.0, 1e9)
+        assert np.array_equal(sims, before) and np.array_equal(y, y_before)
+    mat = rng.normal(size=(6, 6))
+    before = mat.copy()
+    out = symmetrize(mat)
+    assert np.array_equal(mat, before) and not np.shares_memory(out, mat)
+
+
 def test_select_lambda_respects_lambda_prev():
     rng = np.random.default_rng(4)
     sims = rng.normal(size=(200, 2))

@@ -561,14 +561,16 @@ def test_lingauss_model_simulate_and_logpdf():
 
 @pytest.mark.parametrize("d_y", [1, 4, 40])
 def test_lingauss_noise_is_the_draw_times_the_factor(d_y):
-    # the triangular multiply gives the dense Z @ L^T bit for bit for a
-    # diagonal factor (0.5 I is lingauss-hd's and the factory's default),
-    # in a batch and in simulate, a batch of one
+    # a diagonal factor (0.5 I is lingauss-hd's and the factory's default)
+    # scales the draw's columns, bit for bit the dense Z @ L^T, in a batch and
+    # in simulate, a batch of one; any other factor takes the triangular
+    # multiply (trmm)
     rng = np.random.default_rng(21)
     base = random_lingauss(rng, 3, d_y)
     params = base.prior_sample(7, rng)
     for noise in (0.5 * np.eye(d_y), np.diag(rng.uniform(0.1, 3.0, d_y))):
         model = LinearGaussianModel(base.prior, base.obs_matrix, noise)
+        assert model._noise_sd is not None
         low = chol_psd(noise)[0]
         dense = params @ base.obs_matrix.T + (
             np.random.default_rng(3).standard_normal((7, d_y)) @ low.T)
@@ -581,6 +583,18 @@ def test_lingauss_noise_is_the_draw_times_the_factor(d_y):
     gen = np.random.default_rng(4)
     serial = np.stack([base.simulate(p, gen) for p in params])
     assert np.abs(batch - serial).max() <= 1e-13 * np.abs(serial).max()
+    if d_y > 1:
+        assert base._noise_sd is None
+        # one nonzero entry below the diagonal is enough to take the trmm path
+        low = np.diag(rng.uniform(0.1, 3.0, d_y))
+        low[d_y - 1, 0] = 0.7
+        model = LinearGaussianModel(base.prior, base.obs_matrix, low @ low.T)
+        assert model._noise_sd is None
+        low = chol_psd(model.noise_cov)[0]
+        dense = params @ base.obs_matrix.T + (
+            np.random.default_rng(3).standard_normal((7, d_y)) @ low.T)
+        batch = model.simulate_batch(params, np.random.default_rng(3))
+        assert np.abs(batch - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
 # ------------------------------------------------------ simulate = batch of one
