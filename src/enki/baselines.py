@@ -32,7 +32,6 @@ __all__ = [
     "AbcSmcConfig",
     "AbcMcmcConfig",
     "systematic_resample",
-    "RunningMoments",
     "run_abc_smc",
     "run_abc_mcmc",
 ]
@@ -105,32 +104,6 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
     cumulative = np.cumsum(w / total)
     cumulative[-1] = 1.0
     return np.searchsorted(cumulative, positions)
-
-
-class RunningMoments:
-    """Streaming mean and covariance of a vector sequence (Welford update)."""
-
-    def __init__(self, dim: int):
-        self.count = 0
-        self._mean = np.zeros(dim)
-        self._m2 = np.zeros((dim, dim))
-
-    def update(self, x: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        self.count += 1
-        delta = x - self._mean
-        self._mean = self._mean + delta / self.count
-        self._m2 = self._m2 + delta[:, None] * (x - self._mean)
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self._mean.copy()
-
-    @property
-    def cov(self) -> np.ndarray:
-        if self.count < 2:
-            return np.zeros_like(self._m2)
-        return symmetrize(self._m2 / (self.count - 1))
 
 
 def _adapt_kappa(
@@ -300,8 +273,7 @@ def run_abc_mcmc(
     dist_cur = float(np.linalg.norm(observed - sim))
     kappa = dist_cur if dist_cur > 0 else 1.0
 
-    running = RunningMoments(d_x)
-    running.update(state)
+    mean, m2 = state, np.zeros((d_x, d_x))  # Welford's running mean and M2
     chain = np.empty((config.n_steps + 1, d_x))
     chain[0] = state
     accepted = np.zeros(config.n_steps, dtype=bool)
@@ -310,7 +282,7 @@ def run_abc_mcmc(
 
     identity = np.eye(d_x)
     for t in range(1, config.n_steps + 1):
-        spread = running.cov if t > _ADAPT_START else identity
+        spread = symmetrize(m2 / (t - 1)) if t > _ADAPT_START else identity
         if not spread.any():
             spread = identity
         z = rng.standard_normal(d_x)
@@ -331,7 +303,9 @@ def run_abc_mcmc(
         gain = t ** (-_GAIN_DECAY)
         kappa = float(np.exp(np.log(kappa) - gain * (float(ok) - _TARGET_ACCEPTANCE)))
         kappa_trace[t] = kappa
-        running.update(state)
+        delta = state - mean
+        mean = mean + delta / (t + 1)
+        m2 = m2 + delta[:, None] * (state - mean)
         chain[t] = state
 
     burn = config.n_steps // 2
@@ -349,6 +323,5 @@ def run_abc_mcmc(
             "kappa_trace": kappa_trace,
             "acceptance_rate": float(accepted[burn:].mean()),
             "acceptance_rate_overall": float(accepted.mean()),
-            "n_kept": int(sel.size),
         },
     )

@@ -11,6 +11,7 @@ import csv
 import functools
 import json
 import os
+import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -214,11 +215,16 @@ def _algo_config(algorithm: str, n: int, params: dict, snapshots: bool) -> tuple
 def _execute_cell(config: ExperimentConfig, out_path: Path, cell: tuple) -> dict:
     """Run one (algorithm, N, seed) cell, write its run directory, return its row.
 
-    A run that fails gives an error row and no directory; an OSError from
-    the writes is not caught, so it aborts the sweep.
+    The cell's directory from an earlier run into the same output is removed
+    first, so a rerun replaces it. A run that fails gives an error row and no
+    directory; an OSError from the removal or the writes is not caught, so it
+    aborts the sweep.
     """
     algorithm, n, seed = cell
     key = {"algorithm": algorithm, "model": config.model, "N": n, "seed": seed}
+    run_dir = out_path / "runs" / f"{algorithm}_{config.model}_N{n}_seed{seed}"
+    if run_dir.exists():
+        shutil.rmtree(run_dir)
     try:
         model = build_model(config.model, config.model_overrides)
         cell_seq = as_seed_sequence(seed)
@@ -258,14 +264,13 @@ def _execute_cell(config: ExperimentConfig, out_path: Path, cell: tuple) -> dict
             "termination": f"error: {type(err).__name__}: {err}",
             "final_temp": float("nan"),
         }
-    run_dir = out_path / "runs" / f"{algorithm}_{config.model}_N{n}_seed{seed}"
-    run_dir.mkdir(parents=True, exist_ok=True)
+    run_dir.mkdir(parents=True)
     _write_ensemble_csv(ensemble, run_dir / "ensemble.csv")
     _write_json(meta, run_dir / "meta.json")
     if schedule is not None:
         _write_json(schedule, run_dir / "schedule.json")
     if snapshots:
-        (run_dir / "snapshots").mkdir(exist_ok=True)
+        (run_dir / "snapshots").mkdir()
         for i, params in enumerate(snapshots):
             _write_ensemble_csv(params, run_dir / "snapshots" / f"iter_{i:03d}.csv")
     return {**key, **outcome}

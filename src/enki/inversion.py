@@ -295,11 +295,9 @@ def select_next_lambda(
     return float(best_lam), best_w
 
 
-def stop_optimisation(
-    initial_var: np.ndarray, current_var: np.ndarray, upsilon: float
-) -> bool:
-    """True iff every marginal variance in current_var is strictly below upsilon x initial_var."""
-    return bool(np.all(current_var < upsilon * initial_var))
+def stop_optimisation(initial_var: np.ndarray, current_var: np.ndarray) -> bool:
+    """True iff every current_var entry is strictly below _UPSILON (1%) x its initial_var."""
+    return bool(np.all(current_var < _UPSILON * initial_var))
 
 
 def eki_min_particles(model: SimulatorModel) -> int:
@@ -370,7 +368,7 @@ def run_eki(
             initial_var = current_var
 
         if config.stop_mode == "optimisation" and iteration > 1:
-            if stop_optimisation(initial_var, current_var, _UPSILON):
+            if stop_optimisation(initial_var, current_var):
                 reason = "optimisation"
                 break
 

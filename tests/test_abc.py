@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from enki.baselines import (
     AbcMcmcConfig,
     AbcSmcConfig,
-    RunningMoments,
     _adapt_kappa,
     run_abc_mcmc,
     run_abc_smc,
@@ -58,37 +57,6 @@ def test_systematic_resample_input_contract():
     for bad, match in ((np.nan, "nonnegative"), (-np.inf, "nonnegative"), (np.inf, "finite")):
         with pytest.raises(ValueError, match=match):
             systematic_resample(np.array([bad, 1.0]), np.random.default_rng(0))
-
-
-def test_running_moments_match_batch_estimates():
-    rng = np.random.default_rng(0)
-    xs = rng.normal(size=(200, 3))
-    run = RunningMoments(3)
-    for x in xs:
-        run.update(x)
-    assert run.count == 200
-    assert np.allclose(run.mean, xs.mean(axis=0))
-    assert np.allclose(run.cov, np.cov(xs.T, ddof=1))
-
-
-def test_running_moments_cold_start():
-    run = RunningMoments(2)
-    assert np.array_equal(run.cov, np.zeros((2, 2)))
-    run.update(np.array([1.0, 2.0]))
-    assert np.array_equal(run.cov, np.zeros((2, 2)))  # one point: no spread yet
-    assert np.allclose(run.mean, [1.0, 2.0])
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.floats(0.1, 100.0))
-def test_running_moments_scale_equivariance(scale):
-    xs = np.random.default_rng(5).normal(size=(50, 2))
-    a, b = RunningMoments(2), RunningMoments(2)
-    for x in xs:
-        a.update(x)
-        b.update(scale * x)
-    assert np.allclose(b.mean, scale * a.mean)
-    assert np.allclose(b.cov, scale**2 * a.cov, rtol=1e-9)
 
 
 # --------------------------------------------------------------------- ABC-SMC
@@ -171,6 +139,35 @@ def test_smc_stops_when_no_lower_kappa_keeps_a_particle():
     assert kappas[-1] == np.nextafter(0.0, 1.0)
     assert all(b < a for a, b in zip(kappas, kappas[1:]))
     assert np.array_equal(res.ensemble.sims, np.full((200, 1), 3.0))
+
+
+class _ConstantToyModel(ToyModel):
+    """ToyModel whose every simulation is 3.0, so all distances tie."""
+
+    def simulate_batch(self, params, rng):
+        return np.full((len(params), 1), 3.0)
+
+
+@pytest.mark.parametrize("gap", [0.0, 2.5])
+def test_smc_starts_with_every_particle_alive_when_all_distances_tie(gap):
+    # no kappa below the largest distance keeps a particle: the start keeps
+    # them all, at kappa 1.0 if the data match exactly and else at the next
+    # float above the common distance; no lower kappa keeps any afterwards
+    res = run_abc_smc(_ConstantToyModel(), np.array([3.0 + gap]), AbcSmcConfig(n_particles=50), 0)
+    assert res.diagnostics["kappas"][0] == (np.nextafter(gap, np.inf) if gap else 1.0)
+    assert res.diagnostics["ess"][0] == 50.0
+    assert res.termination_reason == "collapsed"
+
+
+def test_smc_collapses_when_fewer_than_two_particles_survive():
+    # at N = 2 the first kappa keeps one particle, too few for a proposal spread
+    model = ToyModel()
+    _, _, y = draw_observation(model, 5)
+    res = run_abc_smc(model, y, AbcSmcConfig(n_particles=2), 0)
+    assert res.termination_reason == "collapsed"
+    assert res.diagnostics["ess"] == [1.0, 1.0]
+    assert res.diagnostics["acceptance_rates"] == []
+    assert res.sim_count == 2
 
 
 def test_smc_config_invariant_chain():
@@ -301,7 +298,7 @@ def test_mcmc_counts_every_simulation(mcmc_run):
 
 def test_mcmc_keeps_thinned_tail(mcmc_run):
     _, _, _, cfg, res = mcmc_run
-    assert res.ensemble.n == res.diagnostics["n_kept"] <= cfg.n_keep
+    assert res.ensemble.n <= cfg.n_keep
     assert res.ensemble.n >= cfg.n_keep - 1
     trace = res.diagnostics["kappa_trace"]
     assert len(trace) == cfg.n_steps + 1
@@ -332,8 +329,9 @@ def _reference_mcmc(model, observed, n_steps, seed):
     """The ABC-MCMC loop written plainly: every step evaluates the prior,
     checks finiteness with np.all and updates the moments with np.outer.
 
-    Returns (chain, kappa_trace, accepted, sim_count, jittered), where
-    jittered counts the proposal factors that needed jitter.
+    Returns (chain, kappa_trace, accepted, sim_count, jittered, mean, cov),
+    where jittered counts the proposal factors that needed jitter and mean
+    and cov are the final running (Welford) moments of the whole chain.
     """
     rng = substream(as_seed_sequence(seed), CHAIN)
     d_x = model.d_x
@@ -376,7 +374,8 @@ def _reference_mcmc(model, observed, n_steps, seed):
         mean = mean + delta / count
         m2 = m2 + np.outer(delta, state - mean)
         chain.append(state)
-    return np.array(chain), np.array(kappa_trace), np.array(accepted), sim_count, jittered
+    return (np.array(chain), np.array(kappa_trace), np.array(accepted), sim_count, jittered,
+            mean, m2 / (count - 1))
 
 
 # Chain seed s runs on the observation drawn with seed 40 + s. For gk these
@@ -396,9 +395,12 @@ def test_mcmc_matches_the_plain_reference_loop(name, caplog):
     n_steps = 500
     for seed in _MCMC_REFERENCE_SEEDS[name]:
         _, _, y = draw_observation(model, 40 + seed)
-        chain, kappa_trace, accepted, sim_count, jittered = _reference_mcmc(
+        chain, kappa_trace, accepted, sim_count, jittered, mean, cov = _reference_mcmc(
             model, y, n_steps, seed
         )
+        # Welford's recursion agrees with the batch estimates of the chain
+        assert np.allclose(mean, chain.mean(axis=0))
+        assert np.allclose(cov, np.cov(chain, rowvar=False))
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="enki.linalg"):
             res = run_abc_mcmc(model, y, AbcMcmcConfig(n_steps=n_steps), seed)

@@ -437,6 +437,48 @@ def test_write_failure_aborts_sweep(tmp_path, threads):
     assert not (tmp_path / "metrics.csv").exists()
 
 
+def _run_lingauss_cell(out_dir, **extra):
+    """Run one eki-sampling lingauss cell (N=40, seed 0) into out_dir.
+
+    Returns its row and its run directory, which does not name the model
+    overrides, so every call here writes the same directory.
+    """
+    cfg = ExperimentConfig.from_mapping(small_mapping(n_particles=40, seeds=0, **extra))
+    rows, out_path = run_experiment(cfg, out_dir=out_dir)
+    return rows[0], out_path / "runs" / "eki-sampling_lingauss_N40_seed0"
+
+
+def test_rerun_keeps_only_the_new_snapshots(tmp_path):
+    # sharper data need more temperings: ten snapshots where the default gives four
+    sharp = {"noise_cov": (0.001 * np.eye(3)).tolist()}
+    _, run_dir = _run_lingauss_cell(tmp_path, model_overrides=sharp, snapshots=True)
+    assert len(list((run_dir / "snapshots").iterdir())) == 10
+    _, run_dir = _run_lingauss_cell(tmp_path, snapshots=True)
+    steps = len(json.loads((run_dir / "schedule.json").read_text()))
+    snaps = sorted(p.name for p in (run_dir / "snapshots").iterdir())
+    assert snaps == [f"iter_{i:03d}.csv" for i in range(steps + 1)]
+    assert steps == 3
+
+
+def test_rerun_without_snapshots_drops_the_snapshot_directory(tmp_path):
+    _, run_dir = _run_lingauss_cell(tmp_path, snapshots=True)
+    assert (run_dir / "snapshots").is_dir()
+    _, run_dir = _run_lingauss_cell(tmp_path)
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "ensemble.csv", "meta.json", "schedule.json"
+    ]
+
+
+def test_failed_rerun_leaves_no_run_directory(tmp_path):
+    _, run_dir = _run_lingauss_cell(tmp_path)
+    assert (run_dir / "meta.json").exists()
+    row, run_dir = _run_lingauss_cell(
+        tmp_path, model_overrides={"noise_cov": np.zeros((3, 3)).tolist()}
+    )
+    assert row["termination"].startswith("error: LinAlgError: iteration 1")
+    assert not run_dir.exists()
+
+
 def test_summary_table_and_csv(sweep, tmp_path):
     _, rows, _ = sweep
     groups = summarize_rows(rows)
@@ -515,6 +557,22 @@ def test_cli_run_seed_override_and_snapshots(tmp_path):
     assert [r["seed"] for r in rows] == [7]
     snaps = out_dir / "runs" / "eki-sampling_lingauss_N40_seed7" / "snapshots"
     assert (snaps / "iter_000.csv").exists()
+
+
+def test_cli_run_reports_each_failed_cell(tmp_path, capsys):
+    # a coarse Euler step blows every l96 path up, so both cells fail at run time
+    cfg_path = write_config(
+        tmp_path, model="l96", algorithm=["eki-sampling", "abc-smc"],
+        model_overrides={"d_x": 8, "dt": 0.25, "obs_times": [5.0]},
+    )
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "failed")]) == 1
+    captured = capsys.readouterr()
+    assert "2 run(s), 2 failed" in captured.out
+    blowup = "error: FloatingPointError: state became non-finite by t=5"
+    assert captured.err.splitlines() == [
+        f"  failed: eki-sampling N=40 seed=0: {blowup}",
+        f"  failed: abc-smc N=40 seed=0: {blowup}",
+    ]
 
 
 def test_cli_summarize(tmp_path, capsys):

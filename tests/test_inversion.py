@@ -625,11 +625,11 @@ def test_select_lambda_rejects_observed_of_the_wrong_length():
 def test_stop_optimisation_is_strict():
     base = _make_simulated(0, n=100)
     var = np.diag(compute_moments(base).cov_xx)
-    assert not stop_optimisation(var, var, upsilon=1.0)  # equality fails
+    assert not stop_optimisation(var, 0.01 * var)  # equality at the 1% threshold fails
     shrunk = Ensemble(base.params * 0.01, sims=base.sims)
     shrunk_var = np.diag(compute_moments(shrunk).cov_xx)
-    assert stop_optimisation(var, shrunk_var, upsilon=1e-2)
-    assert not stop_optimisation(var, shrunk_var, upsilon=1e-5)
+    assert stop_optimisation(var, shrunk_var)
+    assert not stop_optimisation(var, 0.011 * var)
 
 
 # --------------------------------------------------------------------- run_eki

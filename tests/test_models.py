@@ -479,6 +479,20 @@ def test_l96_model_prior_moments():
     assert abs(draws.var() - 5.0) < 0.05
 
 
+@pytest.mark.parametrize("name, overrides, mean, var", [
+    ("l96", {"d_x": 8, "forcing": 2.0, "prior_var": 3.0}, 2.0, 3.0),
+    ("gk", {}, 0.0, 1.0),  # standard normal on the working scale
+])
+def test_prior_logpdf_matches_scipy(name, overrides, mean, var):
+    # lingauss has the same check in test_lingauss_model_simulate_and_logpdf
+    from scipy.stats import multivariate_normal
+
+    model = build_model(name, overrides)
+    pts = model.prior_sample(5, np.random.default_rng(3))
+    ref = multivariate_normal(np.full(model.d_x, mean), var * np.eye(model.d_x)).logpdf(pts)
+    assert np.allclose(model.prior_logpdf(pts), ref, rtol=1e-12, atol=0.0)
+
+
 # ------------------------------------------------------------- linear-Gaussian
 
 def test_posterior_scalar_hand_oracle():
