@@ -190,7 +190,6 @@ def run_abc_smc(
             idx = systematic_resample(weights, substream(root, RESAMPLE, iteration))
             params = params[idx]
             logp = logp[idx]
-            sims = sims[idx]
             dist = dist[idx]
             alive = np.ones(n, dtype=bool)
             ess_cur = float(n)
@@ -216,7 +215,6 @@ def run_abc_smc(
         moved = alive_idx[accept]
         params[moved] = candidates[accept]
         logp[moved] = cand_logp[accept]
-        sims[moved] = cand_sims[accept]
         dist[moved] = cand_dist[accept]
         rate = float(accept.mean())
         acceptance.append(rate)
@@ -228,11 +226,9 @@ def run_abc_smc(
         weights = alive / alive.sum()
         idx = systematic_resample(weights, substream(root, RESAMPLE, 0))
         params = params[idx]
-        sims = sims[idx]
 
-    ensemble = Ensemble(params, sims=sims)
     return RunResult(
-        ensemble=ensemble,
+        ensemble=Ensemble(params),
         final_temp=float(kappa),
         sim_count=sim_count,
         termination_reason=reason,

@@ -66,10 +66,6 @@ class Ensemble:
     def n(self) -> int:
         return self.params.shape[0]
 
-    def with_sims(self, sims: np.ndarray) -> "Ensemble":
-        """Same particles with a fresh simulation round attached."""
-        return Ensemble(self.params, sims=sims)
-
 
 @dataclass(frozen=True)
 class MomentSet:

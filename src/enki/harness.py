@@ -50,17 +50,20 @@ _METRICS_TYPES = {
     "final_temp": float,
 }
 METRICS_FIELDS = list(_METRICS_TYPES)
-_SUMMARY_FIELDS = [
-    "algorithm",
-    "model",
-    "N",
-    "runs",
-    "rmse_q25",
-    "rmse_median",
-    "rmse_q75",
-    "sim_count_median",
-    "wall_time_s_median",
-]
+# per summary column: its field (the summary CSV's header), its title in the
+# text table, the title's alignment and width, and its entries' format
+_SUMMARY_COLUMNS = (
+    ("algorithm", "algorithm", "<18", ""),
+    ("model", "model", "<9", ""),
+    ("N", "N", ">6", ""),
+    ("runs", "runs", ">4", ""),
+    ("rmse_q25", "rmse_q25", ">10", ".4g"),
+    ("rmse_median", "rmse_med", ">10", ".4g"),
+    ("rmse_q75", "rmse_q75", ">10", ".4g"),
+    ("sim_count_median", "sims_med", ">10", ".0f"),
+    ("wall_time_s_median", "wall_med", ">9", ".3f"),
+)
+_SUMMARY_FIELDS = [name for name, *_ in _SUMMARY_COLUMNS]
 OUT_ROOT_ENV = "ENKI_OUT_ROOT"
 
 
@@ -90,7 +93,7 @@ class ExperimentConfig:
     seeds: list
     model_overrides: dict = field(default_factory=dict)
     algo_params: dict = field(default_factory=dict)
-    out_dir: str = None
+    out: str = None
     snapshots: bool = False
     label: str = "experiment"
 
@@ -98,23 +101,21 @@ class ExperimentConfig:
     def from_mapping(cls, raw: dict) -> "ExperimentConfig":
         """Build and validate from a parsed config mapping.
 
-        Keys are the field names, with `out` for out_dir and `algorithm` as
-        a second spelling of `algorithms` (a config gives one of the two).
-        A single grid scalar is wrapped in a list; validate() then checks
-        every value. Raises ConfigError naming the field on any schema
-        violation.
+        Keys are the field names, with `algorithm` as a second spelling of
+        `algorithms` (a config gives one of the two). A single grid scalar
+        is wrapped in a list; validate() then checks every value. Raises
+        ConfigError naming the field on any schema violation.
         """
         if not isinstance(raw, dict):
             raise ConfigError("config: expected a mapping of fields")
         values = dict(raw)
-        names = {f.name for f in fields(cls)} - {"out_dir"} | {"algorithm", "out"}
+        names = {f.name for f in fields(cls)} | {"algorithm"}
         unknown = set(values) - names
         if unknown:
             raise ConfigError(f"unknown field(s): {', '.join(sorted(unknown))}")
         if "algorithm" in values and "algorithms" in values:
             raise ConfigError("algorithm, algorithms: give one of the two spellings, not both")
         values["algorithms"] = values.pop("algorithm", values.get("algorithms"))
-        values["out_dir"] = values.pop("out", None)
         for name in ("algorithms", "n_particles", "seeds"):
             value = values.get(name)
             values[name] = value if value is None or isinstance(value, list) else [value]
@@ -172,8 +173,8 @@ class ExperimentConfig:
             raise ConfigError(f"snapshots: must be true or false, got {self.snapshots!r}")
         if not isinstance(self.label, str) or not self.label:
             raise ConfigError(f"label: must be a nonempty string, got {self.label!r}")
-        if self.out_dir is not None and (not isinstance(self.out_dir, str) or not self.out_dir):
-            raise ConfigError(f"out: must be a nonempty path string, got {self.out_dir!r}")
+        if self.out is not None and (not isinstance(self.out, str) or not self.out):
+            raise ConfigError(f"out: must be a nonempty path string, got {self.out!r}")
         # fail before any simulation if the overrides are malformed
         try:
             model = build_model(self.model, self.model_overrides)
@@ -332,8 +333,8 @@ def resolve_out_dir(config: ExperimentConfig, override=None) -> Path:
         raise ConfigError("out: must be a nonempty path string, got ''")
     if override is not None:
         return Path(override)
-    if config.out_dir:
-        return Path(config.out_dir)
+    if config.out:
+        return Path(config.out)
     root = os.environ.get(OUT_ROOT_ENV, "enki-results")
     return Path(root) / config.label
 
@@ -397,19 +398,12 @@ def summarize_rows(rows: list) -> list:
 
 def format_summary(groups: list) -> str:
     """Aligned text table of summarize_rows output."""
-    header = (
-        f"{'algorithm':<18} {'model':<9} {'N':>6} {'runs':>4} "
-        f"{'rmse_q25':>10} {'rmse_med':>10} {'rmse_q75':>10} "
-        f"{'sims_med':>10} {'wall_med':>9}"
+    header = " ".join(format(title, width) for _, title, width, _ in _SUMMARY_COLUMNS)
+    rows = (
+        " ".join(format(g[name], width + spec) for name, _, width, spec in _SUMMARY_COLUMNS)
+        for g in groups
     )
-    lines = [header, "-" * len(header)]
-    for g in groups:
-        lines.append(
-            f"{g['algorithm']:<18} {g['model']:<9} {g['N']:>6} {g['runs']:>4} "
-            f"{g['rmse_q25']:>10.4g} {g['rmse_median']:>10.4g} {g['rmse_q75']:>10.4g} "
-            f"{g['sim_count_median']:>10.0f} {g['wall_time_s_median']:>9.3f}"
-        )
-    return "\n".join(lines)
+    return "\n".join([header, "-" * len(header), *rows])
 
 
 def write_summary_csv(groups: list, path) -> None:

@@ -114,7 +114,7 @@ class EkiConfig:
 
 @dataclass
 class RunResult:
-    """Final ensemble plus the bookkeeping the experiment harness reports.
+    """Final particles (an Ensemble without sims) plus the harness's bookkeeping.
 
     final_temp is the temperature the sampler ended at: the last inverse
     temperature lambda for EKI, the last ABC tolerance kappa for ABC-SMC and
@@ -164,7 +164,7 @@ def eki_step(
     """
     if ensemble.sims is None:
         raise ValueError("ensemble has no simulated data")
-    if h <= 0:
+    if not h > 0:  # NaN fails this test too
         raise ValueError("stepsize h must be positive")
     observed = _observed_vector(observed, ensemble.sims.shape[1])
     coeff = max(1.0 / h - 1.0, 0.0)
@@ -198,7 +198,7 @@ def gaussian_eki_step(
     and of length d_y, the column count of forward_evals, and noise_cov
     d_y x d_y.
     """
-    if h <= 0:
+    if not h > 0:  # NaN fails this test too
         raise ValueError("stepsize h must be positive")
     forward = np.atleast_2d(np.asarray(forward_evals, dtype=float))
     observed = _observed_vector(observed, forward.shape[1])
@@ -208,7 +208,7 @@ def gaussian_eki_step(
     r = symmetrize(r)
     if forward.shape[0] != ensemble.n:
         raise ValueError("forward_evals rows must match particle count")
-    ensemble = ensemble.with_sims(forward)
+    ensemble = Ensemble(ensemble.params, sims=forward)
     noise_cov = r / h
     n = ensemble.n
     xc = ensemble.params - ensemble.params.mean(axis=0)
@@ -245,7 +245,7 @@ def select_next_lambda(
     Raises ValueError on any non-finite simulation, or unless observed is
     finite and of length d_y, the column count of sims.
     """
-    if lambda_prev >= lambda_max:
+    if not lambda_prev < lambda_max:  # NaN fails this test too
         raise ValueError("lambda_prev must be below lambda_max")
     sims = np.atleast_2d(np.asarray(sims, dtype=float))
     observed = _observed_vector(observed, sims.shape[1])
@@ -351,39 +351,33 @@ def run_eki(
             f"got {config.n_particles}"
         )
     root = as_seed_sequence(seed)
-    params = model.prior_sample(config.n_particles, substream(root, PRIOR))
-    ensemble = Ensemble(params)
+    ensemble = Ensemble(model.prior_sample(config.n_particles, substream(root, PRIOR)))
+    sampling = config.stop_mode == "sampling"
     schedule = TemperSchedule()
     snapshots = [ensemble] if config.snapshots else None
-    initial_var = None
     reason = "max_iters"
 
     for iteration in range(1, config.max_iters + 1):
         sims = model.simulate_batch(ensemble.params, substream(root, SIMULATE, iteration))
         _require_finite(sims, f"EKI iteration {iteration}")
-        ensemble = ensemble.with_sims(sims)
-        moments = compute_moments(ensemble)
+        simulated = Ensemble(ensemble.params, sims=sims)
+        moments = compute_moments(simulated)
         current_var = np.diag(moments.cov_xx)
-        if initial_var is None:
+        if iteration == 1:
             initial_var = current_var
-
-        if config.stop_mode == "optimisation" and iteration > 1:
-            if stop_optimisation(initial_var, current_var):
-                reason = "optimisation"
-                break
+        elif not sampling and stop_optimisation(initial_var, current_var):
+            reason = "optimisation"
+            break
 
         lambda_prev = schedule.final_lambda
-        if config.stop_mode == "sampling":
-            lambda_hi = 1.0
-        else:
-            # no terminal temperature in optimisation mode: grow the bracket
-            lambda_hi = lambda_prev * 10.0 + 1.0
+        # no terminal temperature in optimisation mode: grow the bracket
+        lambda_hi = 1.0 if sampling else lambda_prev * 10.0 + 1.0
         try:
             lam, weights = select_next_lambda(
                 sims, observed, moments.chol_y_given_x, lambda_prev, lambda_hi
             )
-            moved = eki_step(
-                ensemble, observed, lam - lambda_prev, moments,
+            ensemble = eki_step(
+                simulated, observed, lam - lambda_prev, moments,
                 substream(root, PERTURB, iteration),
             )
         except np.linalg.LinAlgError as err:
@@ -394,10 +388,9 @@ def run_eki(
             _BISECT_TOL * ensemble.n
         )
         schedule.record(lam, ess_value, clamped, flagged, moments.shrinkage)
-        ensemble = moved
         if config.snapshots:
             snapshots.append(ensemble)
-        if config.stop_mode == "sampling" and schedule.final_lambda >= 1.0:
+        if sampling and schedule.final_lambda >= 1.0:
             reason = "sampling"
             break
 

@@ -28,10 +28,10 @@ def linear_gaussian_posterior(
     m_post = m + Q H^T (H Q H^T + R')^-1 (y - H m),
     Q_post = Q - Q H^T (H Q H^T + R')^-1 H Q.
     lam = 1 is the full posterior; lam = 0 returns a copy of the prior (the
-    defined limit), and lam < 0 raises ValueError. Conditioning the tempered
-    posterior at a with lam = h gives the one at a + h.
+    defined limit), and a negative or NaN lam raises ValueError. Conditioning
+    the tempered posterior at a with lam = h gives the one at a + h.
     """
-    if lam < 0:
+    if not lam >= 0:  # NaN fails this test too
         raise ValueError("lambda must be nonnegative")
     if lam == 0:
         return GaussPair(prior.mean.copy(), prior.cov.copy())

@@ -23,10 +23,10 @@ ALGO = 8
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
-    """Coerce an int or SeedSequence into a SeedSequence."""
+    """Coerce an int or SeedSequence into a SeedSequence; a bool is not a seed."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    if isinstance(seed, (int, np.integer)):
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
         if seed < 0:
             raise ValueError("seed must be nonnegative")
         return np.random.SeedSequence(int(seed))

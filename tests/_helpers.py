@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import gammaln, polygamma, psi
 
 from enki.baselines import AbcMcmcConfig, AbcSmcConfig, run_abc_mcmc, run_abc_smc
 from enki.ensembles import GaussPair
@@ -63,6 +64,41 @@ class CountingToyModel(ToyModel):
         sims = super().simulate_batch(params, rng)
         self.calls += len(sims)
         return sims
+
+
+class PoissonGammaModel(SimulatorModel):
+    """n iid Poisson(lambda) counts, as floats, with lambda ~ Gamma(shape a, rate b).
+
+    Worked on x = log lambda, whose prior density is
+    b^a / Gamma(a) exp(a x - b e^x). The Gamma prior is conjugate, so the
+    exact posterior of lambda is Gamma(a + sum y, b + n): a likelihood that
+    is not additive Gaussian, with a closed-form oracle.
+    """
+
+    d_x = 1
+
+    def __init__(self, n_obs: int = 10, shape: float = 2.0, rate: float = 0.5):
+        self.d_y = n_obs
+        self.shape = shape
+        self.rate = rate
+
+    def prior_sample(self, count, rng):
+        return np.log(rng.gamma(self.shape, 1.0 / self.rate, size=(count, 1)))
+
+    def prior_logpdf(self, params):
+        x = np.atleast_2d(params)[:, 0]
+        a, b = self.shape, self.rate
+        return a * np.log(b) - gammaln(a) + a * x - b * np.exp(x)
+
+    def simulate_batch(self, params, rng):
+        rate = np.exp(self._batch(params))
+        return rng.poisson(rate, size=(len(rate), self.d_y)).astype(float)
+
+    def posterior_mean_sd(self, observed) -> tuple:
+        """Exact posterior mean psi(a + sum y) - log(b + n) and sd sqrt(psi'(a + sum y)) of x."""
+        shape = self.shape + np.sum(observed)
+        mean = psi(shape) - np.log(self.rate + self.d_y)
+        return float(mean), float(np.sqrt(polygamma(1, shape)))
 
 
 def random_spd(rng: np.random.Generator, d: int, floor: float = 0.5) -> np.ndarray:

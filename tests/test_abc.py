@@ -138,7 +138,7 @@ def test_smc_stops_when_no_lower_kappa_keeps_a_particle():
     assert res.termination_reason == "collapsed"
     assert kappas[-1] == np.nextafter(0.0, 1.0)
     assert all(b < a for a, b in zip(kappas, kappas[1:]))
-    assert np.array_equal(res.ensemble.sims, np.full((200, 1), 3.0))
+    assert res.ensemble.n == 200
 
 
 class _ConstantToyModel(ToyModel):
@@ -464,6 +464,13 @@ def test_every_sampler_checks_observed(runner):
         observed[1] = bad
         with pytest.raises(ValueError, match="observed must be finite"):
             SAMPLERS[runner](model, observed)
+
+
+@pytest.mark.parametrize("runner", sorted(SAMPLERS))
+def test_every_sampler_returns_particles_without_sims(runner):
+    model = build_model("lingauss")
+    _, _, y = draw_observation(model, 0)
+    assert SAMPLERS[runner](model, y).ensemble.sims is None
 
 
 class NanAboveToyModel(ToyModel):

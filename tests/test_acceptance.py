@@ -1,6 +1,6 @@
 """Acceptance gate: end-to-end checks of the package's headline claims.
 
-Eleven numbered checks, each printing one PASS/FAIL line (through the capture
+Twelve numbered checks, each printing one PASS/FAIL line (through the capture
 bypass, so batch logs always carry the verdicts) before asserting:
 
 1. closed-form tempering: recursion over any partition equals the direct
@@ -23,6 +23,8 @@ bypass, so batch logs always carry the verdicts) before asserting:
     and inside its central 50% interval about half the time
 11. sampling mode's final spread on a d_y=300 linear-Gaussian model matches
     the closed-form posterior's
+12. the same spread and coverage gates on a Poisson-Gamma model, whose
+    likelihood is not additive Gaussian (measured unattainable; kept honest)
 """
 import time
 
@@ -43,7 +45,13 @@ from enki.models.lingauss import LinearGaussianModel, linear_gaussian_posterior
 from enki.models.lorenz96 import l96_drift
 from enki.rng import ALGO, DATA, PERTURB, PRIOR, as_seed_sequence, derive, substream
 
-from _helpers import ToyModel, draw_observation, random_lingauss, random_spd
+from _helpers import (
+    PoissonGammaModel,
+    ToyModel,
+    draw_observation,
+    random_lingauss,
+    random_spd,
+)
 
 pytestmark = pytest.mark.acceptance
 
@@ -595,3 +603,51 @@ def test_11_high_dimensional_spread_matches_posterior(capsys):
         f"(gate 0.8-1.25), {elapsed:.0f}s",
     )
     assert ok, f"spread ratios {ratios}, gate [0.8, 1.25] each"
+
+
+# ---------------------------------------------------------------- check 12
+
+POISSON_SPREAD_NOTE = (
+    "on 10 Poisson counts the final ensemble is wider than the exact "
+    "posterior: over seeds 1000-1059 the final sd / exact sd has median 1.548 "
+    "(p10 1.037, p90 1.929), and the ensemble mean sits a median 0.355 exact "
+    "sds below the exact mean; coverage holds (57/60 at 90%, 32/60 at 50%)"
+)
+
+
+@pytest.mark.xfail(strict=True, reason=POISSON_SPREAD_NOTE)
+def test_12_poisson_gamma_spread_matches_exact_posterior(capsys):
+    # an exact oracle for a likelihood that is not additive Gaussian: x = log
+    # lambda, lambda ~ Gamma(2, rate 0.5), y 10 iid Poisson(lambda) counts.
+    # Acceptance 11's spread gate, on the median over seeds, and acceptance
+    # 10's coverage gates on the truth; model, seeds and gates were fixed
+    # before the first run
+    start = time.perf_counter()
+    model = PoissonGammaModel()
+    ratios, bias = [], []
+    hits = hits50 = 0
+    for seed in range(1000, 1060):
+        root, truth, y = draw_observation(model, seed)
+        res = run_eki(model, y, EkiConfig(n_particles=200), derive(root, ALGO))
+        post_mean, post_sd = model.posterior_mean_sd(y)
+        x = res.ensemble.params[:, 0]
+        ratios.append(x.std(ddof=1) / post_sd)
+        bias.append((x.mean() - post_mean) / post_sd)
+        lo, lo50, hi50, hi = np.quantile(x, [0.05, 0.25, 0.75, 0.95])
+        hits += bool(lo <= truth[0] <= hi)
+        hits50 += bool(lo50 <= truth[0] <= hi50)
+    elapsed = time.perf_counter() - start
+    ratio = float(np.median(ratios))
+    ok_sd = 0.8 <= ratio <= 1.25
+    ok90 = hits >= 47
+    ok50 = 19 <= hits50 <= 41
+    _verdict(
+        capsys, "12 (Poisson-Gamma)", ok_sd and ok90 and ok50,
+        f"median final sd / exact sd {ratio:.3f} (gate 0.8-1.25), median bias "
+        f"{np.median(bias):.3f} exact sds, 90% interval covers the truth {hits} of 60 "
+        f"(gate 47), 50% interval {hits50} (gate 19-41), {elapsed:.1f}s "
+        "(known-unattainable; kept honest)",
+    )
+    assert ok90, f"90% coverage count {hits} of 60, gate 47"
+    assert ok50, f"50% coverage count {hits50} of 60, gate 19-41"
+    assert ok_sd, f"median spread ratio {ratio:.3f}, gate [0.8, 1.25]"

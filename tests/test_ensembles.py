@@ -25,11 +25,10 @@ def test_ensemble_validation():
 
 
 def test_with_sims_attaches_and_validates():
-    ens = Ensemble(np.zeros((3, 2)))
-    out = ens.with_sims(np.ones((3, 5)))
+    out = Ensemble(np.zeros((3, 2)), sims=np.ones((3, 5)))
     assert out.sims.shape == (3, 5)
     with pytest.raises(ValueError):
-        ens.with_sims(np.ones((2, 5)))
+        Ensemble(np.zeros((3, 2)), sims=np.ones((2, 5)))
 
 
 def test_three_point_moments_hand_oracle():

@@ -65,7 +65,7 @@ def test_config_scalar_coercions():
 
 
 def test_config_unknown_field_named():
-    # out_dir is spelled `out` in a config file
+    # the output field is `out`; out_dir names only run_experiment's override
     for name in ("particles_n", "N", "out_dir"):
         with pytest.raises(ConfigError, match=rf"unknown field\(s\): {name}$"):
             ExperimentConfig.from_mapping(small_mapping(**{name: 10}))
@@ -277,11 +277,11 @@ def test_resolve_out_dir_priorities(monkeypatch, tmp_path):
     cfg = ExperimentConfig.from_mapping(small_mapping())
     monkeypatch.setenv("ENKI_OUT_ROOT", str(tmp_path / "root"))
     assert resolve_out_dir(cfg) == tmp_path / "root" / "unit"
-    cfg.out_dir = str(tmp_path / "configured")
+    cfg.out = str(tmp_path / "configured")
     assert resolve_out_dir(cfg) == tmp_path / "configured"
     assert resolve_out_dir(cfg, tmp_path / "explicit") == tmp_path / "explicit"
     monkeypatch.delenv("ENKI_OUT_ROOT")
-    cfg.out_dir = None
+    cfg.out = None
     assert resolve_out_dir(cfg).parts[0] == "enki-results"
 
 
@@ -492,6 +492,26 @@ def test_summary_table_and_csv(sweep, tmp_path):
         parsed = list(csv.DictReader(fh))
     assert len(parsed) == 2
     assert parsed[0]["runs"] == "2"
+
+
+def test_summary_table_text_is_pinned():
+    # the table `enki run` and `enki summarize` print, byte for byte
+    rows = [
+        {"algorithm": algorithm, "model": "gk", "N": n, "seed": seed,
+         "sim_count": n * (17 + 3 * seed) + k,
+         "rmse": (0.7312468 + 0.1093 * seed) / 1000.0 ** (3 * k),
+         "wall_time_s": 0.0123457 * n * (seed + 1) / (k + 1), "termination": "done"}
+        for k, algorithm in enumerate(("abc-smc", "eki-sampling"))
+        for n in (50, 500)
+        for seed in range(3)
+    ]
+    assert format_summary(summarize_rows(rows)) == """\
+algorithm          model          N runs   rmse_q25   rmse_med   rmse_q75   sims_med  wall_med
+----------------------------------------------------------------------------------------------
+abc-smc            gk            50    3     0.7859     0.8405     0.8952       1000     1.235
+abc-smc            gk           500    3     0.7859     0.8405     0.8952      10000    12.346
+eki-sampling       gk            50    3  7.859e-10  8.405e-10  8.952e-10       1001     0.617
+eki-sampling       gk           500    3  7.859e-10  8.405e-10  8.952e-10      10001     6.173"""
 
 
 def test_write_metrics_formats_wall_time(tmp_path):

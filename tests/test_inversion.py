@@ -505,6 +505,20 @@ def test_gaussian_step_validation():
             )
 
 
+def test_eki_step_rejects_a_nan_step():
+    # NaN fails the sign check too, instead of reaching the factorisation
+    ens = _make_simulated(6, d_y=3)
+    with pytest.raises(ValueError, match="stepsize h must be positive"):
+        eki_step(ens, np.zeros(3), np.nan, compute_moments(ens), np.random.default_rng(0))
+
+
+def test_gaussian_step_rejects_a_nan_step():
+    ens = _make_simulated(6, d_y=3)
+    with pytest.raises(ValueError, match="stepsize h must be positive"):
+        gaussian_eki_step(Ensemble(ens.params), ens.sims, np.zeros(3), np.eye(3), np.nan,
+                          np.random.default_rng(0))
+
+
 # ------------------------------------------------------------ select_next_lambda
 
 def test_select_lambda_clamps_on_uniform_weights():
@@ -600,6 +614,13 @@ def test_select_lambda_respects_lambda_prev():
     assert lam2 > lam1
     with pytest.raises(ValueError):
         select_next_lambda(sims, y, np.eye(2), 1.0, 1.0)
+
+
+def test_select_lambda_rejects_a_nan_temperature():
+    sims = np.random.default_rng(4).normal(size=(50, 2))
+    for lambda_prev, lambda_max in ((np.nan, 1.0), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="lambda_prev must be below lambda_max"):
+            select_next_lambda(sims, np.zeros(2), np.eye(2), lambda_prev, lambda_max)
 
 
 def test_select_lambda_rejects_non_finite_sims():
@@ -706,6 +727,15 @@ def test_run_eki_optimisation_contracts_variances():
     # optimisation mode is not tied to the sampling ceiling: the variance rule
     # may fire on either side of temperature 1
     assert res.schedule.final_lambda > 0.0
+
+
+def test_run_eki_stopped_by_the_variance_rule_returns_particles_only():
+    # the stopping round simulates the particles, but the result holds none
+    model = random_lingauss(np.random.default_rng(12), 2, 2)
+    _, _, y = draw_observation(model, 8)
+    res = run_eki(model, y, EkiConfig(n_particles=50, stop_mode="optimisation"), 8)
+    assert res.termination_reason == "optimisation"
+    assert res.ensemble.sims is None
 
 
 def test_run_eki_max_iters_reason():

@@ -535,6 +535,12 @@ def test_tempered_limits():
         linear_gaussian_posterior(prior, h, r, y, lam=-0.1)
 
 
+def test_tempered_posterior_rejects_a_nan_lambda():
+    prior = GaussPair(np.zeros(2), np.eye(2))
+    with pytest.raises(ValueError, match="lambda must be nonnegative"):
+        linear_gaussian_posterior(prior, np.eye(2), np.eye(2), np.zeros(2), lam=np.nan)
+
+
 def test_tempered_recursion_matches_direct_on_fixed_partition():
     rng = np.random.default_rng(4)
     prior = GaussPair(rng.normal(size=3), random_spd(rng, 3))

@@ -16,6 +16,9 @@ def test_as_seed_sequence_rejects_bad_input():
         as_seed_sequence(-1)
     with pytest.raises(TypeError):
         as_seed_sequence("7")
+    for flag in (True, False):  # a bool is an int to Python, not a seed
+        with pytest.raises(TypeError):
+            as_seed_sequence(flag)
 
 
 def test_derive_is_deterministic_and_compositional():
