@@ -1,9 +1,9 @@
 """Particle ensembles, their empirical moments, and Gaussian sampling.
 
 The ensemble is the central state of every algorithm here: N parameter
-particles, optionally paired with the data each particle simulated. All
-covariances use the 1/(N-1) normalization, and every square one is exactly
-symmetric.
+particles. The data each particle simulated in a round are passed beside
+it, as an (N, d_y) array. All covariances use the 1/(N-1) normalization,
+and every square one is exactly symmetric.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Ensemble:
-    """N parameter particles plus (optionally) their simulated data.
+    """N parameter particles, validated finite.
 
     Immutable snapshot: algorithms produce a new Ensemble per iteration.
 
@@ -35,13 +35,9 @@ class Ensemble:
     ----------
     params : (N, d_x) array
         Parameter particles, one per row.
-    sims : (N, d_y) array, optional
-        Simulated data for each particle; absent before the first
-        simulation round.
     """
 
     params: np.ndarray
-    sims: np.ndarray | None = None
 
     def __post_init__(self):
         params = np.atleast_2d(np.asarray(self.params, dtype=float))
@@ -52,15 +48,6 @@ class Ensemble:
             raise ValueError("ensemble needs at least 2 particles")
         if not np.all(np.isfinite(params)):
             raise ValueError("params contain non-finite entries")
-        if self.sims is not None:
-            sims = np.atleast_2d(np.asarray(self.sims, dtype=float))
-            object.__setattr__(self, "sims", sims)
-            if sims.shape[0] != params.shape[0]:
-                raise ValueError(
-                    f"sims rows ({sims.shape[0]}) != params rows ({params.shape[0]})"
-                )
-            if not np.all(np.isfinite(sims)):
-                raise ValueError("sims contain non-finite entries")
 
     @property
     def n(self) -> int:
@@ -118,14 +105,26 @@ class GaussPair:
         return self.mean.size
 
 
-def compute_moments(ensemble: Ensemble) -> MomentSet:
+def _round_sims(ensemble: Ensemble, sims) -> np.ndarray:
+    """One round's (N, d_y) simulations as floats; ValueError unless N rows, all finite."""
+    sims = np.atleast_2d(np.asarray(sims, dtype=float))
+    if sims.shape[0] != ensemble.n:
+        raise ValueError(f"sims rows ({sims.shape[0]}) != params rows ({ensemble.n})")
+    if not np.all(np.isfinite(sims)):
+        raise ValueError("sims contain non-finite entries")
+    return sims
+
+
+def compute_moments(ensemble: Ensemble, sims) -> MomentSet:
     """Empirical covariances of (params, sims), with a shrunk noise estimate.
 
-    Covariances use 1/(N-1); the residual covariance
-    C = C^yy - C^yx (C^xx)^-1 C^xy is computed via a linear solve against
-    cov_xx (jitter fallback on failure), never an explicit inverse. cov_xx
-    and C are exactly symmetrized; C^yy is the Gram yc^T yc, exactly
-    symmetric as numpy forms it, divided and updated into C in place.
+    sims is one round's (N, d_y) array, row i simulated at particle i, with
+    N rows, all finite (else ValueError). Covariances use 1/(N-1); the
+    residual covariance C = C^yy - C^yx (C^xx)^-1 C^xy is computed via a
+    linear solve against cov_xx (jitter fallback on failure), never an
+    explicit inverse. cov_xx and C are exactly symmetrized; C^yy is the Gram
+    yc^T yc, exactly symmetric as numpy forms it, divided and updated into C
+    in place.
 
     From d_y summaries and N particles C is noisy, so its correlations are
     shrunk toward zero (Schaefer & Strimmer 2005, target D; Ledoit & Wolf
@@ -144,10 +143,8 @@ def compute_moments(ensemble: Ensemble) -> MomentSet:
     is, when fewer than two columns remain (no correlations; likewise when
     every r_ij is 0).
     """
-    if ensemble.sims is None:
-        raise ValueError("ensemble has no simulated data; run the simulator first")
     x = ensemble.params
-    y = ensemble.sims
+    y = _round_sims(ensemble, sims)
     n = ensemble.n
     xc = x - x.mean(axis=0)
     yc = y - y.mean(axis=0)

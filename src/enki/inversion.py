@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 # mvn_sample and solve_psd kept for perfbench/tracing.py, which wraps them here by name
-from .ensembles import Ensemble, MomentSet, compute_moments, ess, mvn_sample
+from .ensembles import Ensemble, MomentSet, _round_sims, compute_moments, ess, mvn_sample
 from .linalg import _one_blas_thread, chol_psd, solve_psd, symmetrize
 from .models.base import SimulatorModel, _require_int
 from .rng import PERTURB, PRIOR, SIMULATE, as_seed_sequence, substream
@@ -114,7 +114,7 @@ class EkiConfig:
 
 @dataclass
 class RunResult:
-    """Final particles (an Ensemble without sims) plus the harness's bookkeeping.
+    """Final particles plus the harness's bookkeeping.
 
     final_temp is the temperature the sampler ended at: the last inverse
     temperature lambda for EKI, the last ABC tolerance kappa for ABC-SMC and
@@ -132,6 +132,7 @@ class RunResult:
 
 def eki_step(
     ensemble: Ensemble,
+    sims: np.ndarray,
     observed: np.ndarray,
     h: float,
     moments: MomentSet,
@@ -139,7 +140,7 @@ def eki_step(
 ) -> Ensemble:
     """One perturbed-observation update with simulator-estimated noise.
 
-    Moves each particle by K (y - y_i - eta_i) with the gain
+    Moves each particle by K (y - y_i - eta_i), y_i its row of sims, with the gain
     K = C^xy (C^yy + c C^{y|x})^-1, c = max(1/h - 1, 0), and
     eta_i ~ N(0, c C^{y|x}), where C^{y|x} is the shrunk noise estimate
     moments.cov_y_given_x, and the gain's C^yy is the signal
@@ -162,17 +163,16 @@ def eki_step(
     `chol_psd` jittered C^{y|x}, the gain is that of C^{y|x} + jitter I, in
     C^yy and in the law of eta. observed must be finite and of length d_y.
     """
-    if ensemble.sims is None:
-        raise ValueError("ensemble has no simulated data")
     if not h > 0:  # NaN fails this test too
         raise ValueError("stepsize h must be positive")
-    observed = _observed_vector(observed, ensemble.sims.shape[1])
+    sims = _round_sims(ensemble, sims)
+    observed = _observed_vector(observed, sims.shape[1])
     coeff = max(1.0 / h - 1.0, 0.0)
     chol = moments.chol_y_given_x
     white = solve_triangular(chol, moments.cov_xy.T, lower=True)
     low, _ = chol_psd((1.0 + coeff) * moments.cov_xx + white.T @ white)
     w = white @ cho_solve((low, True), moments.cov_xx)
-    moves = (observed - ensemble.sims) @ solve_triangular(chol, w, lower=True, trans="T")
+    moves = (observed - sims) @ solve_triangular(chol, w, lower=True, trans="T")
     if coeff > 0.0:
         r = np.linalg.qr(w, mode="r")
         moves -= rng.standard_normal((ensemble.n, r.shape[0])) @ (np.sqrt(coeff) * r)
@@ -194,28 +194,25 @@ def gaussian_eki_step(
     are the ensemble covariances of the particles and forward_evals; no
     noise covariance is estimated. Unlike `eki_step`, it solves against all
     N innovations and then multiplies by C^xH, the written-out filter's
-    association, which it reproduces bit for bit. observed must be finite
-    and of length d_y, the column count of forward_evals, and noise_cov
-    d_y x d_y.
+    association, which it reproduces bit for bit. forward_evals must have
+    N rows, all finite, observed be finite and of length d_y, its column
+    count, and noise_cov be d_y x d_y.
     """
     if not h > 0:  # NaN fails this test too
         raise ValueError("stepsize h must be positive")
-    forward = np.atleast_2d(np.asarray(forward_evals, dtype=float))
+    forward = _round_sims(ensemble, forward_evals)
     observed = _observed_vector(observed, forward.shape[1])
     r = np.atleast_2d(np.asarray(noise_cov, dtype=float))
     if r.shape != (observed.size, observed.size):
         raise ValueError(f"noise_cov must be {observed.size} x {observed.size}, got {r.shape}")
     r = symmetrize(r)
-    if forward.shape[0] != ensemble.n:
-        raise ValueError("forward_evals rows must match particle count")
-    ensemble = Ensemble(ensemble.params, sims=forward)
     noise_cov = r / h
     n = ensemble.n
     xc = ensemble.params - ensemble.params.mean(axis=0)
-    fc = ensemble.sims - ensemble.sims.mean(axis=0)
+    fc = forward - forward.mean(axis=0)
     cov_xh = xc.T @ fc / (n - 1)
     low, _ = chol_psd(symmetrize(fc.T @ fc / (n - 1)) + noise_cov)
-    innov = observed - ensemble.sims
+    innov = observed - forward
     if noise_cov.any():
         innov = innov - rng.standard_normal(innov.shape) @ chol_psd(noise_cov)[0].T
     return Ensemble(ensemble.params + (cov_xh @ cho_solve((low, True), innov.T)).T)
@@ -360,8 +357,7 @@ def run_eki(
     for iteration in range(1, config.max_iters + 1):
         sims = model.simulate_batch(ensemble.params, substream(root, SIMULATE, iteration))
         _require_finite(sims, f"EKI iteration {iteration}")
-        simulated = Ensemble(ensemble.params, sims=sims)
-        moments = compute_moments(simulated)
+        moments = compute_moments(ensemble, sims)
         current_var = np.diag(moments.cov_xx)
         if iteration == 1:
             initial_var = current_var
@@ -377,7 +373,7 @@ def run_eki(
                 sims, observed, moments.chol_y_given_x, lambda_prev, lambda_hi
             )
             ensemble = eki_step(
-                simulated, observed, lam - lambda_prev, moments,
+                ensemble, sims, observed, lam - lambda_prev, moments,
                 substream(root, PERTURB, iteration),
             )
         except np.linalg.LinAlgError as err:

@@ -50,7 +50,8 @@ class L96Model(SimulatorModel):
     exists mainly as a test hook (0 disables it). forcing, obs_noise_var,
     diffusion, dt, prior_var and every obs_times entry must be finite real
     numbers, and obs_times and observed_dims sequences; a wrong type raises
-    TypeError naming the setting and a bad value ValueError.
+    TypeError naming the setting and a bad value ValueError. obs_times must
+    lie on the dt grid (to 1e-9 relative), on strictly increasing steps.
     """
 
     def __init__(self, d_x: int = 40, forcing: float = 8.0, dt: float = 0.001,
@@ -75,13 +76,13 @@ class L96Model(SimulatorModel):
         times = tuple(_require_real("obs_times entry", t) for t in times)
         if not times or not all(math.isfinite(t) and t > 0 for t in times):
             raise ValueError(f"obs_times must be finite and positive, got {times}")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("obs_times must be strictly increasing")
-        # observation times must land exactly on the integration grid
+        # observation times must land exactly on the integration grid, on increasing steps
         self.obs_steps = tuple(round(t / self.dt) for t in times)
         for t, step in zip(times, self.obs_steps):
             if step < 1 or abs(step * self.dt - t) > 1e-9 * max(1.0, t):
                 raise ValueError(f"obs_time {t} does not lie on the dt={self.dt} grid")
+        if any(b <= a for a, b in zip(self.obs_steps, self.obs_steps[1:])):
+            raise ValueError(f"obs_times must fall on increasing grid steps, got {self.obs_steps}")
         self.obs_times = times
         if observed_dims is None:
             observed_dims = range(0, self.d_x, 2)

@@ -1,6 +1,6 @@
 """Acceptance gate: end-to-end checks of the package's headline claims.
 
-Twelve numbered checks, each printing one PASS/FAIL line (through the capture
+Thirteen numbered checks, each printing one PASS/FAIL line (through the capture
 bypass, so batch logs always carry the verdicts) before asserting:
 
 1. closed-form tempering: recursion over any partition equals the direct
@@ -25,6 +25,9 @@ bypass, so batch logs always carry the verdicts) before asserting:
     the closed-form posterior's
 12. the same spread and coverage gates on a Poisson-Gamma model, whose
     likelihood is not additive Gaussian (measured unattainable; kept honest)
+13. check 10's calibration on the reduced lattice of check 7, with late
+    observations and with early ones (the early case measured one count
+    short of the gate; kept honest)
 """
 import time
 
@@ -493,10 +496,10 @@ def test_09_invariant_stress_suite(capsys):
     # permutation invariance of ensemble moments
     x = rng.normal(size=(30, 3))
     y = rng.normal(size=(30, 2))
-    base = compute_moments(Ensemble(x, sims=y))
+    base = compute_moments(Ensemble(x), y)
     for _ in range(20):
         idx = rng.permutation(30)
-        perm = compute_moments(Ensemble(x[idx], sims=y[idx]))
+        perm = compute_moments(Ensemble(x[idx]), y[idx])
         assert np.allclose(base.cov_xy, perm.cov_xy)
         assert np.allclose(base.cov_y_given_x, perm.cov_y_given_x)
 
@@ -512,11 +515,11 @@ def test_09_invariant_stress_suite(capsys):
     for _ in range(10):
         params = rng.normal(size=(25, 2))
         sims = rng.normal(size=(25, 2))
-        ens = Ensemble(params, sims=sims)
-        mom = compute_moments(ens)
+        ens = Ensemble(params)
+        mom = compute_moments(ens, sims)
         obs = rng.normal(size=2)
-        a = eki_step(ens, obs, 1.0, mom, np.random.default_rng(0))
-        b = eki_step(ens, obs, 1.0, mom, np.random.default_rng(1))
+        a = eki_step(ens, sims, obs, 1.0, mom, np.random.default_rng(0))
+        b = eki_step(ens, sims, obs, 1.0, mom, np.random.default_rng(1))
         assert np.array_equal(a.params, b.params)
 
     # cyclic equivariance of the lattice drift
@@ -541,8 +544,7 @@ def test_09_invariant_stress_suite(capsys):
 
 # ---------------------------------------------------------------- check 10
 
-@pytest.mark.parametrize("n_particles", [500, 150])
-def test_10_sampling_mode_is_calibrated(capsys, n_particles):
+def _check_calibration(capsys, num, model, n_particles, coords=""):
     # simulation-based calibration (Talts et al. 2018, arXiv 1804.06788): per
     # coordinate, count how many of 60 prior-drawn truths fall inside the
     # final ensemble's central 90% interval. A collapsed posterior scores well
@@ -552,13 +554,12 @@ def test_10_sampling_mode_is_calibrated(capsys, n_particles):
     # sample, such as eta drawn with twice the variance, passes the one-sided
     # 90% gate but lands above 41 here.
     start = time.perf_counter()
-    model = build_model("gk")
     hits = np.zeros(model.d_x, dtype=int)
     hits50 = np.zeros(model.d_x, dtype=int)
     for seed in range(1000, 1060):
         root = as_seed_sequence(seed)
         data_rng = substream(root, DATA)
-        truth = model.prior_sample(1, data_rng)[0]  # working space: N(0, I)
+        truth = model.prior_sample(1, data_rng)[0]  # in the working space
         y = model.simulate(truth, data_rng)
         res = run_eki(model, y, EkiConfig(n_particles=n_particles), derive(root, ALGO))
         lo, lo50, hi50, hi = np.quantile(res.ensemble.params, [0.05, 0.25, 0.75, 0.95], axis=0)
@@ -568,13 +569,20 @@ def test_10_sampling_mode_is_calibrated(capsys, n_particles):
     ok90 = bool(np.all(hits >= 47))
     ok50 = bool(np.all((19 <= hits50) & (hits50 <= 41)))
     _verdict(
-        capsys, f"10 (N={n_particles})", ok90 and ok50,
+        capsys, num, ok90 and ok50,
         f"90% interval covers the truth {'/'.join(map(str, hits))} of 60 times "
-        f"(A/B/g/k; gate 47), 50% interval {'/'.join(map(str, hits50))} "
+        f"({coords}gate 47), 50% interval {'/'.join(map(str, hits50))} "
         f"(gate 19-41), {elapsed:.0f}s",
     )
     assert ok90, f"90% coverage counts {hits.tolist()} of 60, gate 47 each"
     assert ok50, f"50% coverage counts {hits50.tolist()} of 60, gate 19-41 each"
+
+
+@pytest.mark.parametrize("n_particles", [500, 150])
+def test_10_sampling_mode_is_calibrated(capsys, n_particles):
+    _check_calibration(
+        capsys, f"10 (N={n_particles})", build_model("gk"), n_particles, "A/B/g/k; "
+    )
 
 
 # ---------------------------------------------------------------- check 11
@@ -651,3 +659,27 @@ def test_12_poisson_gamma_spread_matches_exact_posterior(capsys):
     assert ok90, f"90% coverage count {hits} of 60, gate 47"
     assert ok50, f"50% coverage count {hits50} of 60, gate 19-41"
     assert ok_sd, f"median spread ratio {ratio:.3f}, gate [0.8, 1.25]"
+
+
+# ---------------------------------------------------------------- check 13
+
+L96_EARLY_COVERAGE_NOTE = (
+    "with observations at t = 0.1, 0.2 the 90% interval covers the truth "
+    "55/53/49/46/50/52/52/53 of 60 times over seeds 1000-1059, so coordinate 3 "
+    "misses the gate of 47 by one (50% interval 34/29/24/27/21/29/30/30, "
+    "inside 19-41)"
+)
+
+
+@pytest.mark.parametrize("obs_times", [
+    pytest.param([1.0, 2.0], id="late"),
+    pytest.param(
+        [0.1, 0.2], id="early",
+        marks=pytest.mark.xfail(strict=True, reason=L96_EARLY_COVERAGE_NOTE),
+    ),
+])
+def test_13_lorenz96_sampling_is_calibrated(capsys, obs_times):
+    # acceptance 10's design, seeds and gates on the paper's second example,
+    # the reduced lattice of check 7 at N=200; fixed before the first run
+    model = build_model("l96", {"d_x": 8, "obs_times": obs_times})
+    _check_calibration(capsys, f"13 (t={obs_times[0]:g},{obs_times[1]:g})", model, 200)

@@ -1,4 +1,6 @@
 """Ensemble container, moment estimators, ESS, and Gaussian sampling."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,21 +23,26 @@ def test_ensemble_validation():
     with pytest.raises(ValueError):
         Ensemble(np.array([[0.0, np.nan], [1.0, 2.0]]))
     ens = Ensemble(np.zeros((3, 2)))
-    assert ens.n == 3 and ens.sims is None
+    assert ens.n == 3
+    # particles only: a round's simulations are passed beside the ensemble
+    assert [f.name for f in fields(Ensemble)] == ["params"]
 
 
-def test_with_sims_attaches_and_validates():
-    out = Ensemble(np.zeros((3, 2)), sims=np.ones((3, 5)))
-    assert out.sims.shape == (3, 5)
-    with pytest.raises(ValueError):
-        Ensemble(np.zeros((3, 2)), sims=np.ones((2, 5)))
+def test_moments_require_sims():
+    ens = Ensemble(np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=r"sims rows \(2\) != params rows \(3\)"):
+        compute_moments(ens, np.ones((2, 5)))
+    sims = np.ones((3, 5))
+    sims[1, 2] = np.nan
+    with pytest.raises(ValueError, match="sims contain non-finite entries"):
+        compute_moments(ens, sims)
 
 
 def test_three_point_moments_hand_oracle():
     # x = (0, 1, 2), y = 2x: with 1/(N-1), cov_xx = 1, cov_xy = 2, and the
     # conditional covariance vanishes.
-    ens = Ensemble(np.array([[0.0], [1.0], [2.0]]), sims=np.array([[0.0], [2.0], [4.0]]))
-    mom = compute_moments(ens)
+    ens = Ensemble(np.array([[0.0], [1.0], [2.0]]))
+    mom = compute_moments(ens, np.array([[0.0], [2.0], [4.0]]))
     assert np.allclose(mom.cov_xx, [[1.0]])
     assert np.allclose(mom.cov_xy, [[2.0]])
     assert np.allclose(mom.cov_y_given_x, [[0.0]], atol=1e-12)
@@ -45,7 +52,7 @@ def test_moments_match_numpy_cov():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(40, 3))
     y = rng.normal(size=(40, 2))
-    mom = compute_moments(Ensemble(x, sims=y))
+    mom = compute_moments(Ensemble(x), y)
     joint = np.cov(np.hstack([x, y]).T, ddof=1)
     assert np.allclose(mom.cov_xx, joint[:3, :3])
     assert np.allclose(mom.cov_xy, joint[:3, 3:])
@@ -55,7 +62,7 @@ def test_conditional_covariance_zero_for_linear_map():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(30, 3))
     a = rng.normal(size=(3, 2))
-    mom = compute_moments(Ensemble(x, sims=x @ a))
+    mom = compute_moments(Ensemble(x), x @ a)
     assert np.allclose(mom.cov_y_given_x, 0.0, atol=1e-10)
 
 
@@ -67,7 +74,7 @@ def test_conditional_covariance_recovers_noise_cov():
     h = rng.normal(size=(d_x, d_y))
     r = np.array([[0.6, 0.2], [0.2, 0.9]])
     noise = rng.multivariate_normal(np.zeros(d_y), r, size=n)
-    mom = compute_moments(Ensemble(x, sims=x @ h + noise))
+    mom = compute_moments(Ensemble(x), x @ h + noise)
     assert np.allclose(mom.cov_y_given_x, r, atol=0.03)
 
 
@@ -78,8 +85,8 @@ def test_moments_permutation_invariant(perm_seed):
     x = rng.normal(size=(25, 2))
     y = rng.normal(size=(25, 3))
     idx = np.random.default_rng(perm_seed).permutation(25)
-    a = compute_moments(Ensemble(x, sims=y))
-    b = compute_moments(Ensemble(x[idx], sims=y[idx]))
+    a = compute_moments(Ensemble(x), y)
+    b = compute_moments(Ensemble(x[idx]), y[idx])
     for field in ("cov_xx", "cov_xy", "cov_y_given_x"):
         assert np.allclose(getattr(a, field), getattr(b, field))
 
@@ -118,7 +125,7 @@ def test_noise_shrinkage_matches_a_brute_force_pair_loop(seed):
     corr = 0.6 * np.ones((d_y, d_y)) + 0.4 * np.eye(d_y)
     x = rng.normal(size=(n, d_x))
     y = x @ rng.normal(size=(d_x, d_y)) + rng.normal(size=(n, d_y)) @ np.linalg.cholesky(corr).T
-    mom = compute_moments(Ensemble(x, sims=y))
+    mom = compute_moments(Ensemble(x), y)
     expected = _brute_force_shrinkage(x, y)
     assert 0.0 < expected < 1.0
     assert mom.shrinkage == pytest.approx(expected, rel=1e-12)
@@ -133,7 +140,7 @@ def test_noise_shrinkage_is_zero_for_one_summary():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(40, 2))
     y = x @ rng.normal(size=(2, 1)) + 0.5 * rng.normal(size=(40, 1))
-    mom = compute_moments(Ensemble(x, sims=y))
+    mom = compute_moments(Ensemble(x), y)
     assert mom.shrinkage == 0.0
     assert np.allclose(mom.cov_y_given_x, _raw_noise(x, y), rtol=1e-12, atol=0)
 
@@ -146,8 +153,8 @@ def test_noise_shrinkage_is_zero_when_a_residual_column_has_zero_variance():
     x = rng.normal(size=(40, 2))
     y = x @ rng.normal(size=(2, 3)) + 0.5 * rng.normal(size=(40, 3))
     y[:, 1] = 0.0
-    mom = compute_moments(Ensemble(x, sims=y))
-    rest = compute_moments(Ensemble(x, sims=y[:, [0, 2]]))
+    mom = compute_moments(Ensemble(x), y)
+    rest = compute_moments(Ensemble(x), y[:, [0, 2]])
     assert 0.0 < rest.shrinkage < 1.0
     assert mom.shrinkage == pytest.approx(rest.shrinkage, rel=1e-12)
     assert not mom.cov_y_given_x[1].any()
@@ -188,9 +195,8 @@ def test_moments_are_bit_identical_to_the_written_out_formula(shape):
     x = model.prior_sample(n, rng)
     y = model.simulate_batch(x, rng)
     assert y.shape == ((n, 300) if shape == "lingauss-hd" else (n, 100))
-    ens = Ensemble(x, sims=y)
-    sims = ens.sims.copy()
-    mom = compute_moments(ens)
+    before = y.copy()
+    mom = compute_moments(Ensemble(x), y)
     cov_xx, cov_xy, noise, shrinkage = _written_out_moments(x, y)
     assert np.array_equal(mom.cov_xx, cov_xx)
     assert np.array_equal(mom.cov_xy, cov_xy)
@@ -198,12 +204,7 @@ def test_moments_are_bit_identical_to_the_written_out_formula(shape):
     assert mom.shrinkage == shrinkage and 0.0 < shrinkage < 1.0
     assert np.array_equal(mom.cov_xx, mom.cov_xx.T)
     assert np.array_equal(mom.cov_y_given_x, mom.cov_y_given_x.T)
-    assert np.array_equal(ens.sims, sims)
-
-
-def test_moments_require_sims():
-    with pytest.raises(ValueError):
-        compute_moments(Ensemble(np.zeros((3, 1))))
+    assert np.array_equal(y, before)
 
 
 def test_ess_known_values():

@@ -60,7 +60,7 @@ def _make_simulated(seed: int, n: int = 200, d_x: int = 2, d_y: int = 2):
     rng = np.random.default_rng(seed)
     params = rng.normal(size=(n, d_x))
     sims = params @ rng.normal(size=(d_x, d_y)) + 0.3 * rng.normal(size=(n, d_y))
-    return Ensemble(params, sims=sims)
+    return Ensemble(params), sims
 
 
 def _signal(mom) -> np.ndarray:
@@ -92,11 +92,11 @@ def _drawn_image(n, cov_xy, bracket, noise, chol, coeff) -> np.ndarray:
 
 def test_eki_step_h1_draws_no_noise():
     # h = 1 must not touch the generator at all
-    ens = _make_simulated(0)
-    mom = compute_moments(ens)
+    ens, sims = _make_simulated(0)
+    mom = compute_moments(ens, sims)
     y = np.array([0.5, -0.5])
     gen = np.random.default_rng(7)
-    out = eki_step(ens, y, 1.0, mom, gen)
+    out = eki_step(ens, sims, y, 1.0, mom, gen)
     probe_after = gen.standard_normal(3)
     fresh = np.random.default_rng(7).standard_normal(3)
     assert np.array_equal(probe_after, fresh)
@@ -106,54 +106,53 @@ def test_eki_step_h1_draws_no_noise():
     white = solve_triangular(chol, mom.cov_xy.T, lower=True)
     low, _ = chol_psd(mom.cov_xx + white.T @ white)
     w = white @ cho_solve((low, True), mom.cov_xx)
-    moves = (y - ens.sims) @ solve_triangular(chol, w, lower=True, trans="T")
+    moves = (y - sims) @ solve_triangular(chol, w, lower=True, trans="T")
     assert np.array_equal(out.params, ens.params + moves)
-    assert out.sims is None
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_eki_step_h1_degeneracy_property(seed):
-    ens = _make_simulated(seed, n=40)
-    mom = compute_moments(ens)
+    ens, sims = _make_simulated(seed, n=40)
+    mom = compute_moments(ens, sims)
     y = np.array([0.1, 0.2])
-    a = eki_step(ens, y, 1.0, mom, np.random.default_rng(1))
-    b = eki_step(ens, y, 1.0, mom, np.random.default_rng(2))
+    a = eki_step(ens, sims, y, 1.0, mom, np.random.default_rng(1))
+    b = eki_step(ens, sims, y, 1.0, mom, np.random.default_rng(2))
     assert np.array_equal(a.params, b.params)
 
 
 def test_eki_step_fractional_h_perturbs():
-    ens = _make_simulated(1)
-    mom = compute_moments(ens)
+    ens, sims = _make_simulated(1)
+    mom = compute_moments(ens, sims)
     y = np.array([0.0, 0.0])
-    a = eki_step(ens, y, 0.5, mom, np.random.default_rng(1))
-    b = eki_step(ens, y, 0.5, mom, np.random.default_rng(2))
+    a = eki_step(ens, sims, y, 0.5, mom, np.random.default_rng(1))
+    b = eki_step(ens, sims, y, 0.5, mom, np.random.default_rng(2))
     assert not np.array_equal(a.params, b.params)
 
 
 def test_eki_step_oversized_h_floors_coefficient():
     # h > 1 floors (1/h - 1) at zero: same update as h = 1
-    ens = _make_simulated(2)
-    mom = compute_moments(ens)
+    ens, sims = _make_simulated(2)
+    mom = compute_moments(ens, sims)
     y = np.array([1.0, 1.0])
-    one = eki_step(ens, y, 1.0, mom, np.random.default_rng(0))
-    big = eki_step(ens, y, 4.0, mom, np.random.default_rng(0))
+    one = eki_step(ens, sims, y, 1.0, mom, np.random.default_rng(0))
+    big = eki_step(ens, sims, y, 4.0, mom, np.random.default_rng(0))
     assert np.array_equal(one.params, big.params)
 
 
 def test_eki_step_input_contract():
-    ens = _make_simulated(3)
-    mom = compute_moments(ens)
+    ens, sims = _make_simulated(3)
+    mom = compute_moments(ens, sims)
+    with pytest.raises(ValueError, match=r"sims rows \(199\) != params rows \(200\)"):
+        eki_step(ens, sims[1:], np.zeros(2), 1.0, mom, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        eki_step(Ensemble(ens.params), np.zeros(2), 1.0, mom, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        eki_step(ens, np.zeros(2), 0.0, mom, np.random.default_rng(0))
+        eki_step(ens, sims, np.zeros(2), 0.0, mom, np.random.default_rng(0))
     # an observed vector of the wrong length is refused, not broadcast
-    ens = _make_simulated(3, d_y=3)
-    mom = compute_moments(ens)
+    ens, sims = _make_simulated(3, d_y=3)
+    mom = compute_moments(ens, sims)
     for observed in (np.zeros(1), np.zeros(2)):
         with pytest.raises(ValueError, match="observed must have length 3"):
-            eki_step(ens, observed, 1.0, mom, np.random.default_rng(0))
+            eki_step(ens, sims, observed, 1.0, mom, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("h", [0.4, 1.0, 4.0])
@@ -163,15 +162,15 @@ def test_eki_step_draws_eta_from_the_noise_factor(h, d_x, d_y):
     # c = max(1/h - 1, 0) and C^{y|x} the shrunk estimate, whose image
     # eta K^T is drawn as sqrt(c) Z R (`_perturbation_factor`); the gain's
     # C^yy is the signal plus that estimate
-    ens = _make_simulated(4, n=300, d_x=d_x, d_y=d_y)
-    mom = compute_moments(ens)
+    ens, sims = _make_simulated(4, n=300, d_x=d_x, d_y=d_y)
+    mom = compute_moments(ens, sims)
     y = np.array([0.3, -0.2, 0.1])[:d_y]
-    out = eki_step(ens, y, h, mom, np.random.default_rng(5))
+    out = eki_step(ens, sims, y, h, mom, np.random.default_rng(5))
     coeff = max(1.0 / h - 1.0, 0.0)
     bracket = _signal(mom) + (1.0 + coeff) * mom.cov_y_given_x
     image = _drawn_image(ens.n, mom.cov_xy, bracket, mom.cov_y_given_x,
                          np.linalg.cholesky(mom.cov_y_given_x), coeff)
-    moves = (mom.cov_xy @ np.linalg.solve(bracket, (y - ens.sims).T)).T - image
+    moves = (mom.cov_xy @ np.linalg.solve(bracket, (y - sims).T)).T - image
     assert np.allclose(out.params, ens.params + moves, rtol=1e-10, atol=1e-12)
 
 
@@ -191,11 +190,11 @@ class _RecordingGenerator:
 def test_eki_step_draws_n_by_min_dx_dy_normals(d_x, d_y):
     # only the gain's image of eta is drawn: one N x min(d_x, d_y) block,
     # never N x d_y, and nothing at h = 1
-    ens = _make_simulated(9, n=50, d_x=d_x, d_y=d_y)
-    mom = compute_moments(ens)
+    ens, sims = _make_simulated(9, n=50, d_x=d_x, d_y=d_y)
+    mom = compute_moments(ens, sims)
     for h, shapes in ((0.5, [(50, min(d_x, d_y))]), (1.0, [])):
         gen = _RecordingGenerator(0)
-        eki_step(ens, np.zeros(d_y), h, mom, gen)
+        eki_step(ens, sims, np.zeros(d_y), h, mom, gen)
         assert gen.shapes == shapes
 
 
@@ -214,12 +213,11 @@ def test_each_step_solves_in_its_own_order(monkeypatch):
     monkeypatch.setattr(enki.inversion, "cho_solve", recording(cho_solve))
     monkeypatch.setattr(enki.inversion, "solve_triangular", recording(solve_triangular))
     n, d_x, d_y = 60, 2, 5
-    ens = _make_simulated(12, n=n, d_x=d_x, d_y=d_y)
-    eki_step(ens, np.zeros(d_y), 0.5, compute_moments(ens), np.random.default_rng(0))
+    ens, sims = _make_simulated(12, n=n, d_x=d_x, d_y=d_y)
+    eki_step(ens, sims, np.zeros(d_y), 0.5, compute_moments(ens, sims), np.random.default_rng(0))
     assert shapes == [(d_y, d_x), (d_x, d_x), (d_y, d_x)]
     shapes.clear()
-    gaussian_eki_step(Ensemble(ens.params), ens.sims, np.zeros(d_y), np.eye(d_y), 0.5,
-                      np.random.default_rng(0))
+    gaussian_eki_step(ens, sims, np.zeros(d_y), np.eye(d_y), 0.5, np.random.default_rng(0))
     assert shapes == [(d_y, n)]
 
 
@@ -231,7 +229,7 @@ def test_noise_factor_is_computed_once_and_only_when_needed(monkeypatch):
         return chol_psd(mat)
 
     monkeypatch.setattr(enki.ensembles, "chol_psd", counting_chol)
-    mom = compute_moments(_make_simulated(5))
+    mom = compute_moments(*_make_simulated(5))
     first = mom.chol_y_given_x
     assert mom.chol_y_given_x is first
     assert calls == [(2, 2)]
@@ -358,9 +356,9 @@ def test_eki_step_matches_the_exact_textbook_move(seed, h):
     params = rng.normal(size=(8, 2))
     sims = params @ rng.normal(size=(2, 3)) + 0.5 * rng.normal(size=(8, 3))
     observed = rng.normal(size=3)
-    ens = Ensemble(params, sims=sims)
-    mom = compute_moments(ens)
-    out = eki_step(ens, observed, h, mom, np.random.default_rng(5))
+    ens = Ensemble(params)
+    mom = compute_moments(ens, sims)
+    out = eki_step(ens, sims, observed, h, mom, np.random.default_rng(5))
     z = np.random.default_rng(5).standard_normal((8, 2))  # min(d_x, d_y) columns
     coeff = max(1.0 / h - 1.0, 0.0)
     moves = _exact_textbook_move(
@@ -380,13 +378,13 @@ def test_eki_step_gain_carries_the_noise_factors_jitter(h):
     params = rng.normal(size=(60, 2))
     sims = params @ rng.normal(size=(2, 3)) + 0.5 * rng.normal(size=(60, 3))
     sims[:, 2] = 0.0
-    ens = Ensemble(params, sims=sims)
-    mom = compute_moments(ens)
+    ens = Ensemble(params)
+    mom = compute_moments(ens, sims)
     assert mom.shrinkage > 0.0
     low, jitter = chol_psd(mom.cov_y_given_x)
     assert jitter > 0
     y = np.array([0.3, -0.2, 0.0])
-    out = eki_step(ens, y, h, mom, np.random.default_rng(5))
+    out = eki_step(ens, sims, y, h, mom, np.random.default_rng(5))
     coeff = max(1.0 / h - 1.0, 0.0)
     noise = mom.cov_y_given_x + jitter * np.eye(3)
     bracket = _signal(mom) + (1.0 + coeff) * noise
@@ -405,12 +403,12 @@ def test_eki_step_is_accurate_on_a_repeated_summary(seed, h):
     params = rng.normal(size=(60, 2))
     sims = params @ rng.normal(size=(2, 3)) + 0.5 * rng.normal(size=(60, 3))
     sims[:, 2] = sims[:, 1]
-    ens = Ensemble(params, sims=sims)
-    mom = compute_moments(ens)
+    ens = Ensemble(params)
+    mom = compute_moments(ens, sims)
     low, jitter = chol_psd(mom.cov_y_given_x)
     assert jitter == 0.0
     y = np.array([0.3, -0.2, -0.2])
-    out = eki_step(ens, y, h, mom, np.random.default_rng(5))
+    out = eki_step(ens, sims, y, h, mom, np.random.default_rng(5))
     coeff = max(1.0 / h - 1.0, 0.0)
     bracket = _signal(mom) + (1.0 + coeff) * mom.cov_y_given_x
     image = _drawn_image(60, mom.cov_xy, bracket, mom.cov_y_given_x, low, coeff)
@@ -425,8 +423,8 @@ def test_eki_step_single_update_matches_scalar_posterior():
     n = 400_000
     params = rng.standard_normal((n, 1))
     sims = params + rng.standard_normal((n, 1))  # H = 1, R = 1
-    ens = Ensemble(params, sims=sims)
-    out = eki_step(ens, np.array([1.0]), 1.0, compute_moments(ens), rng)
+    ens = Ensemble(params)
+    out = eki_step(ens, sims, np.array([1.0]), 1.0, compute_moments(ens, sims), rng)
     assert abs(out.params.mean() - 0.5) < 0.01
     assert abs(out.params.var(ddof=1) - 0.5) < 0.01
 
@@ -458,30 +456,29 @@ def test_gaussian_step_h1_is_single_enkf_update():
 
 def test_gaussian_step_rejects_a_noise_cov_row():
     # (R + R^T) / 2 of a 1 x 3 row would broadcast to the rank-one 0.5 * ones((3, 3))
-    ens = _make_simulated(4, d_y=3)
+    ens, sims = _make_simulated(4, d_y=3)
     with pytest.raises(ValueError, match=r"noise_cov must be 3 x 3, got \(1, 3\)"):
-        gaussian_eki_step(Ensemble(ens.params), ens.sims, np.zeros(3), [[0.5, 0.5, 0.5]],
+        gaussian_eki_step(ens, sims, np.zeros(3), [[0.5, 0.5, 0.5]],
                           1.0, np.random.default_rng(0))
 
 
 def test_gaussian_step_names_noise_cov_of_the_wrong_size():
-    ens = _make_simulated(4, d_y=3)
+    ens, sims = _make_simulated(4, d_y=3)
     with pytest.raises(ValueError, match=r"noise_cov must be 3 x 3, got \(1, 2\)"):
-        gaussian_eki_step(Ensemble(ens.params), ens.sims, np.zeros(3), [[0.5, 0.5]],
+        gaussian_eki_step(ens, sims, np.zeros(3), [[0.5, 0.5]],
                           0.5, np.random.default_rng(0))
 
 
 def test_building_blocks_reject_a_non_finite_observed():
-    ens = _make_simulated(5, d_y=3)
-    mom = compute_moments(ens)
+    ens, sims = _make_simulated(5, d_y=3)
+    mom = compute_moments(ens, sims)
     observed = np.array([0.0, np.nan, 0.0])
     with pytest.raises(ValueError, match="observed must be finite"):
-        select_next_lambda(ens.sims, observed, mom.chol_y_given_x, 0.0, 1.0)
+        select_next_lambda(sims, observed, mom.chol_y_given_x, 0.0, 1.0)
     with pytest.raises(ValueError, match="observed must be finite"):
-        eki_step(ens, observed, 0.5, mom, np.random.default_rng(0))
+        eki_step(ens, sims, observed, 0.5, mom, np.random.default_rng(0))
     with pytest.raises(ValueError, match="observed must be finite"):
-        gaussian_eki_step(Ensemble(ens.params), ens.sims, observed, np.eye(3), 1.0,
-                          np.random.default_rng(0))
+        gaussian_eki_step(ens, sims, observed, np.eye(3), 1.0, np.random.default_rng(0))
 
 
 def test_gaussian_step_validation():
@@ -507,16 +504,16 @@ def test_gaussian_step_validation():
 
 def test_eki_step_rejects_a_nan_step():
     # NaN fails the sign check too, instead of reaching the factorisation
-    ens = _make_simulated(6, d_y=3)
+    ens, sims = _make_simulated(6, d_y=3)
     with pytest.raises(ValueError, match="stepsize h must be positive"):
-        eki_step(ens, np.zeros(3), np.nan, compute_moments(ens), np.random.default_rng(0))
+        eki_step(ens, sims, np.zeros(3), np.nan, compute_moments(ens, sims),
+                 np.random.default_rng(0))
 
 
 def test_gaussian_step_rejects_a_nan_step():
-    ens = _make_simulated(6, d_y=3)
+    ens, sims = _make_simulated(6, d_y=3)
     with pytest.raises(ValueError, match="stepsize h must be positive"):
-        gaussian_eki_step(Ensemble(ens.params), ens.sims, np.zeros(3), np.eye(3), np.nan,
-                          np.random.default_rng(0))
+        gaussian_eki_step(ens, sims, np.zeros(3), np.eye(3), np.nan, np.random.default_rng(0))
 
 
 # ------------------------------------------------------------ select_next_lambda
@@ -644,11 +641,10 @@ def test_select_lambda_rejects_observed_of_the_wrong_length():
 # ------------------------------------------------------------------ stop rules
 
 def test_stop_optimisation_is_strict():
-    base = _make_simulated(0, n=100)
-    var = np.diag(compute_moments(base).cov_xx)
+    base, sims = _make_simulated(0, n=100)
+    var = np.diag(compute_moments(base, sims).cov_xx)
     assert not stop_optimisation(var, 0.01 * var)  # equality at the 1% threshold fails
-    shrunk = Ensemble(base.params * 0.01, sims=base.sims)
-    shrunk_var = np.diag(compute_moments(shrunk).cov_xx)
+    shrunk_var = np.diag(compute_moments(Ensemble(base.params * 0.01), sims).cov_xx)
     assert stop_optimisation(var, shrunk_var)
     assert not stop_optimisation(var, 0.011 * var)
 
@@ -688,8 +684,8 @@ def test_run_eki_records_each_iterations_noise_shrinkage(monkeypatch):
     _, _, y = draw_observation(model, 11)
     seen = []
 
-    def recording(ensemble):
-        mom = compute_moments(ensemble)
+    def recording(ensemble, sims):
+        mom = compute_moments(ensemble, sims)
         seen.append(mom.shrinkage)
         return mom
 
@@ -730,12 +726,13 @@ def test_run_eki_optimisation_contracts_variances():
 
 
 def test_run_eki_stopped_by_the_variance_rule_returns_particles_only():
-    # the stopping round simulates the particles, but the result holds none
+    # the stopping round simulates the last moved particles, and those are the result
     model = random_lingauss(np.random.default_rng(12), 2, 2)
     _, _, y = draw_observation(model, 8)
-    res = run_eki(model, y, EkiConfig(n_particles=50, stop_mode="optimisation"), 8)
+    config = EkiConfig(n_particles=50, stop_mode="optimisation", snapshots=True)
+    res = run_eki(model, y, config, 8)
     assert res.termination_reason == "optimisation"
-    assert res.ensemble.sims is None
+    assert res.ensemble is res.snapshots[-1]
 
 
 def test_run_eki_max_iters_reason():

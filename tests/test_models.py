@@ -321,6 +321,9 @@ def test_l96_config_layout_and_validation():
         L96Model(obs_times=(0.00151,), dt=0.001)  # off the step grid
     with pytest.raises(ValueError):
         L96Model(obs_times=(2.0, 1.0))
+    # two times within the grid tolerance of one step would read one state twice
+    with pytest.raises(ValueError, match="obs_times"):
+        build_model("l96", {"d_x": 8, "obs_times": [1.0, 1.0000000001]})
     with pytest.raises(ValueError):
         L96Model(d_x=3)
     with pytest.raises(TypeError, match="d_x"):
