@@ -29,6 +29,18 @@ def test_ensemble_validation():
 
 
 def test_moments_require_sims():
+    # the round's simulations are a required argument, not ensemble state
+    with pytest.raises(TypeError):
+        compute_moments(Ensemble(np.zeros((3, 2))))
+
+
+def test_with_sims_attaches_and_validates():
+    # row i of a round's sims belongs to particle i, taken as floats
+    ens = Ensemble(np.array([[0.0], [1.0], [2.0]]))
+    as_ints = compute_moments(ens, [[0], [2], [4]])
+    as_floats = compute_moments(ens, np.array([[0.0], [2.0], [4.0]]))
+    assert np.array_equal(as_ints.cov_xy, as_floats.cov_xy)
+    assert np.array_equal(as_ints.cov_y_given_x, as_floats.cov_y_given_x)
     ens = Ensemble(np.zeros((3, 2)))
     with pytest.raises(ValueError, match=r"sims rows \(2\) != params rows \(3\)"):
         compute_moments(ens, np.ones((2, 5)))
