@@ -42,7 +42,7 @@ _STOP_ACCEPTANCE = 0.015  # SMC stops once its move acceptance falls below this
 _SMC_MAX_ITERS = 1000  # SMC iteration cap
 _TARGET_ACCEPTANCE = 0.10  # MCMC steers kappa toward this acceptance rate
 _GAIN_DECAY = 0.6  # MCMC log-kappa gain is t^(-_GAIN_DECAY)
-_ADAPT_START = 10  # MCMC proposes from the identity up to this step
+_ADAPT_EVERY = 16  # MCMC refreshes its proposal factor once per block of this many steps
 
 
 @dataclass
@@ -70,8 +70,9 @@ class AbcMcmcConfig:
     kappa starts at the initial state's distance from the data, and log
     kappa follows a stochastic-approximation recursion with gain t^(-0.6)
     pushing the acceptance rate toward a fixed 10%. The proposal is
-    2.38^2 / d_x times the identity for the first 10 steps and times the
-    running chain covariance after. The returned ensemble is the
+    2.38^2 / d_x times the identity for the first 16 steps; after that it
+    is 2.38^2 / d_x times the covariance of the chain so far, refreshed
+    every 16 steps. The returned ensemble is the
     post-burn-in chain thinned to n_keep >= 2 states (default min(1000,
     tail length); burn-in is the first half).
     """
@@ -248,63 +249,77 @@ def run_abc_mcmc(
 ) -> RunResult:
     """Adaptive random-walk ABC-MCMC with one fresh simulation per proposal.
 
-    Proposal covariance is 2.38^2 / d_x times the running covariance of the
-    chain (identity for the first 10 steps); a proposal is
-    accepted iff the prior MH ratio passes and its simulation lands within
-    kappa. After each step log kappa moves by -t^(-0.6) *
-    (accepted - 0.10), so kappa shrinks on acceptance and
-    equilibrates where the long-run rate matches the target.
+    The chain runs in blocks of 16 steps. At a block start t0 the proposal
+    covariance is 2.38^2 / d_x times the chain's covariance over its first
+    t0 states (times the identity in the first block, and while the chain
+    has never moved), and it is factored once for the block; at the block
+    end the block's states are folded into the running mean and M2 by the
+    pairwise update of Chan, Golub & LeVeque (1979). A proposal is accepted
+    iff the prior MH ratio passes and its simulation lands within kappa.
+    After each step log kappa moves by -t^(-0.6) * (accepted - 0.10), so
+    kappa shrinks on acceptance and equilibrates where the long-run rate
+    matches the target.
+
+    Streams: the initial prior draw and every simulation come from
+    `substream(root, CHAIN)`, each block's standard normal moves from
+    `substream(root, PROPOSAL)` and its acceptance uniforms from
+    `substream(root, ACCEPT)`; a block draws all of its own at once, which
+    equals drawing them step by step.
     """
     observed = _observed_vector(observed, model.d_y)
     root = as_seed_sequence(seed)
     rng = substream(root, CHAIN)
+    prop_rng = substream(root, PROPOSAL)
+    acc_rng = substream(root, ACCEPT)
     d_x = model.d_x
+    n_steps = config.n_steps
     rw_scale = 2.38**2 / d_x
 
     state = model.prior_sample(1, rng)[0]
     sim = model.simulate(state, rng)
     _require_finite(sim, "MCMC step 0")
-    sim_count = 1
     logp_cur = model.prior_logpdf(state[None])[0]
     dist_cur = float(np.linalg.norm(observed - sim))
     kappa = dist_cur if dist_cur > 0 else 1.0
 
-    mean, m2 = state, np.zeros((d_x, d_x))  # Welford's running mean and M2
-    chain = np.empty((config.n_steps + 1, d_x))
+    mean, m2 = state.copy(), np.zeros((d_x, d_x))  # running moments of chain[:t0]
+    chain = np.empty((n_steps + 1, d_x))
     chain[0] = state
-    accepted = np.zeros(config.n_steps, dtype=bool)
-    kappa_trace = np.empty(config.n_steps + 1)
+    accepted = np.zeros(n_steps, dtype=bool)
+    kappa_trace = np.empty(n_steps + 1)
     kappa_trace[0] = kappa
 
-    identity = np.eye(d_x)
-    for t in range(1, config.n_steps + 1):
-        spread = symmetrize(m2 / (t - 1)) if t > _ADAPT_START else identity
-        if not spread.any():
-            spread = identity
-        z = rng.standard_normal(d_x)
-        low, _ = chol_psd(rw_scale * spread)
-        candidate = state + low @ z
-        cand_sim = model.simulate(candidate, rng)
-        _require_finite(cand_sim, f"MCMC step {t}")
-        sim_count += 1
-        cand_dist = float(np.linalg.norm(observed - cand_sim))
-        u = rng.random()
-        ok = False
-        if cand_dist < kappa:  # the prior ratio decides only inside kappa
-            cand_logp = model.prior_logpdf(candidate[None])[0]
-            ok = np.log(u) < float(cand_logp - logp_cur)
-            if ok:
-                state, logp_cur = candidate, cand_logp
-        accepted[t - 1] = ok
-        gain = t ** (-_GAIN_DECAY)
-        kappa = float(np.exp(np.log(kappa) - gain * (float(ok) - _TARGET_ACCEPTANCE)))
-        kappa_trace[t] = kappa
-        delta = state - mean
-        mean = mean + delta / (t + 1)
-        m2 = m2 + delta[:, None] * (state - mean)
-        chain[t] = state
+    identity_factor = math.sqrt(rw_scale) * np.eye(d_x)
+    for t0 in range(1, n_steps + 1, _ADAPT_EVERY):
+        t1 = min(t0 + _ADAPT_EVERY, n_steps + 1)
+        m = t1 - t0
+        low = chol_psd(rw_scale * (m2 / (t0 - 1)))[0] if m2.any() else identity_factor
+        moves = prop_rng.standard_normal((m, d_x)) @ low.T
+        log_u = np.log(acc_rng.random(m))
+        for j, t in enumerate(range(t0, t1)):
+            candidate = state + moves[j]
+            cand_sim = model.simulate(candidate, rng)
+            _require_finite(cand_sim, f"MCMC step {t}")
+            diff = observed - cand_sim
+            ok = False
+            if math.sqrt(diff @ diff) < kappa:  # the prior ratio decides only inside kappa
+                cand_logp = model.prior_logpdf(candidate[None])[0]
+                ok = log_u[j] < cand_logp - logp_cur
+                if ok:
+                    state, logp_cur = candidate, cand_logp
+            accepted[t - 1] = ok
+            kappa *= math.exp(-(t ** -_GAIN_DECAY) * (ok - _TARGET_ACCEPTANCE))
+            kappa_trace[t] = kappa
+            chain[t] = state
+        # Chan, Golub & LeVeque's pairwise update, with the block's mean taken
+        # about the running one, so a chain that never moved keeps m2 at zero
+        dev = chain[t0:t1] - mean
+        shift = dev.sum(axis=0) / m
+        dev -= shift
+        m2 += dev.T @ dev + np.outer(shift, shift) * (t0 * m / t1)
+        mean += shift * (m / t1)
 
-    burn = config.n_steps // 2
+    burn = n_steps // 2
     tail = chain[burn + 1 :]
     n_keep = config.n_keep if config.n_keep is not None else min(1000, tail.shape[0])
     n_keep = min(n_keep, tail.shape[0])
@@ -313,7 +328,7 @@ def run_abc_mcmc(
     return RunResult(
         ensemble=ensemble,
         final_temp=kappa,
-        sim_count=sim_count,
+        sim_count=n_steps + 1,
         termination_reason="completed",
         diagnostics={
             "kappa_trace": kappa_trace,

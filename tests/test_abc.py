@@ -1,5 +1,6 @@
 """ABC-SMC and ABC-MCMC: primitives, adaptation laws, end-to-end behavior."""
 import logging
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enki import baselines
 from enki.baselines import (
     AbcMcmcConfig,
     AbcSmcConfig,
@@ -18,7 +20,7 @@ from enki.baselines import (
 from enki.inversion import EkiConfig, run_eki
 from enki.linalg import chol_psd, symmetrize
 from enki.models import build_model
-from enki.rng import ALGO, CHAIN, as_seed_sequence, derive, substream
+from enki.rng import ACCEPT, ALGO, CHAIN, PROPOSAL, as_seed_sequence, derive, substream
 
 from _helpers import SAMPLERS, CountingToyModel, ToyModel, draw_observation
 
@@ -327,14 +329,23 @@ def test_mcmc_bitwise_reproducible():
 
 
 def _reference_mcmc(model, observed, n_steps, seed):
-    """The ABC-MCMC loop written plainly: every step evaluates the prior,
-    checks finiteness with np.all and updates the moments with np.outer.
+    """The ABC-MCMC loop written plainly, in blocks of 16 steps.
 
-    Returns (chain, kappa_trace, accepted, sim_count, jittered, mean, cov),
-    where jittered counts the proposal factors that needed jitter and mean
-    and cov are the final running (Welford) moments of the whole chain.
+    A block draws its moves from the PROPOSAL stream and its uniforms from
+    the ACCEPT stream; every step evaluates the prior and checks finiteness
+    with np.all. At a block start the proposal factor comes from
+    symmetrize(m2 / (count - 1)), or is the scaled identity while m2 is all
+    zero; at a block end the block is folded into the mean and m2 by the
+    pairwise update, its mean taken about the running one.
+
+    Returns (chain, kappa_trace, accepted, sim_count, jittered, spreads,
+    mean, cov): jittered counts the proposal factors that needed jitter,
+    spreads maps each refresh's step t to m2 / (t - 1) there, and mean and
+    cov are the folded moments of the whole chain.
     """
-    rng = substream(as_seed_sequence(seed), CHAIN)
+    root = as_seed_sequence(seed)
+    rng = substream(root, CHAIN)
+    prop_rng, acc_rng = substream(root, PROPOSAL), substream(root, ACCEPT)
     d_x = model.d_x
     rw_scale = 2.38**2 / d_x
     state = model.prior_sample(1, rng)[0]
@@ -348,45 +359,49 @@ def _reference_mcmc(model, observed, n_steps, seed):
     chain = [state]
     kappa_trace = [kappa]
     accepted = []
-    identity = np.eye(d_x)
     jittered = 0
-    for t in range(1, n_steps + 1):
-        spread = symmetrize(m2 / (count - 1)) if t > 10 else identity
-        if not spread.any():
-            spread = identity
-        z = rng.standard_normal(d_x)
-        low, jitter = chol_psd(rw_scale * spread)
-        jittered += jitter > 0.0
-        candidate = state + low @ z
-        cand_sim = model.simulate(candidate, rng)
-        assert np.all(np.isfinite(cand_sim))
-        sim_count += 1
-        cand_dist = float(np.linalg.norm(observed - cand_sim))
-        cand_logp = model.prior_logpdf(candidate[None])[0]
-        ok = np.log(rng.random()) < float(cand_logp - logp_cur) and cand_dist < kappa
-        if ok:
-            state, logp_cur = candidate, cand_logp
-        accepted.append(ok)
-        gain = t ** (-0.6)
-        kappa = float(np.exp(np.log(kappa) - gain * (float(ok) - 0.10)))
-        kappa_trace.append(kappa)
-        count += 1
-        delta = state - mean
-        mean = mean + delta / count
-        m2 = m2 + np.outer(delta, state - mean)
-        chain.append(state)
+    spreads = {}
+    for t0 in range(1, n_steps + 1, 16):
+        size = min(16, n_steps + 1 - t0)
+        if m2.any():
+            spreads[t0] = spread = symmetrize(m2 / (count - 1))
+            low, jitter = chol_psd(rw_scale * spread)
+            jittered += jitter > 0.0
+        else:
+            low = np.sqrt(rw_scale) * np.eye(d_x)
+        moves = prop_rng.standard_normal((size, d_x)) @ low.T
+        log_u = np.log(acc_rng.random(size))
+        for j in range(size):
+            candidate = state + moves[j]
+            cand_sim = model.simulate(candidate, rng)
+            assert np.all(np.isfinite(cand_sim))
+            sim_count += 1
+            cand_dist = float(np.linalg.norm(observed - cand_sim))
+            cand_logp = model.prior_logpdf(candidate[None])[0]
+            ok = log_u[j] < cand_logp - logp_cur and cand_dist < kappa
+            if ok:
+                state, logp_cur = candidate, cand_logp
+            accepted.append(ok)
+            kappa *= math.exp(-((t0 + j) ** -0.6) * (ok - 0.10))
+            kappa_trace.append(kappa)
+            chain.append(state)
+        block = np.array(chain[t0:])
+        shift = (block - mean).sum(axis=0) / size
+        dev = block - mean - shift
+        m2 = m2 + (dev.T @ dev + np.outer(shift, shift) * (count * size / (count + size)))
+        mean = mean + shift * (size / (count + size))
+        count += size
     return (np.array(chain), np.array(kappa_trace), np.array(accepted), sim_count, jittered,
-            mean, m2 / (count - 1))
+            spreads, mean, m2 / (count - 1))
 
 
 # Chain seed s runs on the observation drawn with seed 40 + s. For gk these
-# are the first two s from 0 on whose reference chain jitters: in the first
-# steps after the running covariance takes over (step 11), the chain has
-# visited too few distinct states for that covariance to have full rank, so
-# the proposal factor comes from the jitter ladder. The test asserts that it
-# does, so a change of the gk draws that loses this path fails instead of
-# passing without it.
-_MCMC_REFERENCE_SEEDS = {"gk": (1, 2), "toy": (0, 1)}
+# are the first two s from 0 on whose reference chain jitters: at the first
+# refreshes (step 17 on), the chain has visited too few distinct states for
+# its covariance to have full rank, so the proposal factor comes from the
+# jitter ladder. The test asserts that it does, so a change of the gk draws
+# that loses this path fails instead of passing without it.
+_MCMC_REFERENCE_SEEDS = {"gk": (0, 1), "toy": (0, 1)}
 
 
 @pytest.mark.parametrize("name", ["gk", "toy"])
@@ -396,10 +411,13 @@ def test_mcmc_matches_the_plain_reference_loop(name, caplog):
     n_steps = 500
     for seed in _MCMC_REFERENCE_SEEDS[name]:
         _, _, y = draw_observation(model, 40 + seed)
-        chain, kappa_trace, accepted, sim_count, jittered, mean, cov = _reference_mcmc(
+        chain, kappa_trace, accepted, sim_count, jittered, spreads, mean, cov = _reference_mcmc(
             model, y, n_steps, seed
         )
-        # Welford's recursion agrees with the batch estimates of the chain
+        # the pairwise fold agrees with the batch estimates at every refresh
+        # and over the whole chain
+        for t, spread in spreads.items():
+            assert np.allclose(spread, np.cov(chain[:t], rowvar=False))
         assert np.allclose(mean, chain.mean(axis=0))
         assert np.allclose(cov, np.cov(chain, rowvar=False))
         caplog.clear()
@@ -419,6 +437,41 @@ def test_mcmc_matches_the_plain_reference_loop(name, caplog):
             assert jittered > 0
         else:
             assert jittered == 0  # a 1 x 1 running variance never needs jitter
+
+
+class StuckToyModel(ToyModel):
+    """ToyModel with a second, unused parameter, started at (0.1, 0.1) and
+    with zero prior density everywhere else.
+
+    A (16, 2) block of 0.1s averages to 0.1 + 1.4e-17 down its columns, so a
+    block mean taken directly would give the stuck chain a nonzero m2.
+    """
+
+    d_x = 2
+
+    def prior_sample(self, count, rng):
+        return np.full((count, 2), 0.1)
+
+    def prior_logpdf(self, params):
+        return np.where((np.atleast_2d(params) == 0.1).all(axis=1), 0.0, -np.inf)
+
+
+def test_mcmc_chain_that_never_moves_keeps_the_identity_proposal(monkeypatch):
+    seen = []  # every matrix the sampler factors
+
+    def recording_chol_psd(mat):
+        seen.append(np.array(mat))
+        return chol_psd(mat)
+
+    monkeypatch.setattr(baselines, "chol_psd", recording_chol_psd)
+    model = StuckToyModel()
+    _, _, y = draw_observation(ToyModel(), 3)
+    n_steps = 200
+    res = run_abc_mcmc(model, y, AbcMcmcConfig(n_steps=n_steps), 4)
+    assert np.all(res.ensemble.params == 0.1)
+    assert res.diagnostics["acceptance_rate_overall"] == 0.0
+    assert seen == []  # m2 stays exactly zero, so no block factors a matrix
+    assert res.sim_count == n_steps + 1
 
 
 def test_mcmc_acceptance_shrinks_kappa():

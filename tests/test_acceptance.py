@@ -310,8 +310,8 @@ def test_06_rmse_ordering_at_matched_budget(capsys, tmp_path):
 # ---------------------------------------------------------------- check 7
 
 REDUCED_MARGIN_NOTE = (
-    "averaged over seeds 0-2 the observed-dimension spread (2.2046) is not "
-    "strictly below the unobserved one (2.1772): with observations this late "
+    "averaged over seeds 0-2 the observed-dimension spread (2.2070) is not "
+    "strictly below the unobserved one (2.1974): with observations this late "
     "the best possible linear update only contracts the prior by ~0.2% "
     "(estimated from 60k prior-predictive simulations), far inside Monte "
     "Carlo noise at N=200, so the margin check cannot resolve at this scale"
