@@ -35,11 +35,29 @@ __all__ = ["GkModel"]
 def _gk_values(z, a, b, g, k, c):
     """Quantile Q(z) = a + b (1 + c tanh(gz/2)) (1 + z^2)^k z at normal deviates z.
 
-    Q(ndtri(u)) is the g-and-k quantile at u in (0, 1); broadcasts.
+    Q(ndtri(u)) is the g-and-k quantile at u in (0, 1); broadcasts. The
+    result and one scratch array take the broadcast shape of all six
+    arguments, and every operation of the formula, in its order, writes
+    into one of them, so the values are those of the written-out formula
+    on arrays bit for bit, two arrays are allocated in all, and z is left
+    as it is. Scalars run the same numpy loops (a 0-d result is returned
+    as a numpy scalar), so a scalar call equals the matching entry of an
+    array call.
     """
+    shape = np.broadcast(z, a, b, g, k, c).shape
     # (1 - e^{-gz}) / (1 + e^{-gz}) written as tanh(gz/2) to avoid overflow.
-    skew = 1.0 + c * np.tanh(g * z / 2.0)
-    return a + b * skew * (1.0 + z**2) ** k * z
+    out = np.multiply(g, z, out=np.empty(shape))
+    np.divide(out, 2.0, out=out)
+    np.tanh(out, out=out)
+    np.multiply(c, out, out=out)
+    np.add(1.0, out, out=out)
+    np.multiply(b, out, out=out)
+    scratch = np.square(z, out=np.empty(shape))
+    np.add(1.0, scratch, out=scratch)
+    np.power(scratch, k, out=scratch)
+    np.multiply(out, scratch, out=out)
+    np.multiply(out, z, out=out)
+    return np.add(a, out, out=out)[()]
 
 
 def _order_stat_indices(n_raw: int, n_stats: int) -> np.ndarray:
@@ -99,21 +117,31 @@ class GkModel(SimulatorModel):
         total, a kept deviate is ndtri(S_r / S) while S_r <= S - S_r and
         -ndtri((S - S_r) / S) after that, with S - S_r summed from the top,
         so both tails keep full relative precision and rows stay
-        non-decreasing. Raises ValueError unless params has four columns and
-        no NaN.
+        non-decreasing. The deviates work in two buffers: S - S_r is summed
+        into the deviate buffer through its reversed view and S_r in place
+        in the spacings, and the minimum, the division, the probit and the
+        sign flip overwrite the deviates. The spacings are released before
+        _gk_values adds its result and scratch arrays, so the peak is about
+        three (n, n_stats) float arrays; the operations and their order are
+        those of the out-of-place formula, so the values are too, bit for
+        bit. Raises ValueError unless params has four columns and no NaN.
         """
         params = self._batch(params)
         natural = self.upper * ndtr(params)
         if not np.isfinite(natural).all():
             raise ValueError("params must be finite")
         spacings = rng.standard_gamma(self._gaps, (params.shape[0], self.n_stats + 1))
-        below = np.add.accumulate(spacings, axis=1)
-        total = below[:, -1:]
-        below = below[:, :-1]
-        above = np.add.accumulate(spacings[:, :0:-1], axis=1)[:, ::-1]
-        upper = above < below
-        z = ndtri(np.minimum(above, below) / total)
+        z = np.empty((params.shape[0], self.n_stats))
+        np.add.accumulate(spacings[:, :0:-1], axis=1, out=z[:, ::-1])
+        np.add.accumulate(spacings, axis=1, out=spacings)
+        below, total = spacings[:, :-1], spacings[:, -1:]
+        upper = z < below
+        np.minimum(z, below, out=z)
+        np.divide(z, total, out=z)
+        del spacings, below, total
+        ndtri(z, out=z)
         np.negative(z, out=z, where=upper)
+        del upper
         a, b, g, k = natural.T[:, :, None]
         return _gk_values(z, a, b, g, k, self.c)
 

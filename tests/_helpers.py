@@ -101,6 +101,55 @@ class PoissonGammaModel(SimulatorModel):
         return float(mean), float(np.sqrt(polygamma(1, shape)))
 
 
+class _QuadratureModel(SimulatorModel):
+    """A scalar x ~ N(0, 1) and 10 readings y_j of it; the posterior of x by quadrature.
+
+    Subclasses define `simulate_batch` and `log_likelihood(x, observed)`,
+    the log density of the readings at each x of a 1-D grid.
+    """
+
+    d_x = 1
+    d_y = 10
+
+    def prior_sample(self, count, rng):
+        return rng.standard_normal((count, 1))
+
+    def prior_logpdf(self, params):
+        x = self._batch(params)[:, 0]
+        return -0.5 * x**2 - 0.5 * np.log(2 * np.pi)
+
+    def posterior_mean_sd(self, observed) -> tuple:
+        """Posterior mean and sd of x from the unnormalised log density on a grid of (-8, 8)."""
+        x = np.linspace(-8.0, 8.0, 40001)
+        log_density = -0.5 * x**2 + self.log_likelihood(x, np.asarray(observed))
+        weight = np.exp(log_density - log_density.max())
+        weight /= weight.sum()
+        mean = weight @ x
+        return float(mean), float(np.sqrt(weight @ (x - mean) ** 2))
+
+
+class LaplaceNoiseModel(_QuadratureModel):
+    """Linear mean, Laplace noise: y_j = x + Laplace(0, 1), j = 1..10."""
+
+    def simulate_batch(self, params, rng):
+        x = self._batch(params)
+        return x + rng.laplace(0.0, 1.0, size=(len(x), self.d_y))
+
+    def log_likelihood(self, x, observed):
+        return -np.abs(observed[None, :] - x[:, None]).sum(axis=1)
+
+
+class CurvedMeanModel(_QuadratureModel):
+    """Curved mean, Gaussian noise: y_j = e^x + N(0, 0.5^2), j = 1..10."""
+
+    def simulate_batch(self, params, rng):
+        x = self._batch(params)
+        return np.exp(x) + 0.5 * rng.standard_normal((len(x), self.d_y))
+
+    def log_likelihood(self, x, observed):
+        return -2.0 * ((observed[None, :] - np.exp(x)[:, None]) ** 2).sum(axis=1)
+
+
 def random_spd(rng: np.random.Generator, d: int, floor: float = 0.5) -> np.ndarray:
     a = rng.normal(size=(d, d))
     return a @ a.T + floor * np.eye(d)

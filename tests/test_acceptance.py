@@ -1,6 +1,6 @@
 """Acceptance gate: end-to-end checks of the package's headline claims.
 
-Thirteen numbered checks, each printing one PASS/FAIL line (through the capture
+Fourteen numbered checks, each printing one PASS/FAIL line (through the capture
 bypass, so batch logs always carry the verdicts) before asserting:
 
 1. closed-form tempering: recursion over any partition equals the direct
@@ -28,6 +28,10 @@ bypass, so batch logs always carry the verdicts) before asserting:
 13. check 10's calibration on the reduced lattice of check 7, with late
     observations and with early ones (the early case measured one count
     short of the gate; kept honest)
+14. check 12's gates on two models with one departure each from the
+    linear-Gaussian case: Laplace noise about a linear mean, and Gaussian
+    noise about a curved mean (the curved mean measured far too wide;
+    kept honest)
 """
 import time
 
@@ -49,6 +53,8 @@ from enki.models.lorenz96 import l96_drift
 from enki.rng import ALGO, DATA, PERTURB, PRIOR, as_seed_sequence, derive, substream
 
 from _helpers import (
+    CurvedMeanModel,
+    LaplaceNoiseModel,
     PoissonGammaModel,
     ToyModel,
     draw_observation,
@@ -683,3 +689,56 @@ def test_13_lorenz96_sampling_is_calibrated(capsys, obs_times):
     # the reduced lattice of check 7 at N=200; fixed before the first run
     model = build_model("l96", {"d_x": 8, "obs_times": obs_times})
     _check_calibration(capsys, f"13 (t={obs_times[0]:g},{obs_times[1]:g})", model, 200)
+
+
+# ---------------------------------------------------------------- check 14
+
+CURVED_MEAN_NOTE = (
+    "with the curved mean y_j = e^x + N(0, 0.5^2) the final ensemble is far "
+    "wider than the quadrature posterior: over seeds 1000-1059 the final sd / "
+    "posterior sd has median 2.543 (p10 1.072, p90 4.342), the ensemble mean "
+    "sits a median 0.538 posterior sds low, and the 50% interval covers the "
+    "truth 43 of 60 times, above the gate of 41 (90%: 58 of 60)"
+)
+
+
+@pytest.mark.parametrize("model", [
+    pytest.param(LaplaceNoiseModel(), id="laplace-noise"),
+    pytest.param(
+        CurvedMeanModel(), id="curved-mean",
+        marks=pytest.mark.xfail(strict=True, reason=CURVED_MEAN_NOTE),
+    ),
+])
+def test_14_one_departure_at_a_time_from_linear_gaussian(capsys, model):
+    # check 12 mixes Poisson noise with the curved mean E[y | x] = e^x; these
+    # two 1-D models, x ~ N(0, 1) and 10 readings, each keep one departure,
+    # and their posterior mean and sd come from quadrature. Check 12's design,
+    # seeds and gates; models, grid, seeds and gates were fixed before the
+    # first run
+    start = time.perf_counter()
+    ratios, bias = [], []
+    hits = hits50 = 0
+    for seed in range(1000, 1060):
+        root, truth, y = draw_observation(model, seed)
+        res = run_eki(model, y, EkiConfig(n_particles=200), derive(root, ALGO))
+        post_mean, post_sd = model.posterior_mean_sd(y)
+        x = res.ensemble.params[:, 0]
+        ratios.append(x.std(ddof=1) / post_sd)
+        bias.append((x.mean() - post_mean) / post_sd)
+        lo, lo50, hi50, hi = np.quantile(x, [0.05, 0.25, 0.75, 0.95])
+        hits += bool(lo <= truth[0] <= hi)
+        hits50 += bool(lo50 <= truth[0] <= hi50)
+    elapsed = time.perf_counter() - start
+    ratio = float(np.median(ratios))
+    ok_sd = 0.8 <= ratio <= 1.25
+    ok90 = hits >= 47
+    ok50 = 19 <= hits50 <= 41
+    _verdict(
+        capsys, f"14 ({type(model).__name__})", ok_sd and ok90 and ok50,
+        f"median final sd / posterior sd {ratio:.3f} (gate 0.8-1.25), median bias "
+        f"{np.median(bias):.3f} posterior sds, 90% interval covers the truth {hits} of 60 "
+        f"(gate 47), 50% interval {hits50} (gate 19-41), {elapsed:.1f}s",
+    )
+    assert ok90, f"90% coverage count {hits} of 60, gate 47"
+    assert ok50, f"50% coverage count {hits50} of 60, gate 19-41"
+    assert ok_sd, f"median spread ratio {ratio:.3f}, gate [0.8, 1.25]"

@@ -1,11 +1,12 @@
 """Benchmark models: g-and-k and its probit map, Lorenz 96, linear-Gaussian, registry."""
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from enki.ensembles import GaussPair
 from enki.linalg import chol_psd
@@ -208,6 +209,79 @@ def test_gk_kernel_keeps_both_tails_at_full_precision():
     assert summaries[-1] == _gk_values(-ndtri(tail), a, b, g, k, model.c)
     # the top rank read as S_r / S rounds to 1, and its probit to inf
     assert 99.0 / (99.0 + 1e-18) == 1.0 and ndtri(1.0) == np.inf
+
+
+def _written_out_kernel(model, params, rng):
+    # the kernel with every intermediate a fresh array: simulate_batch works
+    # in its own buffers and must reproduce these bytes, operation for
+    # operation
+    natural = model.upper * ndtr(params)
+    spacings = rng.standard_gamma(model._gaps, (params.shape[0], model.n_stats + 1))
+    below = np.add.accumulate(spacings, axis=1)
+    total = below[:, -1:]
+    below = below[:, :-1]
+    above = np.add.accumulate(spacings[:, :0:-1], axis=1)[:, ::-1]
+    upper = above < below
+    z = ndtri(np.minimum(above, below) / total)
+    np.negative(z, out=z, where=upper)
+    a, b, g, k = natural.T[:, :, None]
+    return _gk_formula(z, a, b, g, k, model.c)
+
+
+def _gk_formula(z, a, b, g, k, c):
+    return a + b * (1.0 + c * np.tanh(g * z / 2.0)) * (1.0 + z**2) ** k * z
+
+
+def _same_bytes(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("c", [0.0, 0.4, 0.8])
+@pytest.mark.parametrize("sizes", [(1000, 100), (150, 100), (7, 7), (1, 1)])
+def test_gk_kernel_equals_the_written_out_kernel_byte_for_byte(sizes, c):
+    model = GkModel(n_raw=sizes[0], n_stats=sizes[1], c=c)
+    for n in (1, 2, 7, 500):
+        params = 3.0 * np.random.default_rng(n).standard_normal((n, 4))
+        # saturated probits: B = k = 0 in the first row, A = g = upper in the last
+        params[0, 1::2] = -40.0
+        params[-1, ::2] = 40.0
+        got = model.simulate_batch(params, np.random.default_rng(n + 1))
+        assert _same_bytes(got, _written_out_kernel(model, params, np.random.default_rng(n + 1)))
+
+
+def test_gk_values_equals_the_written_out_formula_byte_for_byte():
+    rng = np.random.default_rng(0)
+    z = ndtri(np.linspace(0.005, 0.995, 100))
+    kept = z.copy()
+    # (n, 1) parameters, wider than the (100,) deviates
+    a, b, g, k = 10.0 * rng.random((4, 50, 1))
+    values = _gk_values(z, a, b, g, k, 0.8)
+    assert _same_bytes(values, _gk_formula(z, a, b, g, k, 0.8))
+    assert _same_bytes(z, kept)
+    # Python floats run numpy's loops, as arrays do: each value is the
+    # formula on the same numbers as 0-d arrays, and the array call's entry
+    for i, j in zip(rng.integers(0, 50, 200), rng.integers(0, 100, 200)):
+        floats = [float(v) for v in (z[j], a[i, 0], b[i, 0], g[i, 0], k[i, 0])] + [0.8]
+        value = _gk_values(*floats)
+        assert type(value) is np.float64
+        assert _same_bytes(value, _gk_formula(*map(np.asarray, floats)))
+        assert _same_bytes(value, values[i, j])
+
+
+def test_gk_kernel_peak_allocation_is_three_buffers():
+    model = GkModel()
+    params = np.random.default_rng(0).standard_normal((500, 4))
+    model.simulate_batch(params, np.random.default_rng(1))
+    rng = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        model.simulate_batch(params, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the deviates, _gk_values' result and its scratch, (500, 100) floats each
+    assert peak <= 3.5 * 500 * model.n_stats * 8
 
 
 def test_gk_summary_median_tracks_location():
